@@ -159,16 +159,10 @@ def _cmd_harmonize(args) -> int:
                 file=sys.stderr,
             )
     if args.dot_dir:
-        # Re-running the steps is cheap and keeps the artifacts faithful.
-        from .reduction import reduce_once
-
-        current = g
-        for k in range(1, len(trace.steps) + 1):
-            with open(os.path.join(args.dot_dir, f"step{k}_before.dot"), "w") as fh:
-                fh.write(to_dot(current))
-            current = reduce_once(current)
-            with open(os.path.join(args.dot_dir, f"step{k}_after.dot"), "w") as fh:
-                fh.write(to_dot(current))
+        for k, step in enumerate(trace.steps, start=1):
+            for stage, graph in (("before", step.graph_before), ("after", step.graph_after)):
+                with open(os.path.join(args.dot_dir, f"step{k}_{stage}.dot"), "w") as fh:
+                    fh.write(to_dot(graph))
     text = serialize_graph(result)
     if args.output:
         with open(args.output, "w") as fh:

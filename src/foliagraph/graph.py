@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 MERGE = "MERGE"
@@ -50,15 +51,38 @@ class FoliationGraph:
 
     def __post_init__(self):
         # Canonical id order makes equality structural and serialization
-        # order-independent.
+        # order-independent; every index below inherits it.
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=lambda v: v.id)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
 
+    # Indices, built on first use; the dataclass is frozen, so they never
+    # go stale.  cached_property keeps them out of the compared fields.
+
+    @cached_property
+    def _vertex_by_id(self) -> dict[str, Vertex]:
+        return {v.id: v for v in self.vertices}
+
+    @cached_property
+    def _edge_at(self) -> dict[End, Edge]:
+        """Edge occupying each slot, keyed by its tail and its head end."""
+        return {end: e for e in self.edges for end in (e.tail, e.head)}
+
+    @cached_property
+    def _succ(self) -> dict[str, list[Edge]]:
+        succ: dict[str, list[Edge]] = {v.id: [] for v in self.vertices}
+        for e in self.edges:
+            succ.setdefault(e.tail.vertex, []).append(e)
+        return succ
+
+    @cached_property
+    def _pred(self) -> dict[str, list[Edge]]:
+        pred: dict[str, list[Edge]] = {v.id: [] for v in self.vertices}
+        for e in self.edges:
+            pred.setdefault(e.head.vertex, []).append(e)
+        return pred
+
     def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
+        return self._vertex_by_id[vid]
 
     def merge_count(self) -> int:
         return sum(1 for v in self.vertices if v.kind == MERGE)
@@ -67,14 +91,10 @@ class FoliationGraph:
         return sum(1 for v in self.vertices if v.kind == SPLIT)
 
     def out_edges(self, vid: str) -> list[Edge]:
-        return sorted(
-            (e for e in self.edges if e.tail.vertex == vid), key=lambda e: e.id
-        )
+        return list(self._succ.get(vid, ()))
 
     def in_edges(self, vid: str) -> list[Edge]:
-        return sorted(
-            (e for e in self.edges if e.head.vertex == vid), key=lambda e: e.id
-        )
+        return list(self._pred.get(vid, ()))
 
 
 @dataclass(frozen=True)
@@ -280,32 +300,41 @@ def regular_levels(g: FoliationGraph) -> list[Fraction]:
 
 def complexity(g: Foliation) -> tuple[int, Fraction]:
     """Minimum crossing count over regular levels, with the smallest
-    minimizing sample angle as witness."""
+    minimizing sample angle as witness.
+
+    One sweep: below the lowest critical value an edge crosses the level
+    ``winding`` times, once more if it wraps (head angle below tail angle);
+    crossing a SPLIT adds a strand and crossing a MERGE removes one.
+    """
     if isinstance(g, FreeCircle):
         return g.winding, Fraction(0)
-    best: tuple[int, Fraction] | None = None
-    for a in regular_levels(g):
-        c = crossing_count(g, a)
-        if best is None or c < best[0]:
-            best = (c, a)
-    assert best is not None
-    return best
+    count = sum(
+        e.winding + (g.vertex(e.head.vertex).angle < g.vertex(e.tail.vertex).angle)
+        for e in g.edges
+    )
+    order = sorted(g.vertices, key=lambda v: v.angle)
+    levels = []
+    for i, v in enumerate(order):
+        count += 1 if v.kind == SPLIT else -1
+        hi = order[i + 1].angle if i + 1 < len(order) else order[0].angle + 1
+        levels.append((count, _turn((v.angle + hi) / 2)))
+    return min(levels)
 
 
-def _successors(g: FoliationGraph) -> dict[str, list[Edge]]:
-    return {v.id: g.out_edges(v.id) for v in g.vertices}
-
-
-def _reachable(g: FoliationGraph, start: str) -> set[str]:
-    succ = _successors(g)
-    seen = {start}
+def _bfs_tree(g: FoliationGraph, start: str, reverse: bool = False) -> dict[str, Edge | None]:
+    """Breadth-first tree over out-edges (in-edges if ``reverse``), in
+    edge-id order: each reached vertex, in visiting order, mapped to the
+    edge it was reached along (None for ``start``)."""
+    adjacent = g._pred if reverse else g._succ
+    tree: dict[str, Edge | None] = {start: None}
     queue = deque([start])
     while queue:
-        for e in succ[queue.popleft()]:
-            if e.head.vertex not in seen:
-                seen.add(e.head.vertex)
-                queue.append(e.head.vertex)
-    return seen
+        for e in adjacent[queue.popleft()]:
+            w = e.tail.vertex if reverse else e.head.vertex
+            if w not in tree:
+                tree[w] = e
+                queue.append(w)
+    return tree
 
 
 def positive_path(g: FoliationGraph, x: str, y: str) -> list[str] | NoPath:
@@ -317,70 +346,74 @@ def positive_path(g: FoliationGraph, x: str, y: str) -> list[str] | NoPath:
     if isinstance(g, FreeCircle):
         raise ValueError("free circles have no vertices")
     g.vertex(x), g.vertex(y)
-    succ = _successors(g)
 
-    def bfs(sources: list[tuple[str, list[str]]]) -> list[str] | None:
-        seen = {v for v, _ in sources}
-        queue = deque(sources)
-        while queue:
-            v, path = queue.popleft()
-            if v == y:
-                return path
-            for e in succ[v]:
-                w = e.head.vertex
-                if w == y:
-                    return path + [e.id]
-                if w not in seen:
-                    seen.add(w)
-                    queue.append((w, path + [e.id]))
-        return None
+    def tree_path(start: str) -> list[str] | None:
+        tree = _bfs_tree(g, start)
+        if y not in tree:
+            return None
+        path, v = [], y
+        while v != start:
+            path.append(tree[v].id)
+            v = tree[v].tail.vertex
+        return path[::-1]
 
     if x != y:
-        found = bfs([(x, [])])
+        found = tree_path(x)
     else:
         # Closed walk: leave x along each out-edge and come back.
         found = None
-        for e in succ[x]:
-            tail = [e.id] if e.head.vertex == y else None
-            if tail is None:
-                cont = bfs([(e.head.vertex, [e.id])])
-                tail = cont
-            if tail is not None and (found is None or len(tail) < len(found)):
-                found = tail
+        for e in g._succ[x]:
+            back = tree_path(e.head.vertex)
+            if back is not None and (found is None or len(back) + 1 < len(found)):
+                found = [e.id] + back
     if found is not None:
         return found
-    return NoPath(tuple(sorted(_reachable(g, x))))
+    return NoPath(tuple(sorted(_bfs_tree(g, x))))
 
 
 def is_calabi(g: Foliation) -> CalabiCertificate:
     """Decide the Calabi property: every point lies on a positive cycle.
 
     For a connected oriented graph this coincides with strong
-    connectivity, so the certificate is either a family of directed
-    cycles covering every edge or a vertex pair with an empty positive
-    out-set between them.
+    connectivity, decided by a forward and a reverse breadth-first search
+    from the root, the smallest vertex id.  The certificate is either a
+    family of closed positive walks through the root, at most one per
+    edge (tree path root->tail, the edge, tree path head->root, each
+    rotated to start at its smallest edge id), covering every edge; or
+    the smallest-id vertex that does not reach everything, with the
+    smallest-id vertex outside its positive out-set.
     """
-    if isinstance(g, FreeCircle):
+    if isinstance(g, FreeCircle) or not g.vertices:
         return CalabiCertificate(True)
-    for v in sorted(g.vertices, key=lambda v: v.id):
-        reach = _reachable(g, v.id)
-        if len(reach) != len(g.vertices):
-            target = min(u.id for u in g.vertices if u.id not in reach)
-            return CalabiCertificate(
-                False, obstruction=Obstruction(v.id, target, tuple(sorted(reach)))
-            )
-    cycles = []
-    for e in sorted(g.edges, key=lambda e: e.id):
-        if e.head.vertex == e.tail.vertex:
-            cycles.append((e.id,))
-            continue
-        back = positive_path(g, e.head.vertex, e.tail.vertex)
-        assert not isinstance(back, NoPath)
-        cycle = [e.id] + back
-        k = cycle.index(min(cycle))
-        cycles.append(tuple(cycle[k:] + cycle[:k]))
-    unique = tuple(dict.fromkeys(cycles))
-    return CalabiCertificate(True, cycles=unique)
+    root = g.vertices[0].id
+    down = _bfs_tree(g, root)
+    if len(down) == len(g.vertices):
+        up = _bfs_tree(g, root, reverse=True)
+        if len(up) == len(g.vertices):
+            return CalabiCertificate(True, cycles=_root_walks(g, down, up))
+        # Everything is reachable from the root, so exactly the vertices
+        # that cannot reach the root fail to reach everything.
+        source = next(v.id for v in g.vertices if v.id not in up)
+        reach = _bfs_tree(g, source)
+    else:
+        source, reach = root, down
+    target = next(v.id for v in g.vertices if v.id not in reach)
+    return CalabiCertificate(False, obstruction=Obstruction(source, target, tuple(sorted(reach))))
+
+
+def _root_walks(g: FoliationGraph, down: dict, up: dict) -> tuple[tuple[str, ...], ...]:
+    into = {}  # tree path root -> v, in BFS order so parents come first
+    for v, e in down.items():
+        into[v] = () if e is None else into[e.tail.vertex] + (e.id,)
+    back = {}  # tree path v -> root
+    for v, e in up.items():
+        back[v] = () if e is None else (e.id,) + back[e.head.vertex]
+    walks = []
+    for e in g.edges:
+        walk = into[e.tail.vertex] + (e.id,) + back[e.head.vertex]
+        k = walk.index(min(walk))
+        walks.append(walk[k:] + walk[:k])
+    return tuple(dict.fromkeys(walks))
 
 
 def euler_genus(g: Foliation) -> tuple[int, int]:

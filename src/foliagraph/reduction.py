@@ -12,7 +12,7 @@ of merges and splits.  Iterating reaches a Calabi graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator
 
@@ -111,29 +111,32 @@ def replay(bottom: tuple[int, ...], events: tuple[Event, ...]) -> list[frozenset
     Raises ValueError if any event consumes a dead strand, a merge
     consumes one strand twice, or an output collides with a live strand.
     """
-    live = set(bottom)
-    if len(live) != len(bottom):
+    if len(set(bottom)) != len(bottom):
         raise ValueError("duplicate bottom strands")
-    levels = [frozenset(live)]
+    levels = [frozenset(bottom)]
     for i, ev in enumerate(events):
-        if isinstance(ev, Merge):
-            a, b = ev.inputs
-            if a == b:
-                raise ValueError(f"event {i}: merge consumes strand {a} twice")
-            consumed, produced = {a, b}, (ev.output,)
-        else:
-            consumed, produced = {ev.input}, ev.outputs
-            if len(set(produced)) != 2:
-                raise ValueError(f"event {i}: split outputs collide")
-        if not consumed <= live:
-            raise ValueError(f"event {i}: consumes dead strand(s) {sorted(consumed - live)}")
-        live -= consumed
-        for s in produced:
-            if s in live:
-                raise ValueError(f"event {i}: output {s} already live")
-            live.add(s)
-        levels.append(frozenset(live))
+        levels.append(_apply(levels[-1], ev, i))
     return levels
+
+
+def _apply(live: frozenset[int], ev: Event, i: int) -> frozenset[int]:
+    """The live strand set after event number ``i``; see ``replay``."""
+    if isinstance(ev, Merge):
+        a, b = ev.inputs
+        if a == b:
+            raise ValueError(f"event {i}: merge consumes strand {a} twice")
+        consumed, produced = {a, b}, (ev.output,)
+    else:
+        consumed, produced = {ev.input}, ev.outputs
+        if len(set(produced)) != 2:
+            raise ValueError(f"event {i}: split outputs collide")
+    if not consumed <= live:
+        raise ValueError(f"event {i}: consumes dead strand(s) {sorted(consumed - live)}")
+    rest = live - consumed
+    for s in produced:
+        if s in rest:
+            raise ValueError(f"event {i}: output {s} already live")
+    return rest.union(produced)
 
 
 def validate_cut(c: CutGraph) -> None:
@@ -166,7 +169,7 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
     bottom: list[int] = []
     top: list[int] = []
     glue: list[tuple[int, int]] = []
-    for e in sorted(g.edges, key=lambda e: e.id):
+    for e in g.edges:
         k = _edge_crossings(g, e, a)
         segs = [next(fresh) for _ in range(k + 1)]
         segments[e.id] = segs
@@ -175,12 +178,10 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
         glue.extend((segs[j], segs[j + 1]) for j in range(k))
 
     def first_out(vid: str, slot: str) -> int:
-        (e,) = [e for e in g.edges if e.tail == End(vid, slot)]
-        return segments[e.id][0]
+        return segments[g._edge_at[End(vid, slot)].id][0]
 
     def last_in(vid: str, slot: str) -> int:
-        (e,) = [e for e in g.edges if e.head == End(vid, slot)]
-        return segments[e.id][-1]
+        return segments[g._edge_at[End(vid, slot)].id][-1]
 
     events: list[Event] = []
     for v in sorted(g.vertices, key=lambda v: _turn(v.angle - a)):
@@ -246,26 +247,24 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     fresh = iter(range(max(used, default=-1) + 1, 10**9))
 
     events = list(c.events)
+    levels = replay(c.bottom, c.events)
     rewrites = 0
     bound = c.merge_count() * c.split_count() + 1
-    while True:
-        levels = replay(c.bottom, tuple(events))
-        pos = next(
-            (
-                i
-                for i in range(len(events) - 1)
-                if isinstance(events[i], Split) and isinstance(events[i + 1], Merge)
-            ),
-            None,
-        )
-        if pos is None:
-            break
+    # No inversion lies below ``pos``; a rewrite at ``pos`` changes only the
+    # level between the pair and can create an inversion at ``pos - 1``.
+    pos = 0
+    while pos < len(events) - 1:
+        if not (isinstance(events[pos], Split) and isinstance(events[pos + 1], Merge)):
+            pos += 1
+            continue
         events[pos], events[pos + 1] = _transpose(
             events[pos], events[pos + 1], levels[pos], fresh
         )
+        levels[pos + 1] = _apply(levels[pos], events[pos], pos)
         rewrites += 1
         if rewrites > bound:
             raise AssertionError("event sorting failed to terminate")
+        pos = max(pos - 1, 0)
 
     out = replace(c, events=tuple(events))
     validate_cut(out)
@@ -357,11 +356,17 @@ def reglue(c: CutGraph) -> Foliation:
 
 @dataclass(frozen=True)
 class ReductionStep:
+    """One completed reduction.  ``graph_before``/``graph_after`` carry the
+    graphs themselves; they stay out of equality, which compares the
+    deterministic record."""
+
     cut_angle: Fraction
     complexity_before: int
     complexity_after: int
     rewrites: int
     word: tuple[Event, ...]
+    graph_before: FoliationGraph = field(compare=False, repr=False)
+    graph_after: Foliation = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -373,15 +378,15 @@ def reduce_once(g: FoliationGraph) -> FoliationGraph:
     """One reduction pass on a non-Calabi graph: cut at the complexity
     witness, sort, reglue.  Complexity strictly decreases and the numbers
     of merges and splits are preserved."""
-    g2, _ = _reduce_step(g)
-    return g2
-
-
-def _reduce_step(g: FoliationGraph) -> tuple[FoliationGraph, ReductionStep]:
     if isinstance(g, FreeCircle) or not g.vertices:
         raise ValueError("reduction needs a graph with vertices")
     if is_calabi(g).verdict:
         raise ValueError("graph is already Calabi; nothing to reduce")
+    return _reduce_step(g).graph_after
+
+
+def _reduce_step(g: FoliationGraph) -> ReductionStep:
+    """Reduce a graph already known not to be Calabi."""
     before, witness = complexity(g)
     c = cut(g, witness)
     try:
@@ -392,8 +397,7 @@ def _reduce_step(g: FoliationGraph) -> tuple[FoliationGraph, ReductionStep]:
     after, _ = complexity(g2)
     if after >= before:
         raise AssertionError("reduction did not decrease complexity")
-    step = ReductionStep(witness, before, after, rewrites, sorted_cut.events)
-    return g2, step
+    return ReductionStep(witness, before, after, rewrites, sorted_cut.events, g, g2)
 
 
 def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
@@ -408,10 +412,11 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     current = g
     while not is_calabi(current).verdict:
         try:
-            current, step = _reduce_step(current)
+            step = _reduce_step(current)
         except StuckError as exc:
             raise StuckError(str(exc), exc.cause, ReductionTrace(tuple(steps))) from exc
         steps.append(step)
+        current = step.graph_after
     return current, ReductionTrace(tuple(steps))
 
 

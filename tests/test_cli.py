@@ -1,7 +1,9 @@
 import os
 
-from foliagraph import builtin, isomorphic, parse, serialize_graph, serialize_surface
+from foliagraph import builtin, harmonize, isomorphic, parse, serialize_graph, serialize_surface, to_dot
 from foliagraph.cli import main
+
+from test_reduction import MULTISTEP_FIXTURE
 
 
 def run(capsys, *argv):
@@ -61,6 +63,24 @@ def test_harmonize_dot_dir(capsys, tmp_path):
     assert code == 0
     assert sorted(os.listdir(dot_dir)) == ["step1_after.dot", "step1_before.dot"]
     assert "digraph" in (dot_dir / "step1_before.dot").read_text()
+
+    # A multi-step reduction: the files are the DOT of the traced graphs,
+    # and each step starts from the graph the previous one produced.
+    g = parse(MULTISTEP_FIXTURE)
+    _, trace = harmonize(g)
+    assert len(trace.steps) == 3
+    path = tmp_path / "g.graph"
+    path.write_text(MULTISTEP_FIXTURE)
+    dot_dir = tmp_path / "multi"
+    code, _, _ = run(capsys, "harmonize", str(path), "--dot-dir", str(dot_dir), "--machine")
+    assert code == 0
+    assert len(os.listdir(dot_dir)) == 2 * len(trace.steps)
+    assert trace.steps[0].graph_before == g
+    for k, step in enumerate(trace.steps, start=1):
+        if k > 1:
+            assert step.graph_before == trace.steps[k - 2].graph_after
+        assert (dot_dir / f"step{k}_before.dot").read_text() == to_dot(step.graph_before)
+        assert (dot_dir / f"step{k}_after.dot").read_text() == to_dot(step.graph_after)
 
 
 def test_validate_graph_file(capsys, tmp_path):

@@ -255,3 +255,48 @@ def test_crossing_steps_and_structural_laws(seed):
     chi, genus = euler_genus(g)
     assert chi == -len(g.vertices)
     assert genus == (len(g.vertices) + 2) // 2 == len(g.edges) - len(g.vertices) + 1
+
+
+def _check_certificate(g, cert):
+    """Check a Calabi certificate from its definition alone."""
+    edges = {e.id: e for e in g.edges}
+    if cert.verdict:
+        assert len(cert.cycles) <= len(g.edges)
+        for cycle in cert.cycles:
+            assert 1 <= len(cycle) <= 2 * len(g.vertices) - 1
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert edges[a].head.vertex == edges[b].tail.vertex, (cycle, a, b)
+        assert {e for cycle in cert.cycles for e in cycle} == set(edges)
+    else:
+        ob = cert.obstruction
+        out = set(ob.out_set)
+        assert ob.source in out
+        assert ob.target not in out and ob.target in {v.id for v in g.vertices}
+        assert all(e.head.vertex in out for e in g.edges if e.tail.vertex in out)
+
+
+def test_certificates_check_independently():
+    # Closed positive walks covering every edge prove strong connectivity;
+    # a closed out-set missing a vertex disproves it.
+    rng = random.Random(2026)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 100:
+        g = random_valid_graph(rng, max_pairs=rng.choice((2, 4, 8)))
+        cert = is_calabi(g)
+        _check_certificate(g, cert)
+        seen[cert.verdict] += 1
+    assert sum(seen.values()) >= 200
+
+
+def test_complexity_matches_level_by_level_reference():
+    rng = random.Random(77)
+    wound = wrapping = 0
+    for _ in range(200):
+        g = random_valid_graph(rng, max_pairs=rng.choice((1, 3, 6, 10)))
+        assert complexity(g) == min((crossing_count(g, a), a) for a in regular_levels(g))
+        wound += sum(e.winding > 0 for e in g.edges)
+        wrapping += sum(
+            g.vertex(e.head.vertex).angle < g.vertex(e.tail.vertex).angle for e in g.edges
+        )
+    # The sample exercises both terms of the count below the lowest level.
+    assert wound and wrapping

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from foliagraph import (
     sort_events,
     validate,
 )
-from foliagraph.reduction import RegluingError, replay, validate_cut
+from foliagraph.graph import regular_levels
+from foliagraph.reduction import RegluingError, _transpose, replay, validate_cut
 
 from graphgen import random_non_calabi_graph, random_valid_graph
 
@@ -263,3 +265,43 @@ def test_harmonize_contract(seed):
     pairs = [(s.complexity_before, s.complexity_after) for s in trace.steps]
     assert all(a > b for a, b in pairs)
     assert all(pairs[i][1] == pairs[i + 1][0] for i in range(len(pairs) - 1))
+
+
+def _sort_events_by_full_replay(c):
+    """Reference sorter: replays the whole word before every rewrite and
+    fixes the lowest (split, merge) inversion."""
+    used = {s for pair in c.glue for s in pair}
+    for ev in c.events:
+        used.update((ev.inputs + (ev.output,)) if isinstance(ev, Merge) else ((ev.input,) + ev.outputs))
+    fresh = iter(range(max(used, default=-1) + 1, 10**9))
+    events, rewrites = list(c.events), 0
+    while True:
+        levels = replay(c.bottom, tuple(events))
+        pos = next(
+            (i for i in range(len(events) - 1) if isinstance(events[i], Split) and isinstance(events[i + 1], Merge)),
+            None,
+        )
+        if pos is None:
+            return tuple(events), rewrites
+        events[pos], events[pos + 1] = _transpose(events[pos], events[pos + 1], levels[pos], fresh)
+        rewrites += 1
+
+
+def test_sort_events_matches_full_replay_reference():
+    rng = random.Random(4242)
+    sorted_words = stuck = 0
+    for _ in range(60):
+        g = random_valid_graph(rng, max_pairs=rng.choice((2, 4, 8)))
+        for a in regular_levels(g):
+            c = cut(g, a)
+            try:
+                want = _sort_events_by_full_replay(c)
+            except NotSortableError as exc:
+                with pytest.raises(NotSortableError, match=re.escape(str(exc))):
+                    sort_events(c)
+                stuck += 1
+                continue
+            sorted_cut, rewrites = sort_events(c)
+            assert (sorted_cut.events, rewrites) == want
+            sorted_words += 1
+    assert sorted_words and stuck
