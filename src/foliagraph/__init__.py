@@ -44,13 +44,11 @@ from .reduction import (
 )
 from .scalars import (
     ExactScalar,
-    InconclusiveSignError,
     SymbolDecl,
     SymbolTable,
     TableMismatchError,
     integer_relation,
     qrank,
-    sqrt_decl,
 )
 from .surfaces import (
     SMALL,

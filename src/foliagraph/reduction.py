@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .graph import (
@@ -85,6 +86,10 @@ class CutGraph:
     ``bottom``/``top`` list the strands at heights 0 and 1, ``events`` is
     the height-ordered word acting on the live strand set, and ``glue``
     maps each top strand to the bottom strand it continues into.
+
+    Construction checks the cut: the word replays from ``bottom`` to
+    ``top`` (see ``replay``), both boundaries have the same size, and
+    ``glue`` is a bijection from top onto bottom.  ValueError otherwise.
     """
 
     bottom: tuple[int, ...]
@@ -93,6 +98,20 @@ class CutGraph:
     glue: tuple[tuple[int, int], ...]
     source: str
     cut_angle: Fraction
+
+    def __post_init__(self):
+        if self.levels[-1] != frozenset(self.top) or len(self.top) != len(set(self.top)):
+            raise ValueError("replaying events does not yield the top strands")
+        if len(self.bottom) != len(self.top):
+            raise ValueError("boundary strand counts differ")
+        gm = self.glue_map
+        if sorted(gm) != sorted(self.top) or sorted(gm.values()) != sorted(self.bottom):
+            raise ValueError("glue is not a bijection from top onto bottom")
+
+    @cached_property
+    def levels(self) -> tuple[frozenset[int], ...]:
+        """Live strand sets before each event and after the last one."""
+        return tuple(replay(self.bottom, self.events))
 
     @property
     def glue_map(self) -> dict[int, int]:
@@ -139,18 +158,6 @@ def _apply(live: frozenset[int], ev: Event, i: int) -> frozenset[int]:
     return rest.union(produced)
 
 
-def validate_cut(c: CutGraph) -> None:
-    """Replay invariant, equal boundary sizes, and bijectivity of glue."""
-    levels = replay(c.bottom, c.events)
-    if levels[-1] != frozenset(c.top) or len(c.top) != len(set(c.top)):
-        raise ValueError("replaying events does not yield the top strands")
-    if len(c.bottom) != len(c.top):
-        raise ValueError("boundary strand counts differ")
-    gm = c.glue_map
-    if sorted(gm) != sorted(c.top) or sorted(gm.values()) != sorted(c.bottom):
-        raise ValueError("glue is not a bijection from top onto bottom")
-
-
 def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
     """Cut open the graph along the regular level ``a``.
 
@@ -194,9 +201,7 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
                 Split(last_in(v.id, "in0"), (first_out(v.id, "out0"), first_out(v.id, "out1")))
             )
 
-    c = CutGraph(tuple(bottom), tuple(top), tuple(events), tuple(glue), g.name, a)
-    validate_cut(c)
-    return c
+    return CutGraph(tuple(bottom), tuple(top), tuple(events), tuple(glue), g.name, a)
 
 
 def _transpose(
@@ -240,14 +245,11 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     merges*splits rewrites happen.  Boundaries and glue are unchanged.
     Raises NotSortableError when a bubble has no strand to borrow.
     """
-    validate_cut(c)
-    used = {s for pair in c.glue for s in pair}
-    for ev in c.events:
-        used.update((ev.inputs + (ev.output,)) if isinstance(ev, Merge) else ((ev.input,) + ev.outputs))
-    fresh = iter(range(max(used, default=-1) + 1, 10**9))
+    # Every strand of the glue and the word lives on some level.
+    levels = list(c.levels)
+    fresh = iter(range(max((s for level in levels for s in level), default=-1) + 1, 10**9))
 
     events = list(c.events)
-    levels = replay(c.bottom, c.events)
     rewrites = 0
     bound = c.merge_count() * c.split_count() + 1
     # No inversion lies below ``pos``; a rewrite at ``pos`` changes only the
@@ -266,9 +268,7 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
             raise AssertionError("event sorting failed to terminate")
         pos = max(pos - 1, 0)
 
-    out = replace(c, events=tuple(events))
-    validate_cut(out)
-    return out, rewrites
+    return replace(c, events=tuple(events)), rewrites
 
 
 def reglue(c: CutGraph) -> Foliation:
@@ -279,7 +279,6 @@ def reglue(c: CutGraph) -> Foliation:
     through the glue become edges, winding once per glue pass except that
     a run ending at an earlier vertex spends one pass wrapping the circle.
     """
-    validate_cut(c)
     n = len(c.events)
     gm = c.glue_map
     name = c.source if c.source.endswith("-reglued") else f"{c.source}-reglued"

@@ -5,62 +5,38 @@ coefficients and symbols that the caller declares to be irrational and,
 together with 1, Q-linearly independent.  That declaration is a contract:
 this module only uses Q-linear structure (there are no symbol products),
 so equality, rank and integer relations are decided exactly from the
-coefficients, and sign decisions narrow rational enclosures until zero is
-excluded -- they refuse rather than guess.
+coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Callable, Sequence
+from math import gcd
+from typing import Sequence
 
 Rational = Fraction | int
-RefineFn = Callable[[int], tuple[Fraction, Fraction]]
-
-DEFAULT_SIGN_BUDGET = 64
 
 
 class TableMismatchError(ValueError):
     """Scalars from different symbol tables were combined."""
 
 
-class InconclusiveSignError(ArithmeticError):
-    """Interval refinement exhausted its budget before excluding zero."""
-
-    def __init__(self, value: "ExactScalar", depth: int):
-        super().__init__(
-            f"sign of {value} inconclusive after {depth} refinement steps"
-        )
-        self.value = value
-        self.depth = depth
-
-
 @dataclass(frozen=True)
 class SymbolDecl:
-    """A named irrational with a rational enclosure and an optional refiner.
+    """A named irrational with a rational enclosure ``[lo, hi]``.
 
-    ``refine(k)`` must return a strictly narrower enclosure of the declared
-    value for growing ``k``; symbols without a refiner keep their declared
-    interval, which limits how many sign questions they can settle.
+    Only the name takes part in the arithmetic; the enclosure is kept for
+    the file format.
     """
 
     name: str
     lo: Fraction
     hi: Fraction
-    refine: RefineFn | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"symbol {self.name}: interval needs lo < hi")
-
-    def interval(self, depth: int) -> tuple[Fraction, Fraction]:
-        if depth <= 0 or self.refine is None:
-            return (self.lo, self.hi)
-        lo, hi = self.refine(depth)
-        # Intersect with the declared interval so refinement never widens.
-        return (max(lo, self.lo), min(hi, self.hi))
 
 
 @dataclass(frozen=True)
@@ -91,24 +67,6 @@ class SymbolTable:
         self.decl(name)
         c = Fraction(coeff)
         return ExactScalar(self, Fraction(0), ((name, c),) if c else ())
-
-
-def sqrt_decl(name: str, n: int, guard_digits: int = 2) -> SymbolDecl:
-    """Declaration for the square root of a non-square integer ``n``.
-
-    The refiner brackets sqrt(n) with integer square roots at increasing
-    decimal precision, so enclosures shrink by a factor of 10 per step.
-    """
-    if n <= 0 or isqrt(n) ** 2 == n:
-        raise ValueError(f"{n} is not a positive non-square integer")
-
-    def interval(depth: int) -> tuple[Fraction, Fraction]:
-        scale = 10 ** (guard_digits + depth)
-        root = isqrt(n * scale * scale)
-        return (Fraction(root, scale), Fraction(root + 1, scale))
-
-    lo, hi = interval(0)
-    return SymbolDecl(name, lo, hi, refine=interval)
 
 
 def _coerce_tables(a: SymbolTable, b: SymbolTable) -> SymbolTable:
@@ -225,38 +183,6 @@ class ExactScalar:
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
-
-    # -- decisions -------------------------------------------------------
-
-    def enclosure(self, depth: int = 0) -> tuple[Fraction, Fraction]:
-        """Rational interval containing the value at refinement ``depth``."""
-        lo = hi = self.rational_part
-        for name, c in self.coeffs:
-            slo, shi = self.table.decl(name).interval(depth)
-            if c > 0:
-                lo, hi = lo + c * slo, hi + c * shi
-            else:
-                lo, hi = lo + c * shi, hi + c * slo
-        return lo, hi
-
-    def sign(self, max_refinements: int = DEFAULT_SIGN_BUDGET) -> int:
-        """-1, 0 or +1; zero exactly when all coefficients vanish.
-
-        Nonzero values are certified by refining the symbol enclosures
-        until the interval for the value excludes zero.  If the budget
-        runs out the decision is refused (InconclusiveSignError) rather
-        than approximated.
-        """
-        if not self.coeffs:
-            q = self.rational_part
-            return 0 if q == 0 else (1 if q > 0 else -1)
-        for depth in range(max_refinements + 1):
-            lo, hi = self.enclosure(depth)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-        raise InconclusiveSignError(self, max_refinements)
 
     def __str__(self) -> str:
         parts = []

@@ -10,15 +10,21 @@ from foliagraph import (
     ExactScalar,
     Summand,
     SurfaceModel,
+    SymbolDecl,
     SymbolTable,
     Tube,
     ribbon,
-    sqrt_decl,
 )
 
 
 def example_table() -> SymbolTable:
-    return SymbolTable((sqrt_decl("lam", 2), sqrt_decl("mu", 3), sqrt_decl("nu", 5)))
+    return SymbolTable(
+        (
+            SymbolDecl("lam", Fraction(141, 100), Fraction(142, 100)),
+            SymbolDecl("mu", Fraction(173, 100), Fraction(174, 100)),
+            SymbolDecl("nu", Fraction(223, 100), Fraction(224, 100)),
+        )
+    )
 
 
 def _random_scalar(rng: random.Random, table: SymbolTable) -> ExactScalar:

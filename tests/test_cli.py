@@ -104,6 +104,16 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "broken.graph:2" in err
 
 
+def test_empty_surface_diagnosed_at_end(capsys, tmp_path):
+    path = tmp_path / "empty.surf"
+    path.write_text("surface x\nend\n")
+    for cmd in ("surface-check", "surface-classify"):
+        code, _, err = run(capsys, cmd, str(path))
+        assert code == 2
+        assert err.startswith(f"{path}:2:1: ")
+        assert "summand" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "calabi", "no/such/file.graph")
     assert code == 2

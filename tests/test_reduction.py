@@ -26,7 +26,8 @@ from foliagraph import (
     validate,
 )
 from foliagraph.graph import regular_levels
-from foliagraph.reduction import RegluingError, _transpose, replay, validate_cut
+import foliagraph.reduction as reduction
+from foliagraph.reduction import RegluingError, _transpose, replay
 
 from graphgen import random_non_calabi_graph, random_valid_graph
 
@@ -95,7 +96,6 @@ def test_sort_borrows_smallest_strand():
     # A bubble beside a parallel strand is sortable via the borrow rule.
     word = (Split(0, (2, 3)), Merge((2, 3), 4))
     c = CutGraph((0, 1), (4, 1), word, ((4, 0), (1, 1)), "bubble", Fraction(0))
-    validate_cut(c)
     sorted_cut, rewrites = sort_events(c)
     assert rewrites == 1
     merge, split = sorted_cut.events
@@ -103,6 +103,24 @@ def test_sort_borrows_smallest_strand():
     assert split.outputs == (4, 1)
     levels = replay(sorted_cut.bottom, sorted_cut.events)
     assert levels[1] == frozenset({merge.output})
+
+
+@pytest.mark.parametrize(
+    "bottom, top, events, glue, message",
+    [
+        ((0, 0), (0, 0), (), ((0, 0),), "duplicate bottom strands"),
+        ((0,), (2,), (Merge((0, 1), 2),), ((2, 0),), "dead strand"),
+        ((0, 1), (2, 1), (Merge((0, 0), 2),), ((2, 0), (1, 1)), "consumes strand 0 twice"),
+        ((0,), (1, 1), (Split(0, (1, 1)),), ((1, 0),), "split outputs collide"),
+        ((0, 1), (1, 2), (Split(0, (1, 2)),), ((1, 0), (2, 1)), "output 1 already live"),
+        ((0,), (1,), (Split(0, (1, 2)),), ((1, 0),), "does not yield the top strands"),
+        ((0, 1), (2,), (Merge((0, 1), 2),), ((2, 0),), "boundary strand counts differ"),
+        ((0, 1), (0, 1), (), ((0, 0), (1, 0)), "glue is not a bijection"),
+    ],
+)
+def test_malformed_cut_rejected_at_construction(bottom, top, events, glue, message):
+    with pytest.raises(ValueError, match=message):
+        CutGraph(bottom, top, events, glue, "bad", Fraction(0))
 
 
 def test_reglue_sorted_dumbbell_is_theta():
@@ -305,3 +323,28 @@ def test_sort_events_matches_full_replay_reference():
             assert (sorted_cut.events, rewrites) == want
             sorted_words += 1
     assert sorted_words and stuck
+
+
+def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
+    # One replay when ``cut`` builds the word, one when ``sort_events``
+    # builds the sorted word; ``sort_events`` and ``reglue`` reuse them.
+    calls = 0
+    real_replay = reduction.replay
+
+    def counting_replay(bottom, events):
+        nonlocal calls
+        calls += 1
+        return real_replay(bottom, events)
+
+    monkeypatch.setattr(reduction, "replay", counting_replay)
+    rng = random.Random(2024_11)
+    steps = 0
+    for _ in range(40):
+        g = random_non_calabi_graph(rng, max_pairs=8)
+        try:
+            _, trace = harmonize(g)
+            steps += len(trace.steps)
+        except StuckError as exc:
+            # The stuck step replays its word once, in ``cut``.
+            steps += len(exc.trace.steps) + 1
+    assert steps and calls <= 2 * steps

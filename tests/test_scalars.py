@@ -6,21 +6,20 @@ from hypothesis import strategies as st
 
 from foliagraph import (
     ExactScalar,
-    InconclusiveSignError,
     SymbolDecl,
     SymbolTable,
     TableMismatchError,
     integer_relation,
     qrank,
-    sqrt_decl,
 )
 
+from modelgen import example_table
 from oracles import oracle_rank
 
 
 @pytest.fixture
 def table():
-    return SymbolTable((sqrt_decl("lam", 2), sqrt_decl("mu", 3), sqrt_decl("nu", 5)))
+    return example_table()
 
 
 rationals = st.fractions(max_denominator=12, min_value=-8, max_value=8)
@@ -49,7 +48,7 @@ def test_rational_arithmetic_examples(table):
 
 
 def test_table_mismatch_rejected(table):
-    other = SymbolTable((sqrt_decl("lam", 2),))
+    other = SymbolTable(table.decls[:1])
     with pytest.raises(TableMismatchError):
         table.symbol("lam") + other.symbol("lam")
 
@@ -65,58 +64,10 @@ def test_products_of_symbols_rejected(table):
         table.symbol("lam") * table.symbol("mu")
 
 
-@given(a=rationals, b=rationals)
-def test_sign_matches_rational_comparison(a, b):
-    t = SymbolTable()
-    diff = t.rational(a) - t.rational(b)
-    assert diff.sign() == (a > b) - (a < b)
-
-
-def test_sign_exhaustive_small_denominators():
-    t = SymbolTable()
-    values = [
-        Fraction(n, d) for d in range(1, 5) for n in range(-8, 9)
-    ]
-    for a in values:
-        for b in values:
-            assert (t.rational(a) - b).sign() == (a > b) - (a < b)
-
-
-def test_sign_examples():
-    t = SymbolTable((SymbolDecl("lam", Fraction("1.414"), Fraction("1.415")),))
-    lam = t.symbol("lam")
-    assert t.rational(0).sign() == 0
-    assert (lam - 1).sign() == 1
-    assert (3 - 2 * lam).sign() == 1
-
-
-def test_sign_with_refinement(table):
-    lam, mu = table.symbol("lam"), table.symbol("mu")
-    # sqrt(3) - sqrt(2) - 0.3178... needs several refinement steps.
-    tight = mu - lam - Fraction(3178, 10000)
-    assert tight.sign() == 1
-    assert (lam + mu - table.rational(Fraction(31463, 10000))).sign() == -1
-
-
-def test_sign_inconclusive_without_refiner():
-    t = SymbolTable((SymbolDecl("x", Fraction(1), Fraction(2)),))
-    with pytest.raises(InconclusiveSignError):
-        (t.symbol("x") - Fraction(3, 2)).sign(max_refinements=4)
-
-
-def test_sign_never_wrong_on_budget_exhaustion(table):
-    # A nonzero hair-thin combination: budget 0 must refuse, not guess.
-    lam = table.symbol("lam")
-    lo, hi = table.decl("lam").interval(0)
-    inside = (lo + hi) / 2
-    with pytest.raises(InconclusiveSignError):
-        (lam - inside).sign(max_refinements=0)
-
-
 @settings(max_examples=60)
 @given(data=st.data())
 def test_arith_laws(data):
-    t = SymbolTable((sqrt_decl("lam", 2), sqrt_decl("mu", 3), sqrt_decl("nu", 5)))
+    t = example_table()
     a = data.draw(scalars(t))
     b = data.draw(scalars(t))
     c = data.draw(scalars(t))
@@ -129,7 +80,7 @@ def test_arith_laws(data):
 
 
 def test_qrank_examples(table):
-    tau = SymbolTable((sqrt_decl("tau", 2),))
+    tau = SymbolTable((SymbolDecl("tau", Fraction(141, 100), Fraction(142, 100)),))
     assert qrank([tau.symbol("tau"), tau.symbol("tau", 3)]) == 1
     assert qrank([table.rational(1), table.symbol("lam")]) == 2
     vals = [table.rational(1), table.rational(0), table.symbol("lam"), table.symbol("mu")]
@@ -152,7 +103,7 @@ def test_integer_relation_examples(table):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_qrank_and_relation_against_minor_oracle(data):
-    t = SymbolTable((sqrt_decl("lam", 2), sqrt_decl("mu", 3), sqrt_decl("nu", 5)))
+    t = example_table()
     n = data.draw(st.integers(1, 6))
     values = [data.draw(scalars(t)) for _ in range(n)]
     matrix = [list(v.vector()) for v in values]
