@@ -286,8 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        return _fail_parse(str(exc))
     except (ValueError, OSError) as exc:
         return _fail_parse(str(exc))
 

@@ -73,16 +73,21 @@ class _Lines:
         return row
 
 
-def _fail(lines: _Lines, lineno: int, text: str, token: str, message: str):
-    col = text.find(token) + 1 if token and token in text else 1
-    raise ParseError(lineno, max(col, 1), message, lines.filename)
+def _fail(lines: _Lines, lineno: int, col: int, message: str):
+    raise ParseError(lineno, col, message, lines.filename)
 
 
-def _rational(lines: _Lines, lineno: int, text: str, token: str) -> Fraction:
+def _col(text: str, word: int) -> int:
+    """1-based column of the ``word``-th word of ``text``, located by its
+    position: its spelling may also occur earlier in the line."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", text)][word]
+
+
+def _rational(token: str) -> Fraction:
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        _fail(lines, lineno, text, token, f"expected a rational number, got {token!r}")
+        raise ValueError(f"expected a rational number, got {token!r}") from None
 
 
 _TERM = re.compile(r"(?:(?P<coeff>-?\d+(?:/\d+|\.\d+)?)\s*\*\s*)?(?P<sym>[A-Za-z_]\w*)$|(?P<num>-?\d+(?:/\d+|\.\d+)?)$")
@@ -119,17 +124,18 @@ def parse_value(expr: str, table: SymbolTable) -> ExactScalar:
     return ExactScalar.make(table, rational, coeffs)
 
 
-def _parse_graph(lines: _Lines, lineno: int, words: list[str]) -> Foliation:
+def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
+    words = header.split()
     if len(words) < 2:
-        _fail(lines, lineno, " ".join(words), "", "graph needs a name")
+        _fail(lines, lineno, _col(header, 0), "graph needs a name")
     name = words[1]
     if len(words) == 5 and words[2] == "freecircle" and words[4] == "end":
         w = int(words[3]) if words[3].isdigit() else -1
         if w < 1:
-            _fail(lines, lineno, " ".join(words), words[3], "freecircle winding must be a natural >= 1")
+            _fail(lines, lineno, _col(header, 3), "freecircle winding must be a natural >= 1")
         return FreeCircle(name, w)
     if len(words) != 2:
-        _fail(lines, lineno, " ".join(words), words[2], "expected 'graph <name>' or 'graph <name> freecircle <w> end'")
+        _fail(lines, lineno, _col(header, 2), "expected 'graph <name>' or 'graph <name> freecircle <w> end'")
 
     vertices: list[Vertex] = []
     edges: list[Edge] = []
@@ -141,46 +147,46 @@ def _parse_graph(lines: _Lines, lineno: int, words: list[str]) -> Foliation:
             return FoliationGraph(name, tuple(vertices), tuple(edges))
         if ws[0] == "vertex":
             if len(ws) != 4 or ws[2] not in (MERGE, SPLIT):
-                _fail(lines, lno, text, ws[0], "expected 'vertex <id> MERGE|SPLIT <angle>'")
-            angle = _rational(lines, lno, text, ws[3])
+                _fail(lines, lno, _col(text, 0), "expected 'vertex <id> MERGE|SPLIT <angle>'")
+            try:
+                angle = _rational(ws[3])
+            except ValueError as exc:
+                _fail(lines, lno, _col(text, 3), str(exc))
             if not 0 <= angle < 1:
-                _fail(lines, lno, text, ws[3], f"angle {ws[3]} outside [0, 1) turns")
+                _fail(lines, lno, _col(text, 3), f"angle {ws[3]} outside [0, 1) turns")
             vertices.append(Vertex(ws[1], ws[2], angle))
         elif ws[0] == "edge":
             if len(ws) != 7 or ws[3] != "->" or ws[5] != "winding":
-                _fail(lines, lno, text, ws[0], "expected 'edge <id> <v>.<out> -> <v>.<in> winding <nat>'")
+                _fail(lines, lno, _col(text, 0), "expected 'edge <id> <v>.<out> -> <v>.<in> winding <nat>'")
             mt = end_re.match(ws[2])
             mh = end_re.match(ws[4])
             if not mt or not mt.group(2).startswith("out"):
-                _fail(lines, lno, text, ws[2], f"tail {ws[2]!r} must be <vertex>.out0 or .out1")
+                _fail(lines, lno, _col(text, 2), f"tail {ws[2]!r} must be <vertex>.out0 or .out1")
             if not mh or not mh.group(2).startswith("in"):
-                _fail(lines, lno, text, ws[4], f"head {ws[4]!r} must be <vertex>.in0 or .in1")
+                _fail(lines, lno, _col(text, 4), f"head {ws[4]!r} must be <vertex>.in0 or .in1")
             if not ws[6].isdigit():
-                _fail(lines, lno, text, ws[6], "winding must be a natural number")
+                _fail(lines, lno, _col(text, 6), "winding must be a natural number")
             edges.append(
                 Edge(ws[1], End(mt.group(1), mt.group(2)), End(mh.group(1), mh.group(2)), int(ws[6]))
             )
         else:
-            _fail(lines, lno, text, ws[0], f"unexpected directive {ws[0]!r} in graph block")
+            _fail(lines, lno, _col(text, 0), f"unexpected directive {ws[0]!r} in graph block")
 
 
 _DISK_RE = re.compile(r"^(small|ribbon\((\d+)\))$")
 
 
-def _parse_disk(lines: _Lines, lineno: int, text: str, token: str) -> Disk:
+def _parse_disk(token: str) -> Disk:
     m = _DISK_RE.match(token)
     if not m:
-        _fail(lines, lineno, text, token, f"expected 'small' or 'ribbon(<w>)', got {token!r}")
-    if m.group(2) is None:
-        return SMALL
-    if int(m.group(2)) < 1:
-        _fail(lines, lineno, text, token, "ribbon winding must be >= 1")
-    return ribbon(int(m.group(2)))
+        raise ValueError(f"expected 'small' or 'ribbon(<w>)', got {token!r}")
+    return SMALL if m.group(2) is None else ribbon(int(m.group(2)))
 
 
-def _parse_surface(lines: _Lines, lineno: int, words: list[str], table: SymbolTable) -> SurfaceModel:
+def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) -> SurfaceModel:
+    words = header.split()
     if len(words) != 2:
-        _fail(lines, lineno, " ".join(words), "", "expected 'surface <name>'")
+        _fail(lines, lineno, _col(header, 0), "expected 'surface <name>'")
     name = words[1]
     summands: list[Summand] = []
     tubes: list[Tube] = []
@@ -191,36 +197,40 @@ def _parse_surface(lines: _Lines, lineno: int, words: list[str], table: SymbolTa
             try:
                 return SurfaceModel(name, table, tuple(summands), tuple(tubes))
             except ValueError as exc:
-                _fail(lines, lno, text, "end", str(exc))
+                _fail(lines, lno, _col(text, 0), str(exc))
         if ws[0] == "summand":
-            m = re.match(r"^summand\s+(\S+)\s+periods\s+\((.+)\)\s*$", text.strip())
+            m = re.match(r"^\s*summand\s+(\S+)\s+periods\s+\((.+)\)\s*$", text)
             if not m:
-                _fail(lines, lno, text, ws[0], "expected 'summand <id> periods (<p>, <q>)'")
+                _fail(lines, lno, _col(text, 0), "expected 'summand <id> periods (<p>, <q>)'")
             parts = m.group(2).split(",")
             if len(parts) != 2:
-                _fail(lines, lno, text, m.group(2), "periods need exactly two values")
+                _fail(lines, lno, m.start(2) + 1, "periods need exactly two values")
             try:
                 p = parse_value(parts[0], table)
                 q = parse_value(parts[1], table)
             except ValueError as exc:
-                _fail(lines, lno, text, m.group(2), str(exc))
+                _fail(lines, lno, m.start(2) + 1, str(exc))
             if p.is_zero() and q.is_zero():
-                _fail(lines, lno, text, m.group(2), "periods (0, 0) define no form")
+                _fail(lines, lno, m.start(2) + 1, "periods (0, 0) define no form")
             summands.append(Summand(m.group(1), p, q))
         elif ws[0] == "tube":
             if len(ws) != 9 or ws[4] != "kind" or ws[6] != "disks":
-                _fail(lines, lno, text, ws[0], "expected 'tube <id> <sid> <sid> kind A|B|C disks <disk> <disk>'")
+                _fail(lines, lno, _col(text, 0), "expected 'tube <id> <sid> <sid> kind A|B|C disks <disk> <disk>'")
             if ws[5] not in ("A", "B", "C"):
-                _fail(lines, lno, text, ws[5], f"tube kind must be A, B or C, got {ws[5]!r}")
+                _fail(lines, lno, _col(text, 5), f"tube kind must be A, B or C, got {ws[5]!r}")
             known = {s.id for s in summands}
-            for sid in (ws[2], ws[3]):
-                if sid not in known:
-                    _fail(lines, lno, text, sid, f"unknown summand {sid!r}")
-            d1 = _parse_disk(lines, lno, text, ws[7])
-            d2 = _parse_disk(lines, lno, text, ws[8])
-            tubes.append(Tube(ws[1], ws[2], ws[3], ws[5], d1, d2))
+            for k in (2, 3):
+                if ws[k] not in known:
+                    _fail(lines, lno, _col(text, k), f"unknown summand {ws[k]!r}")
+            disks = []
+            for k in (7, 8):
+                try:
+                    disks.append(_parse_disk(ws[k]))
+                except ValueError as exc:
+                    _fail(lines, lno, _col(text, k), str(exc))
+            tubes.append(Tube(ws[1], ws[2], ws[3], ws[5], *disks))
         else:
-            _fail(lines, lno, text, ws[0], f"unexpected directive {ws[0]!r} in surface block")
+            _fail(lines, lno, _col(text, 0), f"unexpected directive {ws[0]!r} in surface block")
 
 
 def parse(data: bytes | str, filename: str = "<input>") -> ParsedFile:
@@ -243,32 +253,37 @@ def parse(data: bytes | str, filename: str = "<input>") -> ParsedFile:
         words = text_line.split()
         if words[0] == "scalar":
             m = re.match(
-                r"^scalar\s+([A-Za-z_]\w*)\s+irrational\s+approx\s+\[\s*(\S+?)\s*,\s*(\S+?)\s*\]\s*$",
-                text_line.strip(),
+                r"^\s*scalar\s+([A-Za-z_]\w*)\s+irrational\s+approx\s+\[\s*(\S+?)\s*,\s*(\S+?)\s*\]\s*$",
+                text_line,
             )
             if not m:
-                _fail(lines, lineno, text_line, words[0], "expected 'scalar <name> irrational approx [<lo>, <hi>]'")
-            lo = _rational(lines, lineno, text_line, m.group(2))
-            hi = _rational(lines, lineno, text_line, m.group(3))
+                _fail(lines, lineno, _col(text_line, 0), "expected 'scalar <name> irrational approx [<lo>, <hi>]'")
+            bounds = []
+            for k in (2, 3):
+                try:
+                    bounds.append(_rational(m.group(k)))
+                except ValueError as exc:
+                    _fail(lines, lineno, m.start(k) + 1, str(exc))
+            lo, hi = bounds
             if not lo < hi:
-                _fail(lines, lineno, text_line, m.group(2), "interval needs lo < hi")
+                _fail(lines, lineno, m.start(2) + 1, "interval needs lo < hi")
             if any(d.name == m.group(1) for d in decls):
-                _fail(lines, lineno, text_line, m.group(1), f"scalar {m.group(1)!r} declared twice")
+                _fail(lines, lineno, m.start(1) + 1, f"scalar {m.group(1)!r} declared twice")
             if result is not None:
-                _fail(lines, lineno, text_line, words[0], "scalar declarations must precede the surface block")
+                _fail(lines, lineno, _col(text_line, 0), "scalar declarations must precede the surface block")
             decls.append(SymbolDecl(m.group(1), lo, hi))
         elif words[0] == "graph":
             if result is not None:
-                _fail(lines, lineno, text_line, words[0], "only one graph or surface per file")
+                _fail(lines, lineno, _col(text_line, 0), "only one graph or surface per file")
             if decls:
-                _fail(lines, lineno, text_line, words[0], "scalar declarations apply to surface files only")
-            result = _parse_graph(lines, lineno, words)
+                _fail(lines, lineno, _col(text_line, 0), "scalar declarations apply to surface files only")
+            result = _parse_graph(lines, lineno, text_line)
         elif words[0] == "surface":
             if result is not None:
-                _fail(lines, lineno, text_line, words[0], "only one graph or surface per file")
-            result = _parse_surface(lines, lineno, words, SymbolTable(tuple(decls)))
+                _fail(lines, lineno, _col(text_line, 0), "only one graph or surface per file")
+            result = _parse_surface(lines, lineno, text_line, SymbolTable(tuple(decls)))
         else:
-            _fail(lines, lineno, text_line, words[0], f"unknown directive {words[0]!r}")
+            _fail(lines, lineno, _col(text_line, 0), f"unknown directive {words[0]!r}")
     if result is None:
         raise ParseError(1, 1, "file declares no graph or surface", filename)
     return result

@@ -55,8 +55,9 @@ class FoliationGraph:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=lambda v: v.id)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
 
-    # Indices, built on first use; the dataclass is frozen, so they never
-    # go stale.  cached_property keeps them out of the compared fields.
+    # Indices and derived values, built on first use; the dataclass is
+    # frozen, so they never go stale.  cached_property keeps them out of
+    # the compared fields.
 
     @cached_property
     def _vertex_by_id(self) -> dict[str, Vertex]:
@@ -80,6 +81,24 @@ class FoliationGraph:
         for e in self.edges:
             pred.setdefault(e.head.vertex, []).append(e)
         return pred
+
+    @cached_property
+    def _complexity(self) -> tuple[int, Fraction]:
+        """The sweep behind ``complexity``: below the lowest critical value
+        an edge crosses the level ``winding`` times, once more if it wraps
+        (head angle below tail angle); crossing a SPLIT adds a strand and
+        crossing a MERGE removes one."""
+        count = sum(
+            e.winding + (self.vertex(e.head.vertex).angle < self.vertex(e.tail.vertex).angle)
+            for e in self.edges
+        )
+        order = sorted(self.vertices, key=lambda v: v.angle)
+        levels = []
+        for i, v in enumerate(order):
+            count += 1 if v.kind == SPLIT else -1
+            hi = order[i + 1].angle if i + 1 < len(order) else order[0].angle + 1
+            levels.append((count, _turn((v.angle + hi) / 2)))
+        return min(levels)
 
     def vertex(self, vid: str) -> Vertex:
         return self._vertex_by_id[vid]
@@ -151,8 +170,7 @@ def validate(g: Foliation) -> ValidationReport:
             bad.append("free circle winding must be >= 1")
         return ValidationReport(not bad, tuple(bad))
 
-    ids = [v.id for v in g.vertices]
-    if len(set(ids)) != len(ids):
+    if len(g._vertex_by_id) != len(g.vertices):
         bad.append("duplicate vertex ids")
     eids = [e.id for e in g.edges]
     if len(set(eids)) != len(eids):
@@ -161,7 +179,6 @@ def validate(g: Foliation) -> ValidationReport:
         bad.append("graph has no vertices (use a free circle record instead)")
         return ValidationReport(False, tuple(bad))
 
-    byid = {v.id: v for v in g.vertices}
     for v in g.vertices:
         if v.kind not in (MERGE, SPLIT):
             bad.append(f"vertex {v.id}: unknown kind {v.kind}")
@@ -173,7 +190,7 @@ def validate(g: Foliation) -> ValidationReport:
     usage: Counter[tuple[str, str]] = Counter()
     for e in g.edges:
         for end, direction in ((e.tail, "out"), (e.head, "in")):
-            v = byid.get(end.vertex)
+            v = g._vertex_by_id.get(end.vertex)
             if v is None:
                 bad.append(f"edge {e.id}: unknown vertex {end.vertex}")
                 continue
@@ -211,16 +228,12 @@ def validate(g: Foliation) -> ValidationReport:
         bad.append(f"2E = {2 * len(g.edges)} differs from 3V = {3 * len(g.vertices)}")
 
     # Connectivity of the underlying undirected graph.
-    if not bad or all("unknown vertex" not in b for b in bad):
-        nbrs: dict[str, set[str]] = {v.id: set() for v in g.vertices}
-        for e in g.edges:
-            if e.tail.vertex in nbrs and e.head.vertex in nbrs:
-                nbrs[e.tail.vertex].add(e.head.vertex)
-                nbrs[e.head.vertex].add(e.tail.vertex)
+    if all("unknown vertex" not in b for b in bad):
         seen = {g.vertices[0].id}
         queue = deque(seen)
         while queue:
-            for w in nbrs[queue.popleft()]:
+            v = queue.popleft()
+            for w in [e.head.vertex for e in g._succ[v]] + [e.tail.vertex for e in g._pred[v]]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -300,25 +313,12 @@ def regular_levels(g: FoliationGraph) -> list[Fraction]:
 
 def complexity(g: Foliation) -> tuple[int, Fraction]:
     """Minimum crossing count over regular levels, with the smallest
-    minimizing sample angle as witness.
-
-    One sweep: below the lowest critical value an edge crosses the level
-    ``winding`` times, once more if it wraps (head angle below tail angle);
-    crossing a SPLIT adds a strand and crossing a MERGE removes one.
+    minimizing sample angle as witness.  One sweep per graph: the result
+    is kept on the (immutable) graph, so repeat calls return it.
     """
     if isinstance(g, FreeCircle):
         return g.winding, Fraction(0)
-    count = sum(
-        e.winding + (g.vertex(e.head.vertex).angle < g.vertex(e.tail.vertex).angle)
-        for e in g.edges
-    )
-    order = sorted(g.vertices, key=lambda v: v.angle)
-    levels = []
-    for i, v in enumerate(order):
-        count += 1 if v.kind == SPLIT else -1
-        hi = order[i + 1].angle if i + 1 < len(order) else order[0].angle + 1
-        levels.append((count, _turn((v.angle + hi) / 2)))
-    return min(levels)
+    return g._complexity
 
 
 def _bfs_tree(g: FoliationGraph, start: str, reverse: bool = False) -> dict[str, Edge | None]:
@@ -428,10 +428,6 @@ def euler_genus(g: Foliation) -> tuple[int, int]:
     return -nv, genus
 
 
-def _multi_adjacency(g: FoliationGraph) -> Counter[tuple[str, str]]:
-    return Counter((e.tail.vertex, e.head.vertex) for e in g.edges)
-
-
 def isomorphic(g1: Foliation, g2: Foliation) -> bool:
     """Kind-preserving bijection matching oriented incidence.
 
@@ -446,28 +442,20 @@ def isomorphic(g1: Foliation, g2: Foliation) -> bool:
     if g1.merge_count() != g2.merge_count():
         return False
 
-    adj1, adj2 = _multi_adjacency(g1), _multi_adjacency(g2)
-    kind1 = {v.id: v.kind for v in g1.vertices}
-    kind2 = {v.id: v.kind for v in g2.vertices}
+    def signature(g, vid):
+        """Kind, loop count, and the kinds at the far ends of the other
+        out- and in-edges: O(degree) from the shared indices."""
+        loops = sum(e.head.vertex == vid for e in g._succ[vid])
+        outs = Counter(g.vertex(e.head.vertex).kind for e in g._succ[vid] if e.head.vertex != vid)
+        ins = Counter(g.vertex(e.tail.vertex).kind for e in g._pred[vid] if e.tail.vertex != vid)
+        return (g.vertex(vid).kind, loops, tuple(sorted(outs.items())), tuple(sorted(ins.items())))
 
-    def signature(adj, kinds, vid):
-        outs = Counter()
-        ins = Counter()
-        loops = 0
-        for (t, h), n in adj.items():
-            if t == h == vid:
-                loops = n
-            elif t == vid:
-                outs[kinds[h]] += n
-            elif h == vid:
-                ins[kinds[t]] += n
-        return (kinds[vid], loops, tuple(sorted(outs.items())), tuple(sorted(ins.items())))
-
-    sig1 = {v.id: signature(adj1, kind1, v.id) for v in g1.vertices}
-    sig2 = {v.id: signature(adj2, kind2, v.id) for v in g2.vertices}
+    sig1 = {v.id: signature(g1, v.id) for v in g1.vertices}
+    sig2 = {v.id: signature(g2, v.id) for v in g2.vertices}
     if sorted(sig1.values()) != sorted(sig2.values()):
         return False
 
+    adj1, adj2 = (Counter((e.tail.vertex, e.head.vertex) for e in g.edges) for g in (g1, g2))
     order = sorted(sig1, key=lambda v: (sig1[v], v))
     candidates = {v: [w for w in sig2 if sig2[w] == sig1[v]] for v in order}
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import (
     ExactScalar,
@@ -58,6 +59,11 @@ class Summand:
     id: str
     p: ExactScalar
     q: ExactScalar
+
+    @cached_property
+    def compact(self) -> bool:
+        """Commensurable periods: the torus form has all leaves compact."""
+        return qrank([self.p, self.q]) == 1
 
 
 @dataclass(frozen=True)
@@ -126,14 +132,48 @@ class SurfaceModel:
             out.extend((s.p, s.q))
         return tuple(out)
 
-    def disks_of(self, sid: str) -> list[Disk]:
-        out = []
+    @cached_property
+    def _leaf_flags(self) -> tuple[bool, bool]:
+        """(some regular leaf compact, some regular leaf non-compact)."""
+        ribboned = {
+            sid
+            for t in self.tubes
+            for sid, disk in ((t.left, t.left_disk), (t.right, t.right_disk))
+            if not disk.is_small
+        }
+        exists_compact = False
+        exists_noncompact = False
+        for s in self.summands:
+            if not s.compact:
+                # Irrational slope: every regular leaf of this summand is a
+                # dense line meeting every disk.
+                exists_noncompact = True
+            elif s.id not in ribboned:
+                # Derived rule: compact leaves avoiding every (small) disk
+                # survive the sum untouched, whatever the tube kinds are.
+                exists_compact = True
         for t in self.tubes:
-            if t.left == sid:
-                out.append(t.left_disk)
-            if t.right == sid:
-                out.append(t.right_disk)
-        return out
+            if t.kind == "B":
+                # Disjoint levels: the tube caps leaves off and inserts new
+                # compact neck leaves.
+                exists_compact = True
+                continue
+            # A joins leaves level-by-level; the C case away from its singular
+            # level is a derived extension of the same rule.
+            ls, rs = self.summand(t.left), self.summand(t.right)
+            joined_compact = (
+                ls.compact
+                and rs.compact
+                and (
+                    (t.left_disk.is_small and t.right_disk.is_small)
+                    or qrank([ls.p, ls.q, rs.p, rs.q]) == 1
+                )
+            )
+            if joined_compact:
+                exists_compact = True
+            else:
+                exists_noncompact = True
+        return exists_compact, exists_noncompact
 
 
 @dataclass(frozen=True)
@@ -221,49 +261,6 @@ def calabi_status(m: SurfaceModel) -> bool:
     return all(t.kind == "A" for t in m.tubes)
 
 
-def _summand_compact(s: Summand) -> bool:
-    # Commensurable periods: the torus form has all leaves compact.
-    return qrank([s.p, s.q]) == 1
-
-
-def _regular_leaf_flags(m: SurfaceModel) -> tuple[bool, bool]:
-    """(some regular leaf compact, some regular leaf non-compact)."""
-    compact = {s.id: _summand_compact(s) for s in m.summands}
-    exists_compact = False
-    exists_noncompact = False
-    for s in m.summands:
-        if not compact[s.id]:
-            # Irrational slope: every regular leaf of this summand is a
-            # dense line meeting every disk.
-            exists_noncompact = True
-        elif all(d.is_small for d in m.disks_of(s.id)):
-            # Derived rule: compact leaves avoiding every (small) disk
-            # survive the sum untouched, whatever the tube kinds are.
-            exists_compact = True
-    for t in m.tubes:
-        if t.kind == "B":
-            # Disjoint levels: the tube caps leaves off and inserts new
-            # compact neck leaves.
-            exists_compact = True
-            continue
-        # A joins leaves level-by-level; the C case away from its singular
-        # level is a derived extension of the same rule.
-        ls, rs = m.summand(t.left), m.summand(t.right)
-        joined_compact = (
-            compact[t.left]
-            and compact[t.right]
-            and (
-                (t.left_disk.is_small and t.right_disk.is_small)
-                or qrank([ls.p, ls.q, rs.p, rs.q]) == 1
-            )
-        )
-        if joined_compact:
-            exists_compact = True
-        else:
-            exists_noncompact = True
-    return exists_compact, exists_noncompact
-
-
 def classify_leaves(m: SurfaceModel) -> LeafReport:
     """Decision table for the leaf structure of the summed form.
 
@@ -275,7 +272,7 @@ def classify_leaves(m: SurfaceModel) -> LeafReport:
     C-tube creates exactly one compact singular leaf component and ties
     two critical points to one level, killing genericity.
     """
-    exists_compact, _ = _regular_leaf_flags(m)
+    exists_compact, _ = m._leaf_flags
     singular = sum(1 for t in m.tubes if t.kind == "C")
     generic = all(t.kind != "C" for t in m.tubes)
     return LeafReport(
@@ -293,7 +290,7 @@ def class_report(m: SurfaceModel) -> ClassReport:
     # Splitness: the class factors through a free group exactly when each
     # summand contributes a cyclic period group (rank <= 1 there); a rank-2
     # summand forces a Z^2 through any such factorization.
-    split = all(_summand_compact(s) for s in m.summands)
+    split = all(s.compact for s in m.summands)
     return ClassReport(
         periods=periods,
         rank=rank,
@@ -376,7 +373,7 @@ def consistency_check(m: SurfaceModel) -> ConsistencyReport:
     cls = class_report(m)
     calabi = calabi_status(m)
     vanisher = cup_vanisher(m)
-    exists_compact, exists_noncompact = _regular_leaf_flags(m)
+    _, exists_noncompact = m._leaf_flags
 
     checks: list[tuple[str, bool, str]] = [
         (

@@ -90,6 +90,24 @@ def test_bad_token_position():
     assert "rational" in exc.value.message
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # The angle "1" also occurs inside the vertex id "v1".
+        ("graph g\n  vertex v1 MERGE 1\nend\n", "f:2:19: angle 1 outside"),
+        # The summand id "u" also occurs inside "tube" and as the tube id.
+        (
+            "surface s\n  summand t periods (1, 0)\n  tube u t u kind A disks small small\nend\n",
+            "f:3:12: unknown summand 'u'",
+        ),
+    ],
+)
+def test_diagnostic_points_at_the_offending_word(text, where):
+    with pytest.raises(ParseError) as exc:
+        parse(text, "f")
+    assert str(exc.value).startswith(where)
+
+
 def test_angle_out_of_range():
     bad = "graph g\n  vertex a MERGE 5/4\nend\n"
     with pytest.raises(ParseError) as exc:

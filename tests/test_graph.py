@@ -108,6 +108,44 @@ def test_validate_disconnected():
     assert any("connected" in v for v in validate(_graph(verts, edges)).violations)
 
 
+def test_validate_rarely_reached_branches():
+    # Exact reports, fixed before validate moved onto the shared indices.
+    th = builtin("theta")
+    e0, e1, e2 = th.edges
+    s, m = th.vertex("s"), th.vertex("m")
+    dangling = _graph(th.vertices, [Edge("e0", End("z", "out0"), e0.head, 0), e1, e2])
+    # An unknown vertex skips the connectivity search.
+    assert validate(dangling).violations == (
+        "edge e0: unknown vertex z",
+        "vertex m: slot out0 unused",
+    )
+    twin_vertex = _graph(list(th.vertices) + [Vertex("s", MERGE, Fraction(1, 2))], th.edges)
+    assert validate(twin_vertex).violations == (
+        "duplicate vertex ids",
+        "edge e2: slot s.out1 not an out-slot of a MERGE vertex",
+        "vertex s: slot out1 unused",
+        "vertex s: slot in1 unused",
+        "#MERGE = 2 differs from #SPLIT = 1",
+        "2E = 6 differs from 3V = 9",
+        "underlying graph not connected",
+    )
+    twin_edge = _graph(th.vertices, list(th.edges) + [e1])
+    assert validate(twin_edge).violations == (
+        "duplicate edge ids",
+        "vertex m: slot in0 reused (2 edge ends)",
+        "vertex s: slot out0 reused (2 edge ends)",
+        "2E = 8 differs from 3V = 6",
+    )
+    saddle = _graph([s, Vertex("m", "SADDLE", m.angle)], th.edges)
+    assert validate(saddle).violations == (
+        "vertex m: unknown kind SADDLE",
+        "edge e0: slot m.out0 not an out-slot of a SADDLE vertex",
+        "edge e1: slot m.in0 not an in-slot of a SADDLE vertex",
+        "edge e2: slot m.in1 not an in-slot of a SADDLE vertex",
+        "#MERGE = 0 differs from #SPLIT = 1",
+    )
+
+
 def test_crossing_counts():
     db, th = builtin("dumbbell"), builtin("theta")
     assert crossing_count(db, Fraction(0)) == 2
@@ -121,6 +159,11 @@ def test_complexity_values():
     assert complexity(builtin("dumbbell")) == (2, Fraction(0))
     assert complexity(builtin("theta")) == (1, Fraction(0))
     assert complexity(builtin("free-circle(3)")) == (3, 0)
+
+
+def test_complexity_is_computed_once_per_graph():
+    g = random_valid_graph(random.Random(5), n_pairs=6)
+    assert complexity(g) is complexity(g)
 
 
 def test_is_calabi_certificates():

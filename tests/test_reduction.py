@@ -25,7 +25,7 @@ from foliagraph import (
     sort_events,
     validate,
 )
-from foliagraph.graph import regular_levels
+from foliagraph.graph import FoliationGraph, regular_levels
 import foliagraph.reduction as reduction
 from foliagraph.reduction import RegluingError, _transpose, replay
 
@@ -348,3 +348,28 @@ def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
             # The stuck step replays its word once, in ``cut``.
             steps += len(exc.trace.steps) + 1
     assert steps and calls <= 2 * steps
+
+
+def test_harmonize_sweeps_each_graph_once(monkeypatch):
+    # ``_reduce_step`` needs the complexity of the graph it produced, and
+    # the next step needs it again for its witness: one sweep serves both.
+    sweep = FoliationGraph.__dict__["_complexity"]
+    real_sweep = sweep.func
+    calls = 0
+
+    def counting_sweep(g):
+        nonlocal calls
+        calls += 1
+        return real_sweep(g)
+
+    monkeypatch.setattr(sweep, "func", counting_sweep)
+    rng = random.Random(2024_12)
+    graphs = 0
+    for _ in range(40):
+        g = random_non_calabi_graph(rng, max_pairs=8)
+        try:
+            _, trace = harmonize(g)
+        except StuckError as exc:
+            trace = exc.trace
+        graphs += 1 + len(trace.steps)
+    assert graphs > 40 and calls <= graphs

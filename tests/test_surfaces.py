@@ -18,6 +18,7 @@ from foliagraph import (
     qrank,
     ribbon,
 )
+import foliagraph.surfaces as surfaces
 
 from modelgen import example_table, random_model
 
@@ -204,3 +205,23 @@ def test_three_summand_chain():
     assert leaves.has_compact_regular_leaf  # the B tube's neck leaves
     assert not calabi_status(chain)
     assert consistency_check(chain).ok
+
+
+def test_consistency_check_tests_each_summand_once(monkeypatch):
+    # One qrank for the class rank, one per summand's compactness (shared
+    # by the leaf flags and the splitness) and at most one per tube.
+    calls = 0
+    real_qrank = surfaces.qrank
+
+    def counting_qrank(values):
+        nonlocal calls
+        calls += 1
+        return real_qrank(values)
+
+    monkeypatch.setattr(surfaces, "qrank", counting_qrank)
+    rng = random.Random(2024_13)
+    for _ in range(100):
+        m = random_model(rng, max_summands=8)
+        calls = 0
+        consistency_check(m)
+        assert calls <= len(m.summands) + len(m.tubes) + 1
