@@ -10,6 +10,7 @@ property of the form becomes strong connectivity of the directed graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -83,22 +84,48 @@ class FoliationGraph:
         return pred
 
     @cached_property
+    def _order(self) -> tuple[Vertex, ...]:
+        """Vertices by increasing angle: the circular order of the critical
+        values.  Gap ``k`` of this order holds the regular levels just below
+        ``_order[k]``; gap 0 also holds those above the highest one."""
+        return tuple(sorted(self.vertices, key=lambda v: v.angle))
+
+    @cached_property
+    def _rank(self) -> dict[str, int]:
+        return {v.id: k for k, v in enumerate(self._order)}
+
+    @cached_property
     def _complexity(self) -> tuple[int, Fraction]:
-        """The sweep behind ``complexity``: below the lowest critical value
-        an edge crosses the level ``winding`` times, once more if it wraps
-        (head angle below tail angle); crossing a SPLIT adds a strand and
-        crossing a MERGE removes one."""
-        count = sum(
-            e.winding + (self.vertex(e.head.vertex).angle < self.vertex(e.tail.vertex).angle)
-            for e in self.edges
-        )
-        order = sorted(self.vertices, key=lambda v: v.angle)
+        """The sweep behind ``complexity``: start from the crossing count
+        below the lowest critical value (gap 0); crossing a SPLIT adds a
+        strand and crossing a MERGE removes one."""
+        count = sum(self._crossings(e, 0) for e in self.edges)
         levels = []
-        for i, v in enumerate(order):
+        for v, mid in zip(self._order, self._midpoints()):
             count += 1 if v.kind == SPLIT else -1
-            hi = order[i + 1].angle if i + 1 < len(order) else order[0].angle + 1
-            levels.append((count, _turn((v.angle + hi) / 2)))
+            levels.append((count, mid))
         return min(levels)
+
+    def _midpoints(self) -> list[Fraction]:
+        """The circular midpoint above each critical value, in rank order."""
+        angles = [v.angle for v in self._order]
+        above = angles[1:] + [lo + 1 for lo in angles[:1]]
+        return [_turn((lo + hi) / 2) for lo, hi in zip(angles, above)]
+
+    def _gap(self, a: Fraction, noun: str) -> tuple[Fraction, int]:
+        """The angle ``a`` turned into [0, 1) and the gap holding it; a
+        critical value raises ValueError, naming it as ``noun``."""
+        a = _turn(Fraction(a))
+        k = bisect_left(self._order, a, key=lambda v: v.angle)
+        if k < len(self._order) and self._order[k].angle == a:
+            raise ValueError(f"{noun} {a} is a critical value")
+        return a, k if k < len(self._order) else 0
+
+    def _crossings(self, e: Edge, gap: int) -> int:
+        """How many times edge ``e`` crosses a level in ``gap``: ``winding``
+        times, once more if the gap lies on its arc from tail up to head."""
+        n, t, h = len(self._order), self._rank[e.tail.vertex], self._rank[e.head.vertex]
+        return e.winding + (0 < (gap - t) % n <= (h - t) % n)
 
     def vertex(self, vid: str) -> Vertex:
         return self._vertex_by_id[vid]
@@ -111,9 +138,6 @@ class FoliationGraph:
 
     def out_edges(self, vid: str) -> list[Edge]:
         return list(self._succ.get(vid, ()))
-
-    def in_edges(self, vid: str) -> list[Edge]:
-        return list(self._pred.get(vid, ()))
 
 
 @dataclass(frozen=True)
@@ -188,11 +212,13 @@ def validate(g: Foliation) -> ValidationReport:
     # Slot discipline: every slot of every vertex used by exactly one
     # edge end (an edge may occupy two slots of one vertex).
     usage: Counter[tuple[str, str]] = Counter()
+    dangling = False
     for e in g.edges:
         for end, direction in ((e.tail, "out"), (e.head, "in")):
             v = g._vertex_by_id.get(end.vertex)
             if v is None:
                 bad.append(f"edge {e.id}: unknown vertex {end.vertex}")
+                dangling = True
                 continue
             legal = OUT_SLOTS if direction == "out" else IN_SLOTS
             if end.slot not in legal.get(v.kind, ()):
@@ -227,20 +253,23 @@ def validate(g: Foliation) -> ValidationReport:
     if 2 * len(g.edges) != 3 * len(g.vertices):
         bad.append(f"2E = {2 * len(g.edges)} differs from 3V = {3 * len(g.vertices)}")
 
-    # Connectivity of the underlying undirected graph.
-    if all("unknown vertex" not in b for b in bad):
-        seen = {g.vertices[0].id}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for w in [e.head.vertex for e in g._succ[v]] + [e.tail.vertex for e in g._pred[v]]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(g.vertices):
-            bad.append("underlying graph not connected")
+    if not dangling and not _connected(g):
+        bad.append("underlying graph not connected")
 
     return ValidationReport(not bad, tuple(bad))
+
+
+def _connected(g: FoliationGraph) -> bool:
+    """Whether the underlying undirected graph (no dangling edges) is connected."""
+    seen = {g.vertices[0].id}
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        for w in [e.head.vertex for e in g._succ[v]] + [e.tail.vertex for e in g._pred[v]]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == len(g.vertices)
 
 
 def builtin(name: str) -> Foliation:
@@ -281,34 +310,18 @@ def builtin(name: str) -> Foliation:
     raise ValueError(f"unknown builtin graph {name!r}")
 
 
-def _edge_crossings(g: FoliationGraph, e: Edge, a: Fraction) -> int:
-    """How many times edge ``e`` crosses the regular level ``a``."""
-    t = g.vertex(e.tail.vertex).angle
-    h = g.vertex(e.head.vertex).angle
-    span = _turn(h - t)
-    inside = 0 < _turn(a - t) < span
-    return e.winding + (1 if inside else 0)
-
-
 def crossing_count(g: Foliation, a: Fraction) -> int:
     """Cardinality of the height preimage of the regular angle ``a``."""
     if isinstance(g, FreeCircle):
         return g.winding
-    a = _turn(Fraction(a))
-    if any(v.angle == a for v in g.vertices):
-        raise ValueError(f"angle {a} is a critical value")
-    return sum(_edge_crossings(g, e, a) for e in g.edges)
+    _, gap = g._gap(a, "angle")
+    return sum(g._crossings(e, gap) for e in g.edges)
 
 
 def regular_levels(g: FoliationGraph) -> list[Fraction]:
     """One regular sample angle per interval between consecutive critical
     values, in increasing order: the circular midpoints."""
-    angles = sorted(v.angle for v in g.vertices)
-    mids = []
-    for i, lo in enumerate(angles):
-        hi = angles[i + 1] if i + 1 < len(angles) else angles[0] + 1
-        mids.append(_turn((lo + hi) / 2))
-    return sorted(mids)
+    return sorted(g._midpoints())
 
 
 def complexity(g: Foliation) -> tuple[int, Fraction]:
@@ -437,10 +450,6 @@ def isomorphic(g1: Foliation, g2: Foliation) -> bool:
     """
     if isinstance(g1, FreeCircle) or isinstance(g2, FreeCircle):
         return isinstance(g1, FreeCircle) and isinstance(g2, FreeCircle)
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    if g1.merge_count() != g2.merge_count():
-        return False
 
     def signature(g, vid):
         """Kind, loop count, and the kinds at the far ends of the other

@@ -18,7 +18,9 @@ from functools import cached_property
 from typing import Iterator
 
 from .graph import (
+    IN_SLOTS,
     MERGE,
+    OUT_SLOTS,
     SPLIT,
     Edge,
     End,
@@ -26,11 +28,9 @@ from .graph import (
     FoliationGraph,
     FreeCircle,
     Vertex,
-    _edge_crossings,
-    _turn,
+    _connected,
     complexity,
     is_calabi,
-    validate,
 )
 
 
@@ -163,43 +163,29 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
 
     Each edge falls into crossing-count + 1 segments; consecutive segments
     of one edge are glued across the cut.  Events are the vertices ordered
-    by height above the cut.
+    by height above the cut: the circular order rotated at its gap.
     """
     if isinstance(g, FreeCircle):
         raise ValueError("cannot cut a vertex-free graph")
-    a = _turn(Fraction(a))
-    if any(v.angle == a for v in g.vertices):
-        raise ValueError(f"cut angle {a} is a critical value")
+    a, gap = g._gap(a, "cut angle")
 
     fresh = iter(range(10**9))
-    segments: dict[str, list[int]] = {}
+    strand: dict[End, int] = {}  # the segment at each slot of each vertex
     bottom: list[int] = []
     top: list[int] = []
     glue: list[tuple[int, int]] = []
     for e in g.edges:
-        k = _edge_crossings(g, e, a)
-        segs = [next(fresh) for _ in range(k + 1)]
-        segments[e.id] = segs
+        segs = [next(fresh) for _ in range(g._crossings(e, gap) + 1)]
+        strand[e.tail], strand[e.head] = segs[0], segs[-1]
         bottom.extend(segs[1:])
         top.extend(segs[:-1])
-        glue.extend((segs[j], segs[j + 1]) for j in range(k))
-
-    def first_out(vid: str, slot: str) -> int:
-        return segments[g._edge_at[End(vid, slot)].id][0]
-
-    def last_in(vid: str, slot: str) -> int:
-        return segments[g._edge_at[End(vid, slot)].id][-1]
+        glue.extend(zip(segs, segs[1:]))
 
     events: list[Event] = []
-    for v in sorted(g.vertices, key=lambda v: _turn(v.angle - a)):
-        if v.kind == MERGE:
-            events.append(
-                Merge((last_in(v.id, "in0"), last_in(v.id, "in1")), first_out(v.id, "out0"))
-            )
-        else:
-            events.append(
-                Split(last_in(v.id, "in0"), (first_out(v.id, "out0"), first_out(v.id, "out1")))
-            )
+    for v in g._order[gap:] + g._order[:gap]:
+        ins = tuple(strand[End(v.id, slot)] for slot in IN_SLOTS[v.kind])
+        outs = tuple(strand[End(v.id, slot)] for slot in OUT_SLOTS[v.kind])
+        events.append(Merge(ins, outs[0]) if v.kind == MERGE else Split(ins[0], outs))
 
     return CutGraph(tuple(bottom), tuple(top), tuple(events), tuple(glue), g.name, a)
 
@@ -245,9 +231,11 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     merges*splits rewrites happen.  Boundaries and glue are unchanged.
     Raises NotSortableError when a bubble has no strand to borrow.
     """
-    # Every strand of the glue and the word lives on some level.
+    # Every strand that is ever live is a bottom strand or an event output.
+    born = [s for ev in c.events for s in (ev.outputs if isinstance(ev, Split) else (ev.output,))]
+    fresh = iter(range(max((*c.bottom, *born), default=-1) + 1, 10**9))
+
     levels = list(c.levels)
-    fresh = iter(range(max((s for level in levels for s in level), default=-1) + 1, 10**9))
 
     events = list(c.events)
     rewrites = 0
@@ -333,7 +321,6 @@ def reglue(c: CutGraph) -> Foliation:
             passes += 1
         _, j, in_slot = death
         winding = passes - 1 if j < i else passes
-        assert winding >= 0
         edges.append(
             Edge(f"e{len(edges)}", End(f"v{i}", slot), End(f"v{j}", in_slot), winding)
         )
@@ -344,12 +331,10 @@ def reglue(c: CutGraph) -> Foliation:
             f"glue orbit through strands {orphans} avoids every vertex"
         )
 
+    # The checked cut guarantees every invariant of validate but connectivity.
     g = FoliationGraph(name, vertices, tuple(edges))
-    report = validate(g)
-    if any("not connected" in v for v in report.violations):
+    if not _connected(g):
         raise RegluingError("reglued graph is disconnected")
-    if not report.ok:
-        raise AssertionError(f"reglue produced an invalid graph: {report.violations}")
     return g
 
 

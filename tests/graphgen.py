@@ -196,6 +196,22 @@ def enum_reachable(g: FoliationGraph, x: str) -> set[str]:
     return reached
 
 
+def oracle_crossing_count(g: FoliationGraph, a: Fraction) -> int:
+    """Crossings of the regular level ``a`` by angle arithmetic: an edge
+    crosses it ``winding`` times, once more if ``a`` lies strictly inside
+    the arc turning up from its tail's angle to its head's."""
+
+    def turn(x: Fraction) -> Fraction:
+        return x - (x.numerator // x.denominator)
+
+    count = 0
+    for e in g.edges:
+        t = g.vertex(e.tail.vertex).angle
+        h = g.vertex(e.head.vertex).angle
+        count += e.winding + (0 < turn(a - t) < turn(h - t))
+    return count
+
+
 def oracle_strongly_connected(g: FoliationGraph) -> bool:
     ids = [v.id for v in g.vertices]
     return all(enum_reachable(g, x) == set(ids) for x in ids)

@@ -28,6 +28,7 @@ from foliagraph.graph import regular_levels
 from graphgen import (
     exhaustive_valid_graphs,
     oracle_all_pairs_positive_path,
+    oracle_crossing_count,
     oracle_every_edge_on_cycle,
     oracle_strongly_connected,
     random_valid_graph,
@@ -144,6 +145,30 @@ def test_validate_rarely_reached_branches():
         "edge e2: slot m.in1 not an in-slot of a SADDLE vertex",
         "#MERGE = 0 differs from #SPLIT = 1",
     )
+    # A kind that merely reads like the unknown-vertex report still gets
+    # the connectivity search: two disjoint thetas.
+    phrase = _graph(
+        [
+            Vertex("s", "SPLIT unknown vertex", s.angle),
+            m,
+            Vertex("s2", SPLIT, Fraction(1, 8)),
+            Vertex("m2", MERGE, Fraction(7, 8)),
+        ],
+        list(th.edges)
+        + [
+            Edge("f0", End("m2", "out0"), End("s2", "in0"), 0),
+            Edge("f1", End("s2", "out0"), End("m2", "in0"), 0),
+            Edge("f2", End("s2", "out1"), End("m2", "in1"), 0),
+        ],
+    )
+    assert validate(phrase).violations == (
+        "vertex s: unknown kind SPLIT unknown vertex",
+        "edge e0: slot s.in0 not an in-slot of a SPLIT unknown vertex vertex",
+        "edge e1: slot s.out0 not an out-slot of a SPLIT unknown vertex vertex",
+        "edge e2: slot s.out1 not an out-slot of a SPLIT unknown vertex vertex",
+        "#MERGE = 2 differs from #SPLIT = 1",
+        "underlying graph not connected",
+    )
 
 
 def test_crossing_counts():
@@ -153,6 +178,23 @@ def test_crossing_counts():
     assert crossing_count(th, Fraction(0)) == 1
     with pytest.raises(ValueError):
         crossing_count(th, Fraction(1, 4))
+
+
+def test_crossing_count_matches_angle_arithmetic_oracle():
+    # Every regular level, levels below the lowest and above the highest
+    # critical value, and random rational levels, some outside [0, 1).
+    rng = random.Random(31)
+    loops = 0
+    for _ in range(200):
+        g = random_valid_graph(rng, max_pairs=rng.choice((1, 3, 6, 10)))
+        angles = sorted(v.angle for v in g.vertices)
+        levels = regular_levels(g) + [angles[0] / 2, (angles[-1] + 1) / 2]
+        levels += [Fraction(rng.randrange(-2000, 3000), 997) for _ in range(20)]
+        for a in levels:
+            if a - (a.numerator // a.denominator) not in angles:
+                assert crossing_count(g, a) == oracle_crossing_count(g, a), (g, a)
+        loops += sum(e.tail.vertex == e.head.vertex for e in g.edges)
+    assert loops
 
 
 def test_complexity_values():
@@ -215,6 +257,7 @@ def test_isomorphic_examples():
     assert isomorphic(th, rotated)
     assert not isomorphic(th, builtin("dumbbell"))
     assert isomorphic(th, th)
+    assert not isomorphic(th, exhaustive_valid_graphs(4)[0])
     assert isomorphic(builtin("free-circle(1)"), builtin("free-circle(4)"))
     assert not isomorphic(th, builtin("free-circle(1)"))
 

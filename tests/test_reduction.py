@@ -147,6 +147,14 @@ def test_reglue_vertex_free_cut():
         reglue(c2)
 
 
+def test_reglue_rejects_two_component_word():
+    # Two bubbles on separate strands reglue into two disjoint thetas.
+    word = (Split(0, (2, 3)), Merge((2, 3), 4), Split(1, (5, 6)), Merge((5, 6), 7))
+    c = CutGraph((0, 1), (4, 7), word, ((4, 0), (7, 1)), "pair", Fraction(0))
+    with pytest.raises(RegluingError, match="disconnected"):
+        reglue(c)
+
+
 def test_reduce_once_dumbbell():
     g = reduce_once(builtin("dumbbell"))
     assert isomorphic(g, builtin("theta"))
@@ -220,7 +228,16 @@ def test_roundtrip_at_random_regular_angle(seed):
         a = Fraction(rng.randrange(1, 997), 997)
         if a not in angles:
             break
-    assert isomorphic(reglue(cut(g, a)), g)
+    c = cut(g, a)
+    g2 = reglue(c)
+    assert validate(g2).ok and isomorphic(g2, g)
+    # reglue checks only connectivity; the rest follows from the cut.
+    try:
+        sorted_cut, _ = sort_events(c)
+        g3 = reglue(sorted_cut)
+    except (NotSortableError, RegluingError):
+        return
+    assert validate(g3).ok
 
 
 @settings(max_examples=50, deadline=None)
