@@ -1,0 +1,122 @@
+"""Size sweep of the reduction layer: time ``sort_events`` and ``harmonize``
+at doubling vertex counts, and check every answer.
+
+    python3 benchmarks/sweep.py [SIZE ...]
+
+SIZE is a vertex count out of the recorded ones, 100, 200, 400 and 800
+(all of them by default).  The input at V vertices is
+``tests/graphgen.random_valid_graph(random.Random(1), n_pairs=V // 2)``;
+``sort_events`` sorts its cut at the complexity witness, and ``harmonize``
+reduces the graph itself (every recorded input is non-Calabi).  Each
+timing is the best of 3 calls, with ``time.perf_counter``.
+
+Prints one JSON object.  Exits nonzero on a wrong answer: a cut its
+construction check rejects, a sorted word with a split below a merge, a
+reglued or harmonized graph that fails ``validate``, a harmonize result
+that is not Calabi or not contiguous, or a rewrite or step count that
+differs from the recorded one.  Timings gate nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
+import foliagraph as fg  # noqa: E402
+from graphgen import random_valid_graph  # noqa: E402
+
+REPEAT = 3
+# Per size: rewrites of the witness cut's sort, and harmonize's completed
+# steps with their rewrites in total, or the steps completed before it
+# got stuck (rewrites None).
+RECORDED = {
+    100: {"sort_rewrites": 1562, "harmonize_steps": 4, "harmonize_rewrites": None},
+    200: {"sort_rewrites": 5774, "harmonize_steps": 3, "harmonize_rewrites": 25774},
+    400: {"sort_rewrites": 23399, "harmonize_steps": 1, "harmonize_rewrites": 23399},
+    800: {"sort_rewrites": 84801, "harmonize_steps": 2, "harmonize_rewrites": 244801},
+}
+
+
+def fail(size: int, what: str) -> None:
+    raise SystemExit(f"sweep: wrong answer at {size} vertices: {what}")
+
+
+def best_of(fn):
+    """The smallest wall time of ``REPEAT`` calls, and the last result."""
+    times = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return min(times), result
+
+
+def harmonize_outcome(g):
+    try:
+        result, trace = fg.harmonize(g)
+    except fg.StuckError as exc:
+        return exc.trace, None
+    return trace, result
+
+
+def sweep_one(size: int) -> dict:
+    g = random_valid_graph(random.Random(1), n_pairs=size // 2)
+    if not fg.validate(g).ok or fg.is_calabi(g).verdict:
+        fail(size, "input is not a valid non-Calabi graph")
+    k, witness = fg.complexity(g)
+    try:
+        c = fg.cut(g, witness)
+    except ValueError as exc:
+        fail(size, f"cut rejected: {exc}")
+    sort_s, (sorted_cut, rewrites) = best_of(lambda: fg.sort_events(c))
+    kinds = [isinstance(ev, fg.Split) for ev in sorted_cut.events]
+    if kinds != sorted(kinds):
+        fail(size, "sorted word has a split below a merge")
+    if not fg.validate(fg.reglue(sorted_cut)).ok:
+        fail(size, "reglued sorted cut is invalid")
+
+    harmonize_s, (trace, result) = best_of(lambda: harmonize_outcome(g))
+    for step in trace.steps:
+        if not fg.validate(step.graph_after).ok:
+            fail(size, "a reduction step produced an invalid graph")
+    if result is not None and not (fg.is_calabi(result).verdict and fg.contiguous(g, result)):
+        fail(size, "harmonize result is not a contiguous Calabi graph")
+
+    got = {
+        "sort_rewrites": rewrites,
+        "harmonize_steps": len(trace.steps),
+        "harmonize_rewrites": None if result is None else sum(s.rewrites for s in trace.steps),
+    }
+    if got != RECORDED[size]:
+        fail(size, f"counts {got} differ from the recorded {RECORDED[size]}")
+    return {
+        "vertices": size,
+        "complexity": k,
+        "sort_events_s": round(sort_s, 4),
+        "harmonize_s": round(harmonize_s, 4),
+        "harmonize_stuck": result is None,
+        **got,
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("sizes", nargs="*", type=int, help=f"vertex counts out of {sorted(RECORDED)}")
+    args = ap.parse_args()
+    unknown = set(args.sizes) - set(RECORDED)
+    if unknown:
+        ap.error(f"no recorded counts for {sorted(unknown)} vertices")
+    rows = [sweep_one(size) for size in args.sizes or sorted(RECORDED)]
+    print(json.dumps({"python": platform.python_version(), "repeat": REPEAT, "rows": rows}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

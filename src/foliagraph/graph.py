@@ -14,6 +14,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from fractions import Fraction
 
 MERGE = "MERGE"
@@ -87,7 +88,8 @@ class FoliationGraph:
     def _order(self) -> tuple[Vertex, ...]:
         """Vertices by increasing angle: the circular order of the critical
         values.  Gap ``k`` of this order holds the regular levels just below
-        ``_order[k]``; gap 0 also holds those above the highest one."""
+        ``_order[k]``; gap 0 also holds those above the highest one.
+        ``reglue`` seeds it, since it builds its vertices in angle order."""
         return tuple(sorted(self.vertices, key=lambda v: v.angle))
 
     @cached_property
@@ -98,19 +100,19 @@ class FoliationGraph:
     def _complexity(self) -> tuple[int, Fraction]:
         """The sweep behind ``complexity``: start from the crossing count
         below the lowest critical value (gap 0); crossing a SPLIT adds a
-        strand and crossing a MERGE removes one."""
-        count = sum(self._crossings(e, 0) for e in self.edges)
-        levels = []
-        for v, mid in zip(self._order, self._midpoints()):
-            count += 1 if v.kind == SPLIT else -1
-            levels.append((count, mid))
-        return min(levels)
+        strand and crossing a MERGE removes one.  Midpoints rise with rank
+        but for the last, which wraps, so the witness is the midpoint of
+        the first minimizing gap or of the last one."""
+        start = sum(self._crossings(e, 0) for e in self.edges)
+        counts = list(accumulate((1 if v.kind == SPLIT else -1 for v in self._order), initial=start))[1:]
+        best = min(counts)
+        return best, min(self._midpoint(k) for k in (counts.index(best), len(counts) - 1) if counts[k] == best)
 
-    def _midpoints(self) -> list[Fraction]:
-        """The circular midpoint above each critical value, in rank order."""
-        angles = [v.angle for v in self._order]
-        above = angles[1:] + [lo + 1 for lo in angles[:1]]
-        return [_turn((lo + hi) / 2) for lo, hi in zip(angles, above)]
+    def _midpoint(self, k: int) -> Fraction:
+        """The circular midpoint of the gap above the critical value of rank ``k``."""
+        lo = self._order[k].angle
+        hi = self._order[k + 1].angle if k + 1 < len(self._order) else self._order[0].angle + 1
+        return _turn((lo + hi) / 2)
 
     def _gap(self, a: Fraction, noun: str) -> tuple[Fraction, int]:
         """The angle ``a`` turned into [0, 1) and the gap holding it; a
@@ -321,7 +323,7 @@ def crossing_count(g: Foliation, a: Fraction) -> int:
 def regular_levels(g: FoliationGraph) -> list[Fraction]:
     """One regular sample angle per interval between consecutive critical
     values, in increasing order: the circular midpoints."""
-    return sorted(g._midpoints())
+    return sorted(g._midpoint(k) for k in range(len(g._order)))
 
 
 def complexity(g: Foliation) -> tuple[int, Fraction]:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterator
+from typing import Collection, Iterator, Sequence
 
 from .graph import (
     IN_SLOTS,
@@ -88,7 +87,7 @@ class CutGraph:
     maps each top strand to the bottom strand it continues into.
 
     Construction checks the cut: the word replays from ``bottom`` to
-    ``top`` (see ``replay``), both boundaries have the same size, and
+    ``top`` (see ``live_after``), both boundaries have the same size, and
     ``glue`` is a bijection from top onto bottom.  ValueError otherwise.
     """
 
@@ -100,18 +99,14 @@ class CutGraph:
     cut_angle: Fraction
 
     def __post_init__(self):
-        if self.levels[-1] != frozenset(self.top) or len(self.top) != len(set(self.top)):
+        if live_after(self.bottom, self.events) != set(self.top) or len(self.top) != len(set(self.top)):
             raise ValueError("replaying events does not yield the top strands")
         if len(self.bottom) != len(self.top):
             raise ValueError("boundary strand counts differ")
+        # Both boundaries are duplicate-free and equally long by now.
         gm = self.glue_map
-        if sorted(gm) != sorted(self.top) or sorted(gm.values()) != sorted(self.bottom):
+        if gm.keys() != set(self.top) or set(gm.values()) != set(self.bottom):
             raise ValueError("glue is not a bijection from top onto bottom")
-
-    @cached_property
-    def levels(self) -> tuple[frozenset[int], ...]:
-        """Live strand sets before each event and after the last one."""
-        return tuple(replay(self.bottom, self.events))
 
     @property
     def glue_map(self) -> dict[int, int]:
@@ -124,38 +119,40 @@ class CutGraph:
         return sum(1 for e in self.events if isinstance(e, Split))
 
 
-def replay(bottom: tuple[int, ...], events: tuple[Event, ...]) -> list[frozenset[int]]:
-    """Live strand sets before each event and after the last one.
+def live_after(bottom: tuple[int, ...], events: Sequence[Event]) -> set[int]:
+    """The strands live after the word ``events`` runs from ``bottom``,
+    replayed with one mutable set in O(n + k).
 
-    Raises ValueError if any event consumes a dead strand, a merge
-    consumes one strand twice, or an output collides with a live strand.
+    Raises ValueError if the bottom repeats a strand, an event consumes a
+    dead strand, a merge consumes one strand twice, or an output collides
+    with a live strand.
     """
-    if len(set(bottom)) != len(bottom):
+    live = set(bottom)
+    if len(live) != len(bottom):
         raise ValueError("duplicate bottom strands")
-    levels = [frozenset(bottom)]
     for i, ev in enumerate(events):
-        levels.append(_apply(levels[-1], ev, i))
-    return levels
+        _apply(live, ev, i)
+    return live
 
 
-def _apply(live: frozenset[int], ev: Event, i: int) -> frozenset[int]:
-    """The live strand set after event number ``i``; see ``replay``."""
+def _apply(live: set[int], ev: Event, i: int) -> None:
+    """Run event number ``i`` on ``live`` in place; see ``live_after``."""
     if isinstance(ev, Merge):
         a, b = ev.inputs
         if a == b:
             raise ValueError(f"event {i}: merge consumes strand {a} twice")
-        consumed, produced = {a, b}, (ev.output,)
+        consumed, produced = (a, b), (ev.output,)
     else:
-        consumed, produced = {ev.input}, ev.outputs
+        consumed, produced = (ev.input,), ev.outputs
         if len(set(produced)) != 2:
             raise ValueError(f"event {i}: split outputs collide")
-    if not consumed <= live:
-        raise ValueError(f"event {i}: consumes dead strand(s) {sorted(consumed - live)}")
-    rest = live - consumed
+    if not live.issuperset(consumed):
+        raise ValueError(f"event {i}: consumes dead strand(s) {sorted(set(consumed) - live)}")
+    live.difference_update(consumed)
     for s in produced:
-        if s in rest:
+        if s in live:
             raise ValueError(f"event {i}: output {s} already live")
-    return rest.union(produced)
+    live.update(produced)
 
 
 def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
@@ -191,7 +188,7 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
 
 
 def _transpose(
-    split: Split, merge: Merge, live_before: frozenset[int], fresh: Iterator[int]
+    split: Split, merge: Merge, live_before: Collection[int], fresh: Iterator[int]
 ) -> tuple[Merge, Split]:
     """Rewrite the adjacent pair (split; merge) into (merge; split).
 
@@ -214,11 +211,11 @@ def _transpose(
         z = next(fresh)
         return Merge((x, other_y), z), Split(z, (other_x, y))
     # Bubble: both split outputs feed the merge.  Borrow a parallel live
-    # strand, merge into it, and split it back off unchanged.
-    spare = sorted(live_before - {x})
-    if not spare:
+    # strand, merge into it, and split it back off unchanged.  Only this
+    # case reads ``live_before``.
+    w = min((s for s in live_before if s != x), default=None)
+    if w is None:
         raise NotSortableError((x, x1, x2, y), len(live_before))
-    w = spare[0]
     z = next(fresh)
     return Merge((x, w), z), Split(z, (y, w))
 
@@ -235,22 +232,21 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     born = [s for ev in c.events for s in (ev.outputs if isinstance(ev, Split) else (ev.output,))]
     fresh = iter(range(max((*c.bottom, *born), default=-1) + 1, 10**9))
 
-    levels = list(c.levels)
-
     events = list(c.events)
     rewrites = 0
     bound = c.merge_count() * c.split_count() + 1
-    # No inversion lies below ``pos``; a rewrite at ``pos`` changes only the
-    # level between the pair and can create an inversion at ``pos - 1``.
+    # No inversion lies below ``pos``; a rewrite at ``pos`` can create one
+    # only at ``pos - 1``.
     pos = 0
     while pos < len(events) - 1:
-        if not (isinstance(events[pos], Split) and isinstance(events[pos + 1], Merge)):
+        split, merge = events[pos], events[pos + 1]
+        if not (isinstance(split, Split) and isinstance(merge, Merge)):
             pos += 1
             continue
-        events[pos], events[pos + 1] = _transpose(
-            events[pos], events[pos + 1], levels[pos], fresh
-        )
-        levels[pos + 1] = _apply(levels[pos], events[pos], pos)
+        # Only a bubble borrows a strand, so only it reads the live set.
+        bubble = split.outputs[0] in merge.inputs and split.outputs[1] in merge.inputs
+        live = live_after(c.bottom, events[:pos]) if bubble else ()
+        events[pos], events[pos + 1] = _transpose(split, merge, live, fresh)
         rewrites += 1
         if rewrites > bound:
             raise AssertionError("event sorting failed to terminate")
@@ -333,6 +329,8 @@ def reglue(c: CutGraph) -> Foliation:
 
     # The checked cut guarantees every invariant of validate but connectivity.
     g = FoliationGraph(name, vertices, tuple(edges))
+    # Word order is angle order: seed the circular order instead of sorting.
+    g.__dict__["_order"] = vertices
     if not _connected(g):
         raise RegluingError("reglued graph is disconnected")
     return g

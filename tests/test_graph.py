@@ -203,6 +203,39 @@ def test_complexity_values():
     assert complexity(builtin("free-circle(3)")) == (3, 0)
 
 
+def _two_thetas(angles):
+    """Two thetas in a ring, critical values SPLIT, MERGE, SPLIT, MERGE at
+    ``angles``: the gap above the first MERGE and the wrap-around gap above
+    the last both cross one strand, the other two gaps cross two."""
+    kinds = (SPLIT, MERGE, SPLIT, MERGE)
+    vertices = tuple(Vertex(f"v{i}", k, a) for i, (k, a) in enumerate(zip(kinds, angles)))
+    edges = (
+        Edge("e0", End("v0", "out0"), End("v1", "in0"), 0),
+        Edge("e1", End("v0", "out1"), End("v1", "in1"), 0),
+        Edge("e2", End("v1", "out0"), End("v2", "in0"), 0),
+        Edge("e3", End("v2", "out0"), End("v3", "in0"), 0),
+        Edge("e4", End("v2", "out1"), End("v3", "in1"), 0),
+        Edge("e5", End("v3", "out0"), End("v0", "in0"), 0),
+    )
+    return FoliationGraph("two-thetas", vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "angles, witness",
+    [
+        # 3/8 + 7/8 >= 1: the wrap-around midpoint turns to 1/8, below 9/16.
+        ((Fraction(3, 8), Fraction(1, 2), Fraction(5, 8), Fraction(7, 8)), Fraction(1, 8)),
+        # 1/8 + 1/2 < 1: the wrap-around midpoint 13/16 stays above 5/16.
+        ((Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)), Fraction(5, 16)),
+    ],
+)
+def test_complexity_witness_breaks_wraparound_tie(angles, witness):
+    g = _two_thetas(angles)
+    assert validate(g).ok
+    assert complexity(g) == (1, witness)
+    assert complexity(g) == min((crossing_count(g, a), a) for a in regular_levels(g))
+
+
 def test_complexity_is_computed_once_per_graph():
     g = random_valid_graph(random.Random(5), n_pairs=6)
     assert complexity(g) is complexity(g)

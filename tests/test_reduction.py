@@ -27,7 +27,7 @@ from foliagraph import (
 )
 from foliagraph.graph import FoliationGraph, regular_levels
 import foliagraph.reduction as reduction
-from foliagraph.reduction import RegluingError, _transpose, replay
+from foliagraph.reduction import RegluingError, _transpose
 
 from graphgen import random_non_calabi_graph, random_valid_graph
 
@@ -240,6 +240,33 @@ def test_roundtrip_at_random_regular_angle(seed):
     assert validate(g3).ok
 
 
+def test_reglued_graph_keeps_angle_order():
+    # ``reglue`` hands its graph the circular order instead of sorting the
+    # angles; it must be the order the angles give.
+    rng = random.Random(606)
+    id_order_differs = 0
+    for _ in range(60):
+        g = random_valid_graph(rng, max_pairs=rng.choice((2, 4, 8)))
+        for a in regular_levels(g):
+            c = cut(g, a)
+            cuts = [c]
+            try:
+                cuts.append(sort_events(c)[0])
+            except NotSortableError:
+                pass
+            for c2 in cuts:
+                try:
+                    g2 = reglue(c2)
+                except RegluingError:
+                    continue
+                by_angle = tuple(sorted(g2.vertices, key=lambda v: v.angle))
+                assert g2._order == by_angle
+                assert g2._rank == {v.id: k for k, v in enumerate(by_angle)}
+                id_order_differs += g2.vertices != by_angle
+    # Ids v10, v11, ... sort before v2, so the id order is no stand-in.
+    assert id_order_differs
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_sort_preserves_interface_and_counting(seed):
@@ -302,6 +329,16 @@ def test_harmonize_contract(seed):
     assert all(pairs[i][1] == pairs[i + 1][0] for i in range(len(pairs) - 1))
 
 
+def replay(bottom, events):
+    """Every level of a valid word, each recomputed from the one below:
+    the live strand set before each event and after the last one."""
+    levels = [frozenset(bottom)]
+    for ev in events:
+        ins, outs = (ev.inputs, (ev.output,)) if isinstance(ev, Merge) else ((ev.input,), ev.outputs)
+        levels.append(levels[-1].difference(ins).union(outs))
+    return levels
+
+
 def _sort_events_by_full_replay(c):
     """Reference sorter: replays the whole word before every rewrite and
     fixes the lowest (split, merge) inversion."""
@@ -343,28 +380,46 @@ def test_sort_events_matches_full_replay_reference():
 
 
 def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
-    # One replay when ``cut`` builds the word, one when ``sort_events``
-    # builds the sorted word; ``sort_events`` and ``reglue`` reuse them.
-    calls = 0
-    real_replay = reduction.replay
+    # Two full-word checks per step, when ``cut`` and ``sort_events`` each
+    # construct a CutGraph, plus one prefix replay per bubble, the only
+    # rewrite that reads a live set.  No event runs outside a replay, so
+    # commuting and shared-strand rewrites build no set.
+    replays = replayed = applied = bubbles = 0
+    real_live_after, real_apply, real_transpose = reduction.live_after, reduction._apply, _transpose
 
-    def counting_replay(bottom, events):
-        nonlocal calls
-        calls += 1
-        return real_replay(bottom, events)
+    def counting_live_after(bottom, events):
+        nonlocal replays, replayed
+        replays += 1
+        replayed += len(events)
+        return real_live_after(bottom, events)
 
-    monkeypatch.setattr(reduction, "replay", counting_replay)
+    def counting_apply(live, ev, i):
+        nonlocal applied
+        applied += 1
+        return real_apply(live, ev, i)
+
+    def counting_transpose(split, merge, live_before, fresh):
+        nonlocal bubbles
+        bubbles += set(split.outputs) == set(merge.inputs)
+        return real_transpose(split, merge, live_before, fresh)
+
+    monkeypatch.setattr(reduction, "live_after", counting_live_after)
+    monkeypatch.setattr(reduction, "_apply", counting_apply)
+    monkeypatch.setattr(reduction, "_transpose", counting_transpose)
     rng = random.Random(2024_11)
-    steps = 0
+    steps = rewrites = 0
     for _ in range(40):
         g = random_non_calabi_graph(rng, max_pairs=8)
         try:
             _, trace = harmonize(g)
             steps += len(trace.steps)
         except StuckError as exc:
-            # The stuck step replays its word once, in ``cut``.
-            steps += len(exc.trace.steps) + 1
-    assert steps and calls <= 2 * steps
+            trace = exc.trace
+            steps += len(trace.steps) + 1
+        rewrites += sum(s.rewrites for s in trace.steps)
+    assert steps and bubbles and rewrites > 10 * bubbles
+    assert replays <= 2 * steps + bubbles
+    assert applied == replayed
 
 
 def test_harmonize_sweeps_each_graph_once(monkeypatch):
