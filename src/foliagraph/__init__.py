@@ -13,7 +13,6 @@ from .graph import (
     Foliation,
     FoliationGraph,
     FreeCircle,
-    NoPath,
     Obstruction,
     ValidationReport,
     Vertex,
@@ -22,8 +21,6 @@ from .graph import (
     crossing_count,
     euler_genus,
     is_calabi,
-    isomorphic,
-    positive_path,
     validate,
 )
 from .reduction import (

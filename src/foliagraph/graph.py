@@ -66,11 +66,6 @@ class FoliationGraph:
         return {v.id: v for v in self.vertices}
 
     @cached_property
-    def _edge_at(self) -> dict[End, Edge]:
-        """Edge occupying each slot, keyed by its tail and its head end."""
-        return {end: e for e in self.edges for end in (e.tail, e.head)}
-
-    @cached_property
     def _succ(self) -> dict[str, list[Edge]]:
         succ: dict[str, list[Edge]] = {v.id: [] for v in self.vertices}
         for e in self.edges:
@@ -177,11 +172,6 @@ class CalabiCertificate:
     verdict: bool
     cycles: tuple[tuple[str, ...], ...] = ()
     obstruction: Obstruction | None = None
-
-
-@dataclass(frozen=True)
-class NoPath:
-    out_set: tuple[str, ...]
 
 
 def _turn(x: Fraction) -> Fraction:
@@ -352,40 +342,6 @@ def _bfs_tree(g: FoliationGraph, start: str, reverse: bool = False) -> dict[str,
     return tree
 
 
-def positive_path(g: FoliationGraph, x: str, y: str) -> list[str] | NoPath:
-    """Shortest sequence of edges traversed tail-to-head from x to y.
-
-    For x == y a nonempty closed path is returned.  When no path exists
-    the positively reachable set of x is returned as evidence.
-    """
-    if isinstance(g, FreeCircle):
-        raise ValueError("free circles have no vertices")
-    g.vertex(x), g.vertex(y)
-
-    def tree_path(start: str) -> list[str] | None:
-        tree = _bfs_tree(g, start)
-        if y not in tree:
-            return None
-        path, v = [], y
-        while v != start:
-            path.append(tree[v].id)
-            v = tree[v].tail.vertex
-        return path[::-1]
-
-    if x != y:
-        found = tree_path(x)
-    else:
-        # Closed walk: leave x along each out-edge and come back.
-        found = None
-        for e in g._succ[x]:
-            back = tree_path(e.head.vertex)
-            if back is not None and (found is None or len(back) + 1 < len(found)):
-                found = [e.id] + back
-    if found is not None:
-        return found
-    return NoPath(tuple(sorted(_bfs_tree(g, x))))
-
-
 def is_calabi(g: Foliation) -> CalabiCertificate:
     """Decide the Calabi property: every point lies on a positive cycle.
 
@@ -441,57 +397,3 @@ def euler_genus(g: Foliation) -> tuple[int, int]:
     if genus != betti or (nv + 2) % 2:
         raise ValueError("graph violates 2E = 3V; validate it first")
     return -nv, genus
-
-
-def isomorphic(g1: Foliation, g2: Foliation) -> bool:
-    """Kind-preserving bijection matching oriented incidence.
-
-    Slots within {in0,in1} and {out0,out1} are interchangeable, and angles
-    and windings carry no structure here, so the comparison reduces to the
-    directed multigraphs with vertex kinds.
-    """
-    if isinstance(g1, FreeCircle) or isinstance(g2, FreeCircle):
-        return isinstance(g1, FreeCircle) and isinstance(g2, FreeCircle)
-
-    def signature(g, vid):
-        """Kind, loop count, and the kinds at the far ends of the other
-        out- and in-edges: O(degree) from the shared indices."""
-        loops = sum(e.head.vertex == vid for e in g._succ[vid])
-        outs = Counter(g.vertex(e.head.vertex).kind for e in g._succ[vid] if e.head.vertex != vid)
-        ins = Counter(g.vertex(e.tail.vertex).kind for e in g._pred[vid] if e.tail.vertex != vid)
-        return (g.vertex(vid).kind, loops, tuple(sorted(outs.items())), tuple(sorted(ins.items())))
-
-    sig1 = {v.id: signature(g1, v.id) for v in g1.vertices}
-    sig2 = {v.id: signature(g2, v.id) for v in g2.vertices}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
-
-    adj1, adj2 = (Counter((e.tail.vertex, e.head.vertex) for e in g.edges) for g in (g1, g2))
-    order = sorted(sig1, key=lambda v: (sig1[v], v))
-    candidates = {v: [w for w in sig2 if sig2[w] == sig1[v]] for v in order}
-
-    def extend(i: int, mapping: dict[str, str], used: set[str]) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = adj1.get((v, v), 0) == adj2.get((w, w), 0)
-            for u, img in mapping.items():
-                if not ok:
-                    break
-                ok = (
-                    adj1.get((v, u), 0) == adj2.get((w, img), 0)
-                    and adj1.get((u, v), 0) == adj2.get((img, w), 0)
-                )
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1, mapping, used):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    return extend(0, {}, set())

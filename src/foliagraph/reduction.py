@@ -167,21 +167,21 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
     a, gap = g._gap(a, "cut angle")
 
     fresh = iter(range(10**9))
-    strand: dict[End, int] = {}  # the segment at each slot of each vertex
+    strand: dict[tuple[str, str], int] = {}  # the segment at each (vertex id, slot)
     bottom: list[int] = []
     top: list[int] = []
     glue: list[tuple[int, int]] = []
     for e in g.edges:
         segs = [next(fresh) for _ in range(g._crossings(e, gap) + 1)]
-        strand[e.tail], strand[e.head] = segs[0], segs[-1]
+        strand[e.tail.vertex, e.tail.slot], strand[e.head.vertex, e.head.slot] = segs[0], segs[-1]
         bottom.extend(segs[1:])
         top.extend(segs[:-1])
         glue.extend(zip(segs, segs[1:]))
 
     events: list[Event] = []
     for v in g._order[gap:] + g._order[:gap]:
-        ins = tuple(strand[End(v.id, slot)] for slot in IN_SLOTS[v.kind])
-        outs = tuple(strand[End(v.id, slot)] for slot in OUT_SLOTS[v.kind])
+        ins = tuple(strand[v.id, slot] for slot in IN_SLOTS[v.kind])
+        outs = tuple(strand[v.id, slot] for slot in OUT_SLOTS[v.kind])
         events.append(Merge(ins, outs[0]) if v.kind == MERGE else Split(ins[0], outs))
 
     return CutGraph(tuple(bottom), tuple(top), tuple(events), tuple(glue), g.name, a)

@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from foliagraph import MERGE, SPLIT, Edge, End, FoliationGraph, Vertex, is_calabi, validate
+from foliagraph import MERGE, SPLIT, Edge, End, FoliationGraph, Vertex, builtin, is_calabi, validate
 
 
 def _stubs(n_pairs: int):
@@ -99,6 +99,49 @@ def random_non_calabi_graph(rng: random.Random, max_pairs: int = 6) -> Foliation
         if not is_calabi(g).verdict:
             return g
     raise AssertionError("could not find a non-Calabi graph")
+
+
+# -- reduction checks ------------------------------------------------------
+
+
+def reglue_rotates(g: FoliationGraph, a: Fraction, g2) -> bool:
+    """Whether ``g2 = reglue(cut(g, a))`` is ``g`` under the rotation map
+    ``v{i}`` -> the vertex of ``g`` at position ``(gap + i) mod V`` in
+    angle order, where ``gap`` counts the vertices below the level ``a``.
+
+    Every vertex kind must match, and so must the multiset of edge
+    five-tuples (tail, tail slot, head, head slot, winding): stronger than
+    isomorphism, which ignores slots and windings, and O(V + E) after the
+    sorts.
+    """
+    if not isinstance(g2, FoliationGraph):
+        return False
+    order = sorted(g.vertices, key=lambda v: v.angle)
+    n, level = len(order), a % 1
+    gap = sum(v.angle < level for v in order)
+    rename = {f"v{i}": order[(gap + i) % n].id for i in range(n)}
+    kinds = {v.id: v.kind for v in g.vertices}
+    if len(g2.vertices) != n or {rename.get(v.id): v.kind for v in g2.vertices} != kinds:
+        return False
+
+    def five_tuples(edges, name):
+        return sorted((name[e.tail.vertex], e.tail.slot, name[e.head.vertex], e.head.slot, e.winding) for e in edges)
+
+    return five_tuples(g2.edges, rename) == five_tuples(g.edges, {vid: vid for vid in kinds})
+
+
+def is_theta(g) -> bool:
+    """Whether ``g`` is theta as a directed multigraph with vertex kinds.
+
+    With one MERGE and one SPLIT a vertex's kind names it, so the vertex
+    kinds and the multiset of (tail kind, head kind) over the edges fix
+    the graph."""
+
+    def shape(g):
+        kind = {v.id: v.kind for v in g.vertices}
+        return sorted(kind.values()), sorted((kind[e.tail.vertex], kind[e.head.vertex]) for e in g.edges)
+
+    return isinstance(g, FoliationGraph) and shape(g) == shape(builtin("theta"))
 
 
 def _multigraph_keys(n_pairs: int):

@@ -12,15 +12,12 @@ from foliagraph import (
     End,
     FoliationGraph,
     FreeCircle,
-    NoPath,
     Vertex,
     builtin,
     complexity,
     crossing_count,
     euler_genus,
     is_calabi,
-    isomorphic,
-    positive_path,
     validate,
 )
 from foliagraph.graph import regular_levels
@@ -260,56 +257,9 @@ def test_is_calabi_certificates():
     assert all(e.head.vertex in outset for e in db.edges if e.tail.vertex in outset)
 
 
-def test_positive_paths():
-    th = builtin("theta")
-    assert positive_path(th, "s", "m") == ["e1"]
-    assert positive_path(th, "m", "m") == ["e0", "e1"]
-    db = builtin("dumbbell")
-    res = positive_path(db, "m", "s")
-    assert isinstance(res, NoPath) and res.out_set == ("m",)
-    with pytest.raises(KeyError):
-        positive_path(th, "s", "nope")
-
-
 def test_euler_genus():
     assert euler_genus(builtin("theta")) == (-2, 2)
     assert euler_genus(builtin("free-circle(5)")) == (0, 1)
-
-
-def test_isomorphic_examples():
-    th = builtin("theta")
-    rotated = FoliationGraph(
-        "theta-rotated",
-        (Vertex("a", MERGE, Fraction(1, 4)), Vertex("b", SPLIT, Fraction(3, 4))),
-        (
-            Edge("x", End("a", "out0"), End("b", "in0"), 1),
-            Edge("y", End("b", "out1"), End("a", "in0"), 0),
-            Edge("z", End("b", "out0"), End("a", "in1"), 0),
-        ),
-    )
-    assert isomorphic(th, rotated)
-    assert not isomorphic(th, builtin("dumbbell"))
-    assert isomorphic(th, th)
-    assert not isomorphic(th, exhaustive_valid_graphs(4)[0])
-    assert isomorphic(builtin("free-circle(1)"), builtin("free-circle(4)"))
-    assert not isomorphic(th, builtin("free-circle(1)"))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**9))
-def test_isomorphism_invariant_under_relabeling(seed):
-    rng = random.Random(seed)
-    g = random_valid_graph(rng, max_pairs=4)
-    names = {v.id: f"w{i}" for i, v in enumerate(rng.sample(g.vertices, len(g.vertices)))}
-    relabeled = FoliationGraph(
-        "relabeled",
-        tuple(Vertex(names[v.id], v.kind, v.angle) for v in g.vertices),
-        tuple(
-            Edge(e.id, End(names[e.tail.vertex], e.tail.slot), End(names[e.head.vertex], e.head.slot), e.winding)
-            for e in g.edges
-        ),
-    )
-    assert isomorphic(g, relabeled)
 
 
 def test_lemma_equivalence_exhaustive_small():

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliagraph import (
+    MERGE,
+    SPLIT,
     CutGraph,
     FreeCircle,
     Merge,
@@ -19,7 +22,6 @@ from foliagraph import (
     cut,
     harmonize,
     is_calabi,
-    isomorphic,
     reduce_once,
     reglue,
     sort_events,
@@ -29,7 +31,7 @@ from foliagraph.graph import FoliationGraph, regular_levels
 import foliagraph.reduction as reduction
 from foliagraph.reduction import RegluingError, _transpose
 
-from graphgen import random_non_calabi_graph, random_valid_graph
+from graphgen import is_theta, random_non_calabi_graph, random_valid_graph, reglue_rotates
 
 
 def test_cut_dumbbell_matches_hand_replay():
@@ -124,17 +126,47 @@ def test_malformed_cut_rejected_at_construction(bottom, top, events, glue, messa
 
 
 def test_reglue_sorted_dumbbell_is_theta():
+    assert is_theta(builtin("theta")) and not is_theta(builtin("dumbbell"))
     c, _ = sort_events(cut(builtin("dumbbell"), Fraction(0)))
     g = reglue(c)
     assert validate(g).ok
-    assert isomorphic(g, builtin("theta"))
+    assert is_theta(g)
     assert complexity(g)[0] == 1
 
 
 def test_reglue_roundtrip_without_sorting():
     for name in ("dumbbell", "theta"):
         g = builtin(name)
-        assert isomorphic(reglue(cut(g, Fraction(0))), g)
+        assert reglue_rotates(g, Fraction(0), reglue(cut(g, Fraction(0))))
+
+
+def test_reglue_roundtrip_at_400_vertices():
+    # Out of reach of an isomorphism search; the rotation map is O(V + E).
+    g = random_valid_graph(random.Random(400), n_pairs=200)
+    levels = regular_levels(g)
+    for a in levels[:: len(levels) // 20][:20]:
+        assert reglue_rotates(g, a, reglue(cut(g, a)))
+
+
+def test_reglue_rotates_rejects_mutants():
+    g = random_valid_graph(random.Random(41), n_pairs=6)
+    a = regular_levels(g)[3]
+    g2 = reglue(cut(g, a))
+    assert reglue_rotates(g, a, g2)
+
+    first, *rest = g2.edges
+    assert not reglue_rotates(g, a, replace(g2, edges=(replace(first, winding=first.winding + 1), *rest)))
+
+    m = next(v.id for v in g2.vertices if v.kind == MERGE)
+    e0, e1 = (e for e in g2.edges if e.head.vertex == m)
+    others = tuple(e for e in g2.edges if e not in (e0, e1))
+    swapped = replace(g2, edges=(*others, replace(e0, head=e1.head), replace(e1, head=e0.head)))
+    assert not reglue_rotates(g, a, swapped)
+
+    s = next(v.id for v in g2.vertices if v.kind == SPLIT)
+    flip = {m: SPLIT, s: MERGE}
+    flipped = replace(g2, vertices=tuple(replace(v, kind=flip.get(v.id, v.kind)) for v in g2.vertices))
+    assert not reglue_rotates(g, a, flipped)
 
 
 def test_reglue_vertex_free_cut():
@@ -157,7 +189,7 @@ def test_reglue_rejects_two_component_word():
 
 def test_reduce_once_dumbbell():
     g = reduce_once(builtin("dumbbell"))
-    assert isomorphic(g, builtin("theta"))
+    assert is_theta(g)
     assert complexity(g)[0] == 1
 
 
@@ -178,7 +210,7 @@ def test_harmonize_fixed_points():
 def test_harmonize_dumbbell():
     result, trace = harmonize(builtin("dumbbell"))
     assert len(trace.steps) == 1
-    assert isomorphic(result, builtin("theta"))
+    assert is_theta(result)
     step = trace.steps[0]
     assert (step.cut_angle, step.complexity_before, step.complexity_after) == (0, 2, 1)
     assert step.rewrites == 1
@@ -207,7 +239,7 @@ def test_harmonize_multi_step():
         (3, 2),
         (2, 1),
     ]
-    assert isomorphic(result, builtin("theta"))
+    assert is_theta(result)
     assert contiguous(g, result)
 
 
@@ -230,7 +262,7 @@ def test_roundtrip_at_random_regular_angle(seed):
             break
     c = cut(g, a)
     g2 = reglue(c)
-    assert validate(g2).ok and isomorphic(g2, g)
+    assert validate(g2).ok and reglue_rotates(g, a, g2)
     # reglue checks only connectivity; the rest follows from the cut.
     try:
         sorted_cut, _ = sort_events(c)
