@@ -98,7 +98,7 @@ class FoliationGraph:
         strand and crossing a MERGE removes one.  Midpoints rise with rank
         but for the last, which wraps, so the witness is the midpoint of
         the first minimizing gap or of the last one."""
-        start = sum(self._crossings(e, 0) for e in self.edges)
+        start = sum(self._crossings(0))
         counts = list(accumulate((1 if v.kind == SPLIT else -1 for v in self._order), initial=start))[1:]
         best = min(counts)
         return best, min(self._midpoint(k) for k in (counts.index(best), len(counts) - 1) if counts[k] == best)
@@ -118,11 +118,13 @@ class FoliationGraph:
             raise ValueError(f"{noun} {a} is a critical value")
         return a, k if k < len(self._order) else 0
 
-    def _crossings(self, e: Edge, gap: int) -> int:
-        """How many times edge ``e`` crosses a level in ``gap``: ``winding``
-        times, once more if the gap lies on its arc from tail up to head."""
-        n, t, h = len(self._order), self._rank[e.tail.vertex], self._rank[e.head.vertex]
-        return e.winding + (0 < (gap - t) % n <= (h - t) % n)
+    def _crossings(self, gap: int) -> list[int]:
+        """How many times each edge, in edge order, crosses a level in
+        ``gap``: ``winding`` times, once more if the gap lies on its arc
+        from tail up to head."""
+        n, rank = len(self._order), self._rank
+        ends = ((e.winding, rank[e.tail.vertex], rank[e.head.vertex]) for e in self.edges)
+        return [w + (0 < (gap - t) % n <= (h - t) % n) for w, t, h in ends]
 
     def vertex(self, vid: str) -> Vertex:
         return self._vertex_by_id[vid]
@@ -307,7 +309,7 @@ def crossing_count(g: Foliation, a: Fraction) -> int:
     if isinstance(g, FreeCircle):
         return g.winding
     _, gap = g._gap(a, "angle")
-    return sum(g._crossings(e, gap) for e in g.edges)
+    return sum(g._crossings(gap))
 
 
 def regular_levels(g: FoliationGraph) -> list[Fraction]:
@@ -356,20 +358,33 @@ def is_calabi(g: Foliation) -> CalabiCertificate:
     """
     if isinstance(g, FreeCircle) or not g.vertices:
         return CalabiCertificate(True)
-    root = g.vertices[0].id
-    down = _bfs_tree(g, root)
+    down, up = _root_trees(g)
+    if len(up) == len(g.vertices):
+        return CalabiCertificate(True, cycles=_root_walks(g, down, up))
     if len(down) == len(g.vertices):
-        up = _bfs_tree(g, root, reverse=True)
-        if len(up) == len(g.vertices):
-            return CalabiCertificate(True, cycles=_root_walks(g, down, up))
         # Everything is reachable from the root, so exactly the vertices
         # that cannot reach the root fail to reach everything.
         source = next(v.id for v in g.vertices if v.id not in up)
         reach = _bfs_tree(g, source)
     else:
-        source, reach = root, down
+        source, reach = g.vertices[0].id, down
     target = next(v.id for v in g.vertices if v.id not in reach)
     return CalabiCertificate(False, obstruction=Obstruction(source, target, tuple(sorted(reach))))
+
+
+def _root_trees(g: FoliationGraph) -> tuple[dict[str, Edge | None], dict[str, Edge | None]]:
+    """The forward search tree from the root, the smallest vertex id, and
+    the reverse one if the forward tree spans the graph (else empty): the
+    graph is strongly connected iff the reverse tree spans it too."""
+    root = g.vertices[0].id
+    down = _bfs_tree(g, root)
+    up = _bfs_tree(g, root, reverse=True) if len(down) == len(g.vertices) else {}
+    return down, up
+
+
+def _calabi_verdict(g: Foliation) -> bool:
+    """``is_calabi(g).verdict`` without building the certificate."""
+    return isinstance(g, FreeCircle) or not g.vertices or len(_root_trees(g)[1]) == len(g.vertices)
 
 
 def _root_walks(g: FoliationGraph, down: dict, up: dict) -> tuple[tuple[str, ...], ...]:

@@ -17,9 +17,7 @@ from fractions import Fraction
 from typing import Collection, Iterator, Sequence
 
 from .graph import (
-    IN_SLOTS,
     MERGE,
-    OUT_SLOTS,
     SPLIT,
     Edge,
     End,
@@ -27,9 +25,8 @@ from .graph import (
     FoliationGraph,
     FreeCircle,
     Vertex,
-    _connected,
+    _calabi_verdict,
     complexity,
-    is_calabi,
 )
 
 
@@ -166,23 +163,25 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
         raise ValueError("cannot cut a vertex-free graph")
     a, gap = g._gap(a, "cut angle")
 
-    fresh = iter(range(10**9))
     strand: dict[tuple[str, str], int] = {}  # the segment at each (vertex id, slot)
     bottom: list[int] = []
     top: list[int] = []
     glue: list[tuple[int, int]] = []
-    for e in g.edges:
-        segs = [next(fresh) for _ in range(g._crossings(e, gap) + 1)]
-        strand[e.tail.vertex, e.tail.slot], strand[e.head.vertex, e.head.slot] = segs[0], segs[-1]
-        bottom.extend(segs[1:])
-        top.extend(segs[:-1])
-        glue.extend(zip(segs, segs[1:]))
+    k = 0  # the next strand id; an edge's segments are consecutive
+    for e, n in zip(g.edges, g._crossings(gap)):
+        strand[e.tail.vertex, e.tail.slot], strand[e.head.vertex, e.head.slot] = k, k + n
+        bottom.extend(range(k + 1, k + n + 1))
+        top.extend(range(k, k + n))
+        glue.extend(zip(range(k, k + n), range(k + 1, k + n + 1)))
+        k += n + 1
 
     events: list[Event] = []
     for v in g._order[gap:] + g._order[:gap]:
-        ins = tuple(strand[v.id, slot] for slot in IN_SLOTS[v.kind])
-        outs = tuple(strand[v.id, slot] for slot in OUT_SLOTS[v.kind])
-        events.append(Merge(ins, outs[0]) if v.kind == MERGE else Split(ins[0], outs))
+        vid = v.id
+        if v.kind == MERGE:
+            events.append(Merge((strand[vid, "in0"], strand[vid, "in1"]), strand[vid, "out0"]))
+        else:
+            events.append(Split(strand[vid, "in0"], (strand[vid, "out0"], strand[vid, "out1"])))
 
     return CutGraph(tuple(bottom), tuple(top), tuple(events), tuple(glue), g.name, a)
 
@@ -223,36 +222,64 @@ def _transpose(
 def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     """Rewrite the event word until every merge precedes every split.
 
-    Repeatedly fixes the lowest adjacent (split, merge) inversion with the
-    transposition table; each fix removes one inversion, so at most
-    merges*splits rewrites happen.  Boundaries and glue are unchanged.
+    Insertion sort by merge: the word read so far is sorted (its merges,
+    then its splits), and each next merge sinks through the split block
+    to its bottom by adjacent transpositions, one rewrite per split it
+    passes.  Passing a split that makes none of the merge's current
+    inputs is a commute that changes neither event, so only the splits
+    that make one are rewritten, found by strand, strictly downward.
+    This costs O(n + k) plus O(1) per rewrite whose split and merge share
+    a strand and O(n + k) per bubble.  Boundaries and glue are unchanged.
     Raises NotSortableError when a bubble has no strand to borrow.
     """
     # Every strand that is ever live is a bottom strand or an event output.
     born = [s for ev in c.events for s in (ev.outputs if isinstance(ev, Split) else (ev.output,))]
     fresh = iter(range(max((*c.bottom, *born), default=-1) + 1, 10**9))
 
-    events = list(c.events)
-    rewrites = 0
-    bound = c.merge_count() * c.split_count() + 1
-    # No inversion lies below ``pos``; a rewrite at ``pos`` can create one
-    # only at ``pos - 1``.
-    pos = 0
-    while pos < len(events) - 1:
-        split, merge = events[pos], events[pos + 1]
-        if not (isinstance(split, Split) and isinstance(merge, Merge)):
-            pos += 1
-            continue
-        # Only a bubble borrows a strand, so only it reads the live set.
-        bubble = split.outputs[0] in merge.inputs and split.outputs[1] in merge.inputs
-        live = live_after(c.bottom, events[:pos]) if bubble else ()
-        events[pos], events[pos + 1] = _transpose(split, merge, live, fresh)
-        rewrites += 1
-        if rewrites > bound:
-            raise AssertionError("event sorting failed to terminate")
-        pos = max(pos - 1, 0)
+    merges: list[Merge] = []
+    splits: list[Split] = []
+    # Per strand, an index at or above every split that outputs it, except
+    # the splits the sinking merge has rewritten, which lie above it.
+    made: dict[int, int] = {}
 
-    return replace(c, events=tuple(events)), rewrites
+    def maker(s: int, below: int) -> int:
+        """The highest split below index ``below`` that outputs ``s``, or -1."""
+        p = made.get(s, -1)
+        if p < below and (p < 0 or s in splits[p].outputs):
+            return p
+        # ``made`` is stale or points above: only a word given with a
+        # strand id re-emitted after it was consumed gets here; ``cut``
+        # gives every segment its own id.
+        return next((i for i in range(min(p, below) - 1, -1, -1) if s in splits[i].outputs), -1)
+
+    rewrites = 0
+    for ev in c.events:
+        if isinstance(ev, Split):
+            for s in ev.outputs:
+                made[s] = len(splits)
+            splits.append(ev)
+            continue
+        rewrites += len(splits)
+        merge, below, moved = ev, len(splits), []
+        while (j := max(maker(merge.inputs[0], below), maker(merge.inputs[1], below))) >= 0:
+            if j >= below:  # the sink must walk strictly downward
+                raise AssertionError("event sorting failed to terminate")
+            split = splits[j]
+            # Only a bubble borrows a strand, so only it reads the live set.
+            bubble = split.outputs[0] in merge.inputs and split.outputs[1] in merge.inputs
+            live = live_after(c.bottom, merges + splits[:j]) if bubble else ()
+            merge, splits[j] = _transpose(split, merge, live, fresh)
+            below = j
+            moved.append(j)
+        merges.append(merge)
+        # Registered only now: mid-sink, a bubble's split re-emits the
+        # borrowed strand above its maker, and ``maker`` would scan past it.
+        for j in moved:
+            for s in splits[j].outputs:
+                if made.get(s, -1) < j:
+                    made[s] = j
+
+    return replace(c, events=tuple(merges + splits)), rewrites
 
 
 def reglue(c: CutGraph) -> Foliation:
@@ -282,58 +309,74 @@ def reglue(c: CutGraph) -> Foliation:
         return FreeCircle(name, len(c.bottom))
 
     # A strand id may label several disjoint segments of the word (the
-    # bubble rule borrows and re-emits strands), so segments are tracked
-    # positionally: each runs from a birth (event out-slot or the cut)
-    # to a death (event in-slot or the cut).
-    Point = tuple  # ("ev", index, slot) or ("cut", strand id)
-    by_birth: dict[Point, Point] = {}
-    live: dict[int, Point] = {b: ("cut", b) for b in c.bottom}
+    # bubble rule borrows and re-emits strands), so segments are numbered
+    # by birth: the bottom strands in order, then the out-slots in word
+    # order.  Each ends at an event's in-slot or at the top, where the
+    # glue hands it on to a segment born at the bottom.
+    b = len(c.bottom)
+    at_bottom = {s: k for k, s in enumerate(c.bottom)}
+    live = dict(at_bottom)  # strand -> its current segment
+    born: list[tuple[int, str]] = []  # (event, out-slot) of segment b + m
+    dies: dict[int, tuple[int, str]] = {}  # segment -> (event, in-slot)
     for i, ev in enumerate(c.events):
-        ins = ev.inputs if isinstance(ev, Merge) else (ev.input,)
-        for k, s in enumerate(ins):
-            by_birth[live.pop(s)] = ("ev", i, f"in{k}")
-        outs = (ev.output,) if isinstance(ev, Merge) else ev.outputs
-        for k, s in enumerate(outs):
-            live[s] = ("ev", i, f"out{k}")
-    for t in c.top:
-        by_birth[live.pop(t)] = ("cut", t)
+        if isinstance(ev, Merge):
+            x, y = ev.inputs
+            dies[live.pop(x)], dies[live.pop(y)] = (i, "in0"), (i, "in1")
+            live[ev.output] = b + len(born)
+            born.append((i, "out0"))
+        else:
+            dies[live.pop(ev.input)] = (i, "in0")
+            x, y = ev.outputs
+            live[x], live[y] = b + len(born), b + len(born) + 1
+            born += ((i, "out0"), (i, "out1"))
+    wraps = {live[t]: at_bottom[gm[t]] for t in c.top}
 
+    ids = [f"v{i}" for i in range(n)]
     vertices = tuple(
-        Vertex(f"v{i}", MERGE if isinstance(ev, Merge) else SPLIT, Fraction(i + 1, n + 1))
+        Vertex(ids[i], MERGE if isinstance(ev, Merge) else SPLIT, Fraction(i + 1, n + 1))
         for i, ev in enumerate(c.events)
     )
 
     edges = []
-    used: set[Point] = set()
-    for birth in sorted(p for p in by_birth if p[0] == "ev"):
-        _, i, slot = birth
-        point, passes = birth, 0
-        while True:
-            used.add(point)
-            death = by_birth[point]
-            if death[0] == "ev":
-                break
-            point = ("cut", gm[death[1]])
+    passed = [False] * b  # bottom segments some edge runs through
+    root = list(range(n))  # union-find over events, joined along the edges
+    parts = n
+    for m, (i, slot) in enumerate(born):
+        seg, passes = b + m, 0
+        while seg not in dies:
+            seg = wraps[seg]
+            passed[seg] = True
             passes += 1
-        _, j, in_slot = death
+        j, in_slot = dies[seg]
         winding = passes - 1 if j < i else passes
-        edges.append(
-            Edge(f"e{len(edges)}", End(f"v{i}", slot), End(f"v{j}", in_slot), winding)
-        )
+        edges.append(Edge(f"e{m}", End(ids[i], slot), End(ids[j], in_slot), winding))
+        ri, rj = _find(root, i), _find(root, j)
+        if ri != rj:
+            root[ri] = rj
+            parts -= 1
 
-    orphans = sorted(p[1] for p in by_birth if p not in used)
+    orphans = sorted(s for s, seen in zip(c.bottom, passed) if not seen)
     if orphans:
         raise RegluingError(
             f"glue orbit through strands {orphans} avoids every vertex"
         )
-
     # The checked cut guarantees every invariant of validate but connectivity.
+    if parts != 1:
+        raise RegluingError("reglued graph is disconnected")
+
     g = FoliationGraph(name, vertices, tuple(edges))
     # Word order is angle order: seed the circular order instead of sorting.
     g.__dict__["_order"] = vertices
-    if not _connected(g):
-        raise RegluingError("reglued graph is disconnected")
     return g
+
+
+def _find(root: list[int], v: int) -> int:
+    """The representative of ``v`` in the union-find forest ``root``,
+    halving the path on the way."""
+    while root[v] != v:
+        root[v] = root[root[v]]
+        v = root[v]
+    return v
 
 
 @dataclass(frozen=True)
@@ -362,7 +405,7 @@ def reduce_once(g: FoliationGraph) -> FoliationGraph:
     of merges and splits are preserved."""
     if isinstance(g, FreeCircle) or not g.vertices:
         raise ValueError("reduction needs a graph with vertices")
-    if is_calabi(g).verdict:
+    if _calabi_verdict(g):
         raise ValueError("graph is already Calabi; nothing to reduce")
     return _reduce_step(g).graph_after
 
@@ -392,7 +435,7 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     """
     steps: list[ReductionStep] = []
     current = g
-    while not is_calabi(current).verdict:
+    while not _calabi_verdict(current):
         try:
             step = _reduce_step(current)
         except StuckError as exc:

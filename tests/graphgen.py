@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from foliagraph import MERGE, SPLIT, Edge, End, FoliationGraph, Vertex, builtin, is_calabi, validate
+from foliagraph import MERGE, SPLIT, CutGraph, Edge, End, FoliationGraph, Merge, Split, Vertex, builtin, is_calabi, validate
 
 
 def _stubs(n_pairs: int):
@@ -99,6 +99,32 @@ def random_non_calabi_graph(rng: random.Random, max_pairs: int = 6) -> Foliation
         if not is_calabi(g).verdict:
             return g
     raise AssertionError("could not find a non-Calabi graph")
+
+
+def random_reusing_word(rng: random.Random, n_ids: int = 8) -> CutGraph:
+    """A valid cut whose strand ids come from a pool of ``n_ids``, so that
+    events re-emit ids consumed below them; ``cut`` gives every segment
+    its own id, so its words never do."""
+    while True:
+        bottom = rng.sample(range(n_ids), rng.randint(1, 4))
+        live, events = list(bottom), []
+        for _ in range(rng.randint(0, 12)):
+            if len(live) >= 2 and rng.random() < 0.5:
+                a, b = rng.sample(live, 2)
+                out = rng.choice([s for s in range(n_ids) if s not in live] + [a, b])
+                live = [s for s in live if s not in (a, b)] + [out]
+                events.append(Merge((a, b), out))
+            else:
+                x = rng.choice(live)
+                free = [s for s in range(n_ids) if s not in live or s == x]
+                if len(free) >= 2:
+                    outs = tuple(rng.sample(free, 2))
+                    live = [s for s in live if s != x] + list(outs)
+                    events.append(Split(x, outs))
+        if len(live) == len(bottom):
+            top = rng.sample(live, len(live))
+            glue = tuple(zip(top, rng.sample(bottom, len(bottom))))
+            return CutGraph(tuple(bottom), tuple(top), tuple(events), glue, "word", Fraction(0))
 
 
 # -- reduction checks ------------------------------------------------------

@@ -31,7 +31,7 @@ from foliagraph.graph import FoliationGraph, regular_levels
 import foliagraph.reduction as reduction
 from foliagraph.reduction import RegluingError, _transpose
 
-from graphgen import is_theta, random_non_calabi_graph, random_valid_graph, reglue_rotates
+from graphgen import is_theta, random_non_calabi_graph, random_reusing_word, random_valid_graph, reglue_rotates
 
 
 def test_cut_dumbbell_matches_hand_replay():
@@ -185,6 +185,16 @@ def test_reglue_rejects_two_component_word():
     c = CutGraph((0, 1), (4, 7), word, ((4, 0), (7, 1)), "pair", Fraction(0))
     with pytest.raises(RegluingError, match="disconnected"):
         reglue(c)
+
+
+def test_reglue_rejects_orphan_glue_orbit():
+    # Strand 9 is glued to itself and meets no event: a covering circle
+    # beside the graph.
+    word = (Split(0, (1, 2)), Merge((1, 2), 3))
+    c = CutGraph((0, 9), (3, 9), word, ((3, 0), (9, 9)), "x", Fraction(0))
+    with pytest.raises(RegluingError) as exc:
+        reglue(c)
+    assert str(exc.value) == "glue orbit through strands [9] avoids every vertex"
 
 
 def test_reduce_once_dumbbell():
@@ -409,6 +419,75 @@ def test_sort_events_matches_full_replay_reference():
             assert (sorted_cut.events, rewrites) == want
             sorted_words += 1
     assert sorted_words and stuck
+
+
+def test_sort_events_transposes_only_interactions(monkeypatch):
+    # Every rewrite counts, but only one whose split and merge share a
+    # strand calls ``_transpose``: a disjoint commute changes no event.
+    # The reference's word history says which rewrites share a strand.
+    real_transpose, calls, shares = _transpose, 0, []
+
+    def counting(split, merge, live_before, fresh):
+        nonlocal calls
+        calls += 1
+        return real_transpose(split, merge, live_before, fresh)
+
+    def recording(split, merge, live_before, fresh):
+        shares.append(not set(split.outputs).isdisjoint(merge.inputs))
+        return real_transpose(split, merge, live_before, fresh)
+
+    monkeypatch.setattr(reduction, "_transpose", counting)
+    monkeypatch.setitem(globals(), "_transpose", recording)
+    rng = random.Random(4343)
+    interactions = commutes = 0
+    for _ in range(60):
+        g = random_valid_graph(rng, max_pairs=rng.choice((2, 4, 8)))
+        for a in regular_levels(g):
+            c = cut(g, a)
+            calls, shares = 0, []
+            for sort in (_sort_events_by_full_replay, sort_events):
+                try:
+                    sort(c)
+                except NotSortableError:
+                    pass
+            assert calls == sum(shares)
+            if not all(shares):
+                assert calls < len(shares)
+            interactions += sum(shares)
+            commutes += len(shares) - sum(shares)
+    assert interactions and commutes
+
+
+def test_sort_events_matches_reference_on_reused_strands():
+    # Hand-made words may re-emit a strand id above a split that made it,
+    # so a merge's input can have several makers; the one it meets is the
+    # highest below it.
+    rng = random.Random(4444)
+    same = stuck = rejected = 0
+    for _ in range(3000):
+        c = random_reusing_word(rng)
+        try:
+            want = _sort_events_by_full_replay(c)
+        except NotSortableError as exc:
+            want = exc
+        try:
+            got = sort_events(c)
+        except NotSortableError as exc:
+            got = exc
+        except ValueError as exc:
+            # A rewrite can collide with a reused id; the checked replay
+            # of a bubble's prefix or of the result names the event.
+            assert str(exc).startswith("event ")
+            rejected += 1
+            continue
+        if isinstance(want, NotSortableError):
+            assert isinstance(got, NotSortableError) and str(got) == str(want)
+            stuck += 1
+        else:
+            assert not isinstance(got, NotSortableError)
+            assert (got[0].events, got[1]) == want
+            same += 1
+    assert same and stuck and rejected < same // 10
 
 
 def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
