@@ -130,7 +130,8 @@ def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
         _fail(lines, lineno, _col(header, 0), "graph needs a name")
     name = words[1]
     if len(words) == 5 and words[2] == "freecircle" and words[4] == "end":
-        w = int(words[3]) if words[3].isdigit() else -1
+        # ASCII digits only: str.isdigit also accepts '²', which int() rejects.
+        w = int(words[3]) if words[3].isascii() and words[3].isdigit() else -1
         if w < 1:
             _fail(lines, lineno, _col(header, 3), "freecircle winding must be a natural >= 1")
         return FreeCircle(name, w)
@@ -164,7 +165,7 @@ def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
                 _fail(lines, lno, _col(text, 2), f"tail {ws[2]!r} must be <vertex>.out0 or .out1")
             if not mh or not mh.group(2).startswith("in"):
                 _fail(lines, lno, _col(text, 4), f"head {ws[4]!r} must be <vertex>.in0 or .in1")
-            if not ws[6].isdigit():
+            if not (ws[6].isascii() and ws[6].isdigit()):
                 _fail(lines, lno, _col(text, 6), "winding must be a natural number")
             edges.append(
                 Edge(ws[1], End(mt.group(1), mt.group(2)), End(mh.group(1), mh.group(2)), int(ws[6]))
@@ -304,9 +305,9 @@ def serialize_graph(g: Foliation) -> str:
     if isinstance(g, FreeCircle):
         return f"graph {g.name} freecircle {g.winding} end\n"
     out = [f"graph {g.name}"]
-    for v in sorted(g.vertices, key=lambda v: v.id):
+    for v in g.vertices:
         out.append(f"  vertex {v.id} {v.kind} {v.angle}")
-    for e in sorted(g.edges, key=lambda e: e.id):
+    for e in g.edges:
         out.append(
             f"  edge {e.id} {e.tail.vertex}.{e.tail.slot} -> "
             f"{e.head.vertex}.{e.head.slot} winding {e.winding}"
@@ -341,9 +342,9 @@ def to_dot(g: Foliation) -> str:
     if isinstance(g, FreeCircle):
         out.append(f'  "circle" [label="CIRCLE w={g.winding}" shape=doublecircle];')
     else:
-        for v in sorted(g.vertices, key=lambda v: v.id):
+        for v in g.vertices:
             out.append(f'  "{v.id}" [label="{v.kind}@{v.angle}"];')
-        for e in sorted(g.edges, key=lambda e: e.id):
+        for e in g.edges:
             out.append(
                 f'  "{e.tail.vertex}" -> "{e.head.vertex}" [label="w={e.winding}"];'
             )

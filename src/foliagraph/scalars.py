@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Sequence
 
@@ -46,32 +47,31 @@ class SymbolTable:
     decls: tuple[SymbolDecl, ...] = ()
 
     def __post_init__(self):
-        names = [d.name for d in self.decls]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate symbol names in table")
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.decls)
 
-    def decl(self, name: str) -> SymbolDecl:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        raise KeyError(name)
+    @cached_property
+    def _coordinate(self) -> dict[str, int]:
+        """Each symbol's index in a scalar's vector, keyed in name order,
+        the order in which values print."""
+        return dict(sorted(zip(self.names, range(1, len(self.names) + 1))))
 
     def rational(self, q: Rational) -> "ExactScalar":
-        return ExactScalar(self, Fraction(q), ())
+        return ExactScalar.make(self, q)
 
     def symbol(self, name: str, coeff: Rational = 1) -> "ExactScalar":
-        self.decl(name)
-        c = Fraction(coeff)
-        return ExactScalar(self, Fraction(0), ((name, c),) if c else ())
+        if name not in self._coordinate:
+            raise KeyError(name)
+        return ExactScalar.make(self, 0, {name: coeff})
 
 
 def _coerce_tables(a: SymbolTable, b: SymbolTable) -> SymbolTable:
     """Common table of two operands; a symbol-free table embeds anywhere."""
-    if a == b:
+    if a is b or a == b:
         return a
     if not a.decls:
         return b
@@ -84,14 +84,13 @@ def _coerce_tables(a: SymbolTable, b: SymbolTable) -> SymbolTable:
 class ExactScalar:
     """A rational plus a rational combination of declared symbols.
 
-    Canonical form: ``coeffs`` holds only nonzero coefficients, sorted by
-    symbol name, so dataclass equality is exact coefficient-wise equality.
-    Values are immutable; all arithmetic returns new scalars.
+    ``vector`` holds the coordinates over the basis ``(1,) + table.names``,
+    zeros included, so dataclass equality is exact coefficient-wise
+    equality.  Values are immutable; all arithmetic returns new scalars.
     """
 
     table: SymbolTable
-    rational_part: Fraction
-    coeffs: tuple[tuple[str, Fraction], ...]
+    vector: tuple[Fraction, ...]
 
     @staticmethod
     def make(
@@ -99,68 +98,45 @@ class ExactScalar:
         rational_part: Rational = 0,
         coeffs: dict[str, Rational] | None = None,
     ) -> "ExactScalar":
-        known = set(table.names)
-        cleaned = []
-        for name, c in sorted((coeffs or {}).items()):
-            if name not in known:
+        vector = [Fraction(rational_part)] + [Fraction(0)] * len(table.names)
+        for name, c in (coeffs or {}).items():
+            if name not in table._coordinate:
                 raise KeyError(f"unknown symbol {name!r}")
-            c = Fraction(c)
-            if c:
-                cleaned.append((name, c))
-        return ExactScalar(table, Fraction(rational_part), tuple(cleaned))
-
-    def coeff(self, name: str) -> Fraction:
-        for n, c in self.coeffs:
-            if n == name:
-                return c
-        return Fraction(0)
+            vector[table._coordinate[name]] = Fraction(c)
+        return ExactScalar(table, tuple(vector))
 
     def is_zero(self) -> bool:
-        return not self.coeffs and self.rational_part == 0
-
-    def vector(self) -> tuple[Fraction, ...]:
-        """Coefficients over the basis ``(1,) + table.names``."""
-        return (self.rational_part,) + tuple(
-            self.coeff(n) for n in self.table.names
-        )
+        return not any(self.vector)
 
     def rebind(self, table: SymbolTable) -> "ExactScalar":
-        """The same value viewed over ``table`` (symbols must all exist)."""
-        return ExactScalar.make(table, self.rational_part, dict(self.coeffs))
+        """The same value viewed over ``table``: its own table, or any
+        table if the value is over the symbol-free one."""
+        if table is self.table or table == self.table:
+            return self
+        if self.table.decls:
+            raise TableMismatchError("operands use different symbol tables")
+        return ExactScalar(table, self.vector + (Fraction(0),) * len(table.names))
 
     # -- arithmetic ------------------------------------------------------
 
-    def _promote(self, other) -> "ExactScalar | None":
-        if isinstance(other, ExactScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.table, Fraction(other), ())
-        return None
-
     def __add__(self, other) -> "ExactScalar":
-        o = self._promote(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            return ExactScalar(self.table, (self.vector[0] + other,) + self.vector[1:])
+        if not isinstance(other, ExactScalar):
             return NotImplemented
-        table = _coerce_tables(self.table, o.table)
-        acc = dict(self.coeffs)
-        for name, c in o.coeffs:
-            acc[name] = acc.get(name, Fraction(0)) + c
-        return ExactScalar.make(table, self.rational_part + o.rational_part, acc)
+        table = _coerce_tables(self.table, other.table)
+        a, b = self.rebind(table).vector, other.rebind(table).vector
+        return ExactScalar(table, tuple(x + y for x, y in zip(a, b)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(
-            self.table,
-            -self.rational_part,
-            tuple((n, -c) for n, c in self.coeffs),
-        )
+        return ExactScalar(self.table, tuple(-x for x in self.vector))
 
     def __sub__(self, other) -> "ExactScalar":
-        o = self._promote(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction, ExactScalar)):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other) -> "ExactScalar":
         return (-self) + other
@@ -170,12 +146,7 @@ class ExactScalar:
             raise TypeError("symbol products are outside this arithmetic")
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        q = Fraction(other)
-        return ExactScalar.make(
-            self.table,
-            self.rational_part * q,
-            {n: c * q for n, c in self.coeffs},
-        )
+        return ExactScalar(self.table, tuple(x * other for x in self.vector))
 
     __rmul__ = __mul__
 
@@ -186,28 +157,28 @@ class ExactScalar:
 
     def __str__(self) -> str:
         parts = []
-        if self.rational_part or not self.coeffs:
-            parts.append(str(self.rational_part))
-        for name, c in self.coeffs:
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            term = name if mag == 1 else f"{mag}*{name}"
-            if not parts:
+        if self.vector[0] or not any(self.vector[1:]):
+            parts.append(str(self.vector[0]))
+        for name, i in self.table._coordinate.items():
+            c = self.vector[i]
+            term = name if abs(c) == 1 else f"{abs(c)}*{name}"
+            if c and parts:
+                parts.append(f"{'-' if c < 0 else '+'} {term}")
+            elif c:
                 parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"{sign} {term}")
         return " ".join(parts)
 
 
 def _shared_table(values: Sequence[ExactScalar]) -> SymbolTable:
-    table = SymbolTable()
+    table = values[0].table
     for v in values:
         table = _coerce_tables(table, v.table)
     return table
 
 
 def _row_reduce(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
-    """In-place fraction Gaussian elimination; returns (rank, pivot columns)."""
+    """In-place fraction Gaussian elimination that leaves zero entries
+    untouched; returns (rank, pivot columns)."""
     pivots: list[int] = []
     r = 0
     ncols = len(rows[0]) if rows else 0
@@ -217,11 +188,11 @@ def _row_reduce(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -235,7 +206,7 @@ def qrank(values: Sequence[ExactScalar]) -> int:
     if not values:
         raise ValueError("qrank of an empty list")
     table = _shared_table(values)
-    rows = [list(v.rebind(table).vector()) for v in values]
+    rows = [list(v.rebind(table).vector) for v in values]
     rank, _ = _row_reduce(rows)
     return rank
 
@@ -252,11 +223,9 @@ def integer_relation(values: Sequence[ExactScalar]) -> tuple[int, ...] | None:
     if not values:
         raise ValueError("integer_relation of an empty list")
     table = _shared_table(values)
-    vectors = [v.rebind(table).vector() for v in values]
-    dim = len(vectors[0])
     # Columns of the matrix are the value vectors; a kernel vector of the
     # column space is the wanted relation.
-    rows = [[vec[i] for vec in vectors] for i in range(dim)]
+    rows = [list(col) for col in zip(*(v.rebind(table).vector for v in values))]
     _, pivots = _row_reduce(rows)
     free = [c for c in range(len(values)) if c not in pivots]
     if not free:

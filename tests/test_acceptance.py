@@ -254,7 +254,7 @@ def test_criterion_7_exact_arithmetic_oracle(announce):
 
     for i in range(1000):
         values = [random_scalar() for _ in range(rng.randint(1, 6))]
-        matrix = [list(v.vector()) for v in values]
+        matrix = [list(v.vector) for v in values]
         rank = qrank(values)
         if rank != oracle_rank(matrix):
             failures.append(f"instance#{i}: qrank disagrees with the minor oracle")

@@ -100,6 +100,12 @@ def test_bad_token_position():
             "surface s\n  summand t periods (1, 0)\n  tube u t u kind A disks small small\nend\n",
             "f:3:12: unknown summand 'u'",
         ),
+        # str.isdigit accepts a superscript two, which int() rejects.
+        (
+            THETA_FIXTURE.replace("e0 m.out0 -> s.in0 winding 0", "e0 m.out0 -> s.in0 winding ²"),
+            "f:5:35: winding must be a natural number",
+        ),
+        ("graph c freecircle ² end\n", "f:1:20: freecircle winding must be a natural >= 1"),
     ],
 )
 def test_diagnostic_points_at_the_offending_word(text, where):

@@ -12,6 +12,7 @@ from foliagraph import (
     integer_relation,
     qrank,
 )
+from foliagraph.fileio import parse_value
 
 from modelgen import example_table
 from oracles import oracle_rank
@@ -35,7 +36,7 @@ def scalars(table, allow_symbols=True):
 
 def test_canonical_form_drops_zero_coefficients(table):
     s = ExactScalar.make(table, Fraction(1, 2), {"lam": 0, "mu": Fraction(2)})
-    assert s.coeffs == (("mu", Fraction(2)),)
+    assert s.vector == (Fraction(1, 2), 0, 2, 0)
     assert s == table.rational(Fraction(1, 2)) + 2 * table.symbol("mu")
 
 
@@ -56,7 +57,35 @@ def test_table_mismatch_rejected(table):
 def test_symbol_free_table_embeds(table):
     plain = SymbolTable().rational(3)
     s = table.symbol("lam") + plain
-    assert s.table == table and s.rational_part == 3
+    assert s.table == table and s.vector == (3, 1, 0, 0)
+    assert plain.rebind(table).vector == (3, 0, 0, 0)
+
+
+def test_str_texts(table):
+    lam, mu, nu = (table.symbol(n) for n in ("lam", "mu", "nu"))
+    assert str(table.rational(0)) == "0"
+    assert str(-lam) == "-lam"
+    assert str(Fraction(1, 2) - 3 * mu) == "1/2 - 3*mu"
+    assert str(lam + Fraction(1, 2) * nu) == "lam + 1/2*nu"
+    # Terms print by symbol name, whatever the declaration order.
+    rev = SymbolTable(tuple(reversed(table.decls)))
+    assert str(rev.symbol("nu") - rev.symbol("lam")) == "-lam + nu"
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_str_parses_back(data):
+    t = example_table()
+    s = data.draw(scalars(t))
+    assert parse_value(str(s), t) == s
+
+
+def test_unknown_symbol_rejected(table):
+    with pytest.raises(KeyError, match="unknown symbol 'xi'"):
+        ExactScalar.make(table, 1, {"xi": 2})
+    with pytest.raises(KeyError) as exc:
+        table.symbol("xi")
+    assert exc.value.args == ("xi",)
 
 
 def test_products_of_symbols_rejected(table):
@@ -76,7 +105,7 @@ def test_arith_laws(data):
     assert (a + b) + c == a + (b + c)
     assert a - a == t.rational(0)
     assert q * (a + b) == q * a + q * b
-    assert (a + b).vector() == tuple(x + y for x, y in zip(a.vector(), b.vector()))
+    assert (a + b).vector == tuple(x + y for x, y in zip(a.vector, b.vector))
 
 
 def test_qrank_examples(table):
@@ -106,7 +135,7 @@ def test_qrank_and_relation_against_minor_oracle(data):
     t = example_table()
     n = data.draw(st.integers(1, 6))
     values = [data.draw(scalars(t)) for _ in range(n)]
-    matrix = [list(v.vector()) for v in values]
+    matrix = [list(v.vector) for v in values]
     rank = qrank(values)
     assert rank == oracle_rank(matrix)
     rel = integer_relation(values)
