@@ -1,5 +1,6 @@
-"""Size sweep of the reduction layer: time ``sort_events`` and ``harmonize``
-at doubling vertex counts, and check every answer.
+"""Size sweep of the reduction and scalar layers: time ``sort_events`` and
+``harmonize`` at doubling vertex counts, and ``qrank`` and
+``integer_relation`` at doubling value counts, and check every answer.
 
     python3 benchmarks/sweep.py [SIZE ...]
 
@@ -7,14 +8,21 @@ SIZE is a vertex count out of the recorded ones, 100, 200, 400 and 800
 (all of them by default).  The input at V vertices is
 ``tests/graphgen.random_valid_graph(random.Random(1), n_pairs=V // 2)``;
 ``sort_events`` sorts its cut at the complexity witness, and ``harmonize``
-reduces the graph itself (every recorded input is non-Calabi).  Each
-timing is the best of 3 calls, with ``time.perf_counter``.
+reduces the graph itself (every recorded input is non-Calabi).  The
+scalar rows always cover all recorded value counts, 48, 96, 192 and 384:
+at N values the inputs are N random values over the three-symbol table of
+``tests/modelgen.example_table`` (rank 4, the table's full width) and N
+random positive multiples of one value (rank 1, so no early stop in
+``qrank``), both drawn from ``random.Random(N)``.  Each timing is the
+best of 3 calls, with ``time.perf_counter``; each scalar call gets fresh
+copies of its values.
 
 Prints one JSON object.  Exits nonzero on a wrong answer: a cut its
 construction check rejects, a sorted word with a split below a merge, a
 reglued or harmonized graph that fails ``validate``, a harmonize result
-that is not Calabi or not contiguous, or a rewrite or step count that
-differs from the recorded one.  Timings gate nothing.
+that is not Calabi or not contiguous, a rewrite or step count that
+differs from the recorded one, or a rank or relation that differs from
+the recorded one.  Timings gate nothing.
 """
 
 from __future__ import annotations
@@ -26,12 +34,14 @@ import platform
 import random
 import sys
 import time
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import foliagraph as fg  # noqa: E402
 from graphgen import random_valid_graph  # noqa: E402
+from modelgen import example_table  # noqa: E402
 
 REPEAT = 3
 # Per size: rewrites of the witness cut's sort, and harmonize's completed
@@ -44,9 +54,30 @@ RECORDED = {
     800: {"sort_rewrites": 84801, "harmonize_steps": 2, "harmonize_rewrites": 244801},
 }
 
+# Per value count and input: the rank, and the relation's nonzero entries
+# as (index, coefficient) pairs.
+RECORDED_SCALARS = {
+    48: {
+        "generic": (4, ((0, 410058484), (1, 1170519), (2, -244093014), (3, -39338535), (4, -38198985))),
+        "rank_one": (1, ((0, 2), (1, -1))),
+    },
+    96: {
+        "generic": (4, ((0, 40832165), (1, 39857355), (2, -21437872), (3, -10489283), (4, -39070332))),
+        "rank_one": (1, ((0, 42), (1, -55))),
+    },
+    192: {
+        "generic": (4, ((0, 240576417), (1, 69770388), (2, -91955980), (3, -91076356), (4, 113717580))),
+        "rank_one": (1, ((0, 7), (1, -4))),
+    },
+    384: {
+        "generic": (4, ((0, 7317580), (1, 5466540), (2, -11862004), (3, 22495385), (4, 10220211))),
+        "rank_one": (1, ((0, 12), (1, -11))),
+    },
+}
 
-def fail(size: int, what: str) -> None:
-    raise SystemExit(f"sweep: wrong answer at {size} vertices: {what}")
+
+def fail(size: int, what: str, unit: str = "vertices") -> None:
+    raise SystemExit(f"sweep: wrong answer at {size} {unit}: {what}")
 
 
 def best_of(fn):
@@ -107,6 +138,45 @@ def sweep_one(size: int) -> dict:
     }
 
 
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def scalar_inputs(n: int) -> dict:
+    rng = random.Random(n)
+    table = example_table()
+
+    def value():
+        return fg.ExactScalar.make(table, _random_rational(rng), {s: _random_rational(rng) for s in table.names})
+
+    base = value()
+    while base.is_zero():
+        base = value()
+    return {
+        "generic": [value() for _ in range(n)],
+        "rank_one": [base * Fraction(rng.randint(1, 9), rng.randint(1, 12)) for _ in range(n)],
+    }
+
+
+def best_of_fresh(fn, values):
+    """``best_of`` with each call on fresh copies of ``values``, so that no
+    call reads what a value cached in an earlier one."""
+    copies = iter([[fg.ExactScalar(v.table, v.vector) for v in values] for _ in range(REPEAT)])
+    return best_of(lambda: fn(next(copies)))
+
+
+def sweep_scalars(n: int) -> dict:
+    row = {"values": n}
+    for name, values in scalar_inputs(n).items():
+        qrank_s, rank = best_of_fresh(fg.qrank, values)
+        relation_s, relation = best_of_fresh(fg.integer_relation, values)
+        support = tuple((i, a) for i, a in enumerate(relation or ()) if a)
+        if (rank, support) != RECORDED_SCALARS[n][name]:
+            fail(n, f"{name}: rank {rank}, relation {support} differ from the recorded", "values")
+        row[name] = {"rank": rank, "relation_support": len(support), "qrank_s": round(qrank_s, 6), "integer_relation_s": round(relation_s, 6)}
+    return row
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("sizes", nargs="*", type=int, help=f"vertex counts out of {sorted(RECORDED)}")
@@ -115,7 +185,8 @@ def main() -> None:
     if unknown:
         ap.error(f"no recorded counts for {sorted(unknown)} vertices")
     rows = [sweep_one(size) for size in args.sizes or sorted(RECORDED)]
-    print(json.dumps({"python": platform.python_version(), "repeat": REPEAT, "rows": rows}, indent=1))
+    scalar_rows = [sweep_scalars(n) for n in sorted(RECORDED_SCALARS)]
+    print(json.dumps({"python": platform.python_version(), "repeat": REPEAT, "rows": rows, "scalar_rows": scalar_rows}, indent=1))
 
 
 if __name__ == "__main__":

@@ -114,12 +114,12 @@ def parse_value(expr: str, table: SymbolTable) -> ExactScalar:
             raise ValueError(f"malformed term {term!r}")
         factor = Fraction(-1) if sign == "-" else Fraction(1)
         if m.group("num") is not None:
-            rational += factor * Fraction(m.group("num"))
+            rational += factor * _rational(m.group("num"))
         else:
             name = m.group("sym")
             if name not in table.names:
                 raise ValueError(f"unknown scalar {name!r}")
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            coeff = _rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
             coeffs[name] = coeffs.get(name, Fraction(0)) + factor * coeff
     return ExactScalar.make(table, rational, coeffs)
 
@@ -190,6 +190,7 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
         _fail(lines, lineno, _col(header, 0), "expected 'surface <name>'")
     name = words[1]
     summands: list[Summand] = []
+    known: set[str] = set()
     tubes: list[Tube] = []
     while True:
         lno, text = lines.take()
@@ -214,12 +215,12 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
             if p.is_zero() and q.is_zero():
                 _fail(lines, lno, m.start(2) + 1, "periods (0, 0) define no form")
             summands.append(Summand(m.group(1), p, q))
+            known.add(m.group(1))
         elif ws[0] == "tube":
             if len(ws) != 9 or ws[4] != "kind" or ws[6] != "disks":
                 _fail(lines, lno, _col(text, 0), "expected 'tube <id> <sid> <sid> kind A|B|C disks <disk> <disk>'")
             if ws[5] not in ("A", "B", "C"):
                 _fail(lines, lno, _col(text, 5), f"tube kind must be A, B or C, got {ws[5]!r}")
-            known = {s.id for s in summands}
             for k in (2, 3):
                 if ws[k] not in known:
                     _fail(lines, lno, _col(text, k), f"unknown summand {ws[k]!r}")

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction | int
 
@@ -117,6 +117,14 @@ class ExactScalar:
             raise TableMismatchError("operands use different symbol tables")
         return ExactScalar(table, self.vector + (Fraction(0),) * len(table.names))
 
+    @cached_property
+    def _integer_row(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, ints)``: the lcm of the vector's denominators and the
+        vector times it, all integers.  Scaling by a positive integer
+        changes no span and no dependency."""
+        scale = lcm(*(x.denominator for x in self.vector))
+        return scale, tuple(x.numerator * (scale // x.denominator) for x in self.vector)
+
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> "ExactScalar":
@@ -176,28 +184,32 @@ def _shared_table(values: Sequence[ExactScalar]) -> SymbolTable:
     return table
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
-    """In-place fraction Gaussian elimination that leaves zero entries
-    untouched; returns (rank, pivot columns)."""
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+def _echelon(rows: Iterable[Sequence[int]], width: int) -> Iterator[Sequence[int] | None]:
+    """Integer echelon form built one row at a time, in the given order.
+
+    Each row is reduced against the basis rows before it, in their
+    insertion order: ``row = b[c]*row - row[c]*b`` at each basis pivot
+    ``c``.  Yields None when the reduced row is nonzero in its first
+    ``width`` entries, and the row then joins the basis with its first
+    nonzero column as pivot, divided by the gcd of its entries (without
+    that, entries double in length with each basis row); otherwise yields
+    the reduced row.  Entries past ``width`` ride along, so a row extended
+    by a unit vector carries its combination of the input rows.
+    """
+    basis: list[tuple[int, Sequence[int]]] = []
+    for row in rows:
+        for c, b in basis:
+            x = row[c]
+            if x:
+                y = b[c]
+                row = [y * r - x * s for r, s in zip(row, b)]
+        pivot = next((c for c in range(width) if row[c]), None)
         if pivot is None:
+            yield row
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return r, pivots
+        g = gcd(*row)
+        basis.append((pivot, [r // g for r in row] if g > 1 else row))
+        yield None
 
 
 def qrank(values: Sequence[ExactScalar]) -> int:
@@ -206,8 +218,14 @@ def qrank(values: Sequence[ExactScalar]) -> int:
     if not values:
         raise ValueError("qrank of an empty list")
     table = _shared_table(values)
-    rows = [list(v.rebind(table).vector) for v in values]
-    rank, _ = _row_reduce(rows)
+    width = len(table.names) + 1
+    rank = 0
+    for reduced in _echelon((v.rebind(table)._integer_row[1] for v in values), width):
+        if reduced is None:
+            rank += 1
+            if rank == width:
+                # The span is the whole space: no later value can raise it.
+                break
     return rank
 
 
@@ -215,35 +233,27 @@ def integer_relation(values: Sequence[ExactScalar]) -> tuple[int, ...] | None:
     """A nonzero integer vector a with sum(a[i]*values[i]) == 0, if one exists.
 
     Returns None exactly when the values are Q-linearly independent
-    (equivalently, qrank(values) == len(values)).  The result is produced
-    from an exact rational kernel vector with denominators cleared and the
-    first nonzero entry positive.
+    (equivalently, qrank(values) == len(values)).  Otherwise the relation
+    is the one between the first value that depends on those before it
+    and the values before it; it is unique up to scale, and is returned
+    with coprime entries and the first nonzero entry positive, zero past
+    that value.
     """
     values = list(values)
     if not values:
         raise ValueError("integer_relation of an empty list")
     table = _shared_table(values)
-    # Columns of the matrix are the value vectors; a kernel vector of the
-    # column space is the wanted relation.
-    rows = [list(col) for col in zip(*(v.rebind(table).vector for v in values))]
-    _, pivots = _row_reduce(rows)
-    free = [c for c in range(len(values)) if c not in pivots]
-    if not free:
-        return None
-    f = free[0]
-    sol = [Fraction(0)] * len(values)
-    sol[f] = Fraction(1)
-    for r, c in enumerate(pivots):
-        sol[c] = -rows[r][f]
-    denom = 1
-    for x in sol:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in sol]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    width = len(table.names) + 1
+    # At most ``width`` values are independent, so the first dependent one
+    # comes at index ``width`` or before; each row carries a unit vector
+    # of that length to record its combination of the values.
+    scaled = [v.rebind(table)._integer_row for v in values[: width + 1]]
+    rows = (ints + tuple(int(i == j) for j in range(len(scaled))) for i, (_, ints) in enumerate(scaled))
+    for reduced in _echelon(rows, width):
+        if reduced is not None:
+            rel = [a * scale for a, (scale, _) in zip(reduced[width:], scaled)]
+            g = gcd(*rel)
+            if next(a for a in rel if a) < 0:
+                g = -g
+            return tuple(a // g for a in rel) + (0,) * (len(values) - len(rel))
+    return None

@@ -116,11 +116,12 @@ class SurfaceModel:
         if len({find(i) for i in ids}) != 1:
             raise ValueError("summand/tube incidence is not connected")
 
+    @cached_property
+    def _summand_by_id(self) -> dict[str, Summand]:
+        return {s.id: s for s in self.summands}
+
     def summand(self, sid: str) -> Summand:
-        for s in self.summands:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
+        return self._summand_by_id[sid]
 
     @property
     def genus(self) -> int:
@@ -174,6 +175,29 @@ class SurfaceModel:
             else:
                 exists_noncompact = True
         return exists_compact, exists_noncompact
+
+    @cached_property
+    def _class_report(self) -> ClassReport:
+        periods = self.periods()
+        rank = qrank(periods)
+        # Splitness: the class factors through a free group exactly when
+        # each summand contributes a cyclic period group (rank <= 1 there);
+        # a rank-2 summand forces a Z^2 through any such factorization.
+        return ClassReport(
+            periods=periods,
+            rank=rank,
+            completely_irrational=rank == 2 * self.genus,
+            split=all(s.compact for s in self.summands),
+            m1=2 * len(self.tubes),
+            genus=self.genus,
+        )
+
+    @cached_property
+    def _cup_vanisher(self) -> tuple[int, ...] | None:
+        paired: list[ExactScalar] = []
+        for s in self.summands:
+            paired.extend((s.q, -s.p))
+        return integer_relation(paired)
 
 
 @dataclass(frozen=True)
@@ -278,21 +302,9 @@ def classify_leaves(m: SurfaceModel) -> LeafReport:
 
 
 def class_report(m: SurfaceModel) -> ClassReport:
-    periods = m.periods()
-    rank = qrank(periods)
-    genus = m.genus
-    # Splitness: the class factors through a free group exactly when each
-    # summand contributes a cyclic period group (rank <= 1 there); a rank-2
-    # summand forces a Z^2 through any such factorization.
-    split = all(s.compact for s in m.summands)
-    return ClassReport(
-        periods=periods,
-        rank=rank,
-        completely_irrational=rank == 2 * genus,
-        split=split,
-        m1=2 * len(m.tubes),
-        genus=genus,
-    )
+    """Rank, splitness and complete irrationality of the class; computed
+    once per model."""
+    return m._class_report
 
 
 def cup_vanisher(m: SurfaceModel) -> tuple[int, ...] | None:
@@ -301,12 +313,10 @@ def cup_vanisher(m: SurfaceModel) -> tuple[int, ...] | None:
     In the standard symplectic basis a class (a_1, b_1, ..., a_g, b_g)
     pairs with the form to sum(a_i*q_i - b_i*p_i), so an annihilator is an
     exact integer relation among (q_1, -p_1, ..., q_g, -p_g); it exists
-    exactly when the 2g periods are rationally dependent.
+    exactly when the 2g periods are rationally dependent.  Computed once
+    per model.
     """
-    paired: list[ExactScalar] = []
-    for s in m.summands:
-        paired.extend((s.q, -s.p))
-    return integer_relation(paired)
+    return m._cup_vanisher
 
 
 def cup_product(m: SurfaceModel, theta: tuple[int, ...]) -> ExactScalar:

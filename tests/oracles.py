@@ -1,14 +1,18 @@
 """Independent exact-arithmetic oracles for rank and relations.
 
-Rank is computed by hunting for the largest nonvanishing minor with
+``oracle_rank`` hunts for the largest nonvanishing minor with
 Laplace-expansion determinants -- a genuinely different (and much slower)
-route than the package's Gaussian elimination.
+route than the package's integer echelon kernel.  ``rref_rank`` and
+``rref_relation`` are fraction Gaussian elimination to reduced row
+echelon form, the reference whose exact outputs the package must
+reproduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:
@@ -34,3 +38,60 @@ def oracle_rank(matrix: list[list[Fraction]]) -> int:
                 if det(sub) != 0:
                     return k
     return 0
+
+
+def _rref(rows: list[list[Fraction]]) -> list[int]:
+    """In-place fraction Gaussian elimination to reduced row echelon
+    form; returns the pivot columns."""
+    pivots: list[int] = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def rref_rank(vectors: list[list[Fraction]]) -> int:
+    """Rank of the given coordinate vectors."""
+    return len(_rref([list(v) for v in vectors]))
+
+
+def rref_relation(vectors: list[list[Fraction]]) -> tuple[int, ...] | None:
+    """The kernel vector of the first free column of the reduced matrix
+    whose columns are the vectors, with denominators cleared, coprime
+    entries and the first nonzero entry positive; None when there is no
+    free column."""
+    rows = [list(col) for col in zip(*vectors)]
+    pivots = _rref(rows)
+    free = [c for c in range(len(vectors)) if c not in pivots]
+    if not free:
+        return None
+    f = free[0]
+    sol = [Fraction(0)] * len(vectors)
+    sol[f] = Fraction(1)
+    for r, c in enumerate(pivots):
+        sol[c] = -rows[r][f]
+    denom = 1
+    for x in sol:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in sol]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    ints = [x // g for x in ints]
+    if next(x for x in ints if x) < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)

@@ -106,6 +106,12 @@ def test_bad_token_position():
             "f:5:35: winding must be a natural number",
         ),
         ("graph c freecircle ² end\n", "f:1:20: freecircle winding must be a natural >= 1"),
+        # A zero denominator, in a number term and in a coefficient.
+        ("surface s\n  summand t periods (1/0, 1)\nend\n", "f:2:22: expected a rational number, got '1/0'"),
+        (
+            "scalar lam irrational approx [1, 2]\nsurface s\n  summand t periods (2/0*lam, 1)\nend\n",
+            "f:3:22: expected a rational number, got '2/0'",
+        ),
     ],
 )
 def test_diagnostic_points_at_the_offending_word(text, where):

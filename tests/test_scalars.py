@@ -15,7 +15,7 @@ from foliagraph import (
 from foliagraph.fileio import parse_value
 
 from modelgen import example_table
-from oracles import oracle_rank
+from oracles import oracle_rank, rref_rank, rref_relation
 
 
 @pytest.fixture
@@ -146,3 +146,49 @@ def test_qrank_and_relation_against_minor_oracle(data):
         for a, v in zip(rel, values):
             acc = acc + a * v
         assert acc.is_zero()
+
+
+small_rationals = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
+
+
+@st.composite
+def value_lists(draw):
+    """Up to 40 values over the example table, the symbol-free table, a mix
+    of both, or all multiples of one value; zero values included."""
+    t = example_table()
+    free = SymbolTable()
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["table", "free", "mixed", "rank_one"]))
+    coords = draw(st.lists(st.lists(small_rationals, min_size=4, max_size=4), min_size=n, max_size=n))
+    if kind == "rank_one":
+        base = ExactScalar(t, tuple(coords[0]))
+        return [base * c[0] for c in coords]
+    # A zero coordinate vector gives a zero value; about one in eight.
+    zeros = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    tables = draw(st.lists(st.sampled_from({"table": [t], "free": [free], "mixed": [t, free]}[kind]), min_size=n, max_size=n))
+    return [
+        ExactScalar(tab, tuple(Fraction(0) if z == 0 else x for x in c[: len(tab.names) + 1]))
+        for c, z, tab in zip(coords, zeros, tables)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=value_lists())
+def test_rank_and_relation_equal_the_rref_reference(values):
+    # Exact equality, not only a vanishing relation: surface-classify
+    # prints the relation, so which one is returned is visible.
+    table = next((v.table for v in values if v.table.decls), values[0].table)
+    vectors = [v.rebind(table).vector for v in values]
+    assert qrank(values) == rref_rank(vectors)
+    assert integer_relation(values) == rref_relation(vectors)
+
+
+def test_rank_and_relation_errors(table):
+    other = SymbolTable(table.decls[:1])
+    for fn in (qrank, integer_relation):
+        with pytest.raises(ValueError, match="empty list"):
+            fn([])
+        # The mismatch comes after the first dependency and after full rank.
+        late = [table.rational(1), table.rational(2), table.symbol("lam"), table.symbol("mu"), table.symbol("nu")]
+        with pytest.raises(TableMismatchError):
+            fn(late + [other.symbol("lam")])

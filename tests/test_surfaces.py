@@ -225,3 +225,34 @@ def test_consistency_check_tests_each_summand_once(monkeypatch):
         calls = 0
         consistency_check(m)
         assert calls <= len(m.summands) + len(m.tubes) + 1
+
+
+def test_reports_are_computed_once_per_model(monkeypatch):
+    # As the benchmark does: class_report, cup_vanisher, then
+    # consistency_check, which reads the reports already in hand.
+    calls = {"qrank": 0, "integer_relation": 0}
+
+    def counting(name):
+        real = getattr(surfaces, name)
+
+        def wrapper(values):
+            calls[name] += 1
+            return real(values)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(surfaces, name, counting(name))
+    rng = random.Random(2026_10)
+    for _ in range(50):
+        m = random_model(rng, max_summands=8)
+        calls.update(qrank=0, integer_relation=0)
+        class_report(m)
+        cup_vanisher(m)
+        consistency_check(m)
+        assert calls["integer_relation"] == 1
+        assert calls["qrank"] <= len(m.summands) + len(m.tubes) + 1
+        assert class_report(m) is class_report(m)
+        with pytest.raises(KeyError) as exc:
+            m.summand("zz")
+        assert exc.value.args == ("zz",)
