@@ -126,17 +126,11 @@ class FoliationGraph:
         ends = ((e.winding, rank[e.tail.vertex], rank[e.head.vertex]) for e in self.edges)
         return [w + (0 < (gap - t) % n <= (h - t) % n) for w, t, h in ends]
 
-    def vertex(self, vid: str) -> Vertex:
-        return self._vertex_by_id[vid]
-
     def merge_count(self) -> int:
         return sum(1 for v in self.vertices if v.kind == MERGE)
 
     def split_count(self) -> int:
         return sum(1 for v in self.vertices if v.kind == SPLIT)
-
-    def out_edges(self, vid: str) -> list[Edge]:
-        return list(self._succ.get(vid, ()))
 
 
 @dataclass(frozen=True)

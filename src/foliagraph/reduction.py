@@ -12,6 +12,8 @@ of merges and splits.  Iterating reaches a Calabi graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Collection, Iterator, Sequence
@@ -227,10 +229,23 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     to its bottom by adjacent transpositions, one rewrite per split it
     passes.  Passing a split that makes none of the merge's current
     inputs is a commute that changes neither event, so only the splits
-    that make one are rewritten, found by strand, strictly downward.
-    This costs O(n + k) plus O(1) per rewrite whose split and merge share
-    a strand and O(n + k) per bubble.  Boundaries and glue are unchanged.
-    Raises NotSortableError when a bubble has no strand to borrow.
+    that make one are rewritten, the highest first, found by one bisect
+    per input in each strand's ascending list of the splits that output
+    it.  This costs O(n + k), plus O(log n + r) per rewrite whose split
+    and merge share a strand, for r splits that output one strand (a
+    bubble re-emits its borrowed strand; r <= 2 on the perfbench
+    harmonize cuts), plus O(n + k) per bubble.  Boundaries and glue are
+    unchanged.  Raises NotSortableError when a bubble has no strand to
+    borrow.
+
+    A word that re-emits a consumed strand id (``cut`` never makes one)
+    is sorted by the same rule, so a rewrite can emit an id still live
+    where it lands; the checked replay of a bubble's prefix or of the
+    result then raises ValueError naming the event, even where another
+    rewrite order would succeed.  Of 3,000 such words from
+    ``tests/graphgen.random_reusing_word`` (``random.Random(4444)``), 23
+    are rejected so; the full-replay reference sorts 14 of those, 4 to a
+    valid word.
     """
     # Every strand that is ever live is a bottom strand or an event output.
     born = [s for ev in c.events for s in (ev.outputs if isinstance(ev, Split) else (ev.output,))]
@@ -238,46 +253,36 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
 
     merges: list[Merge] = []
     splits: list[Split] = []
-    # Per strand, an index at or above every split that outputs it, except
-    # the splits the sinking merge has rewritten, which lie above it.
-    made: dict[int, int] = {}
+    # Strand -> the ascending indices of the splits that output it now.
+    made: defaultdict[int, list[int]] = defaultdict(list)
 
     def maker(s: int, below: int) -> int:
         """The highest split below index ``below`` that outputs ``s``, or -1."""
-        p = made.get(s, -1)
-        if p < below and (p < 0 or s in splits[p].outputs):
-            return p
-        # ``made`` is stale or points above: only a word given with a
-        # strand id re-emitted after it was consumed gets here; ``cut``
-        # gives every segment its own id.
-        return next((i for i in range(min(p, below) - 1, -1, -1) if s in splits[i].outputs), -1)
+        at = made.get(s, ())
+        k = bisect_left(at, below)
+        return at[k - 1] if k else -1
 
     rewrites = 0
     for ev in c.events:
         if isinstance(ev, Split):
             for s in ev.outputs:
-                made[s] = len(splits)
+                made[s].append(len(splits))
             splits.append(ev)
             continue
         rewrites += len(splits)
-        merge, below, moved = ev, len(splits), []
+        merge, below = ev, len(splits)
         while (j := max(maker(merge.inputs[0], below), maker(merge.inputs[1], below))) >= 0:
-            if j >= below:  # the sink must walk strictly downward
-                raise AssertionError("event sorting failed to terminate")
             split = splits[j]
             # Only a bubble borrows a strand, so only it reads the live set.
             bubble = split.outputs[0] in merge.inputs and split.outputs[1] in merge.inputs
             live = live_after(c.bottom, merges + splits[:j]) if bubble else ()
             merge, splits[j] = _transpose(split, merge, live, fresh)
-            below = j
-            moved.append(j)
-        merges.append(merge)
-        # Registered only now: mid-sink, a bubble's split re-emits the
-        # borrowed strand above its maker, and ``maker`` would scan past it.
-        for j in moved:
+            for s in split.outputs:
+                made[s].remove(j)
             for s in splits[j].outputs:
-                if made.get(s, -1) < j:
-                    made[s] = j
+                insort(made[s], j)
+            below = j
+        merges.append(merge)
 
     return replace(c, events=tuple(merges + splits)), rewrites
 
@@ -448,9 +453,9 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
 def contiguous(g1: Foliation, g2: Foliation) -> bool:
     """Equal numbers of merges and of splits (hence equal genus).
 
-    Class preservation is not recomputed from the graphs: the reduction
-    edits only the interior of the cut, keeping the boundary gluing, so
-    provenance guarantees it.
+    Compares these counts only, not the cohomology class: a bubble
+    rewrite in ``harmonize`` can change the class, for example its
+    divisibility (the gcd of the cycle periods) from 2 to 1.
     """
 
     def counts(g: Foliation) -> tuple[int, int]:

@@ -249,10 +249,19 @@ def exhaustive_valid_graphs(n_verts: int) -> list[FoliationGraph]:
 # -- brute-force oracles ---------------------------------------------------
 
 
+def _successors(g: FoliationGraph) -> dict[str, list[str]]:
+    """Each vertex's edge heads, read from ``g.vertices`` and ``g.edges``
+    and not from the graph's own indices, which the oracles judge."""
+    succ: dict[str, list[str]] = {v.id: [] for v in g.vertices}
+    for e in g.edges:
+        succ[e.tail.vertex].append(e.head.vertex)
+    return succ
+
+
 def enum_reachable(g: FoliationGraph, x: str) -> set[str]:
     """Endpoints of all simple positive paths out of x (plus x itself),
     by explicit path enumeration."""
-    succ = {v.id: [e.head.vertex for e in g.out_edges(v.id)] for v in g.vertices}
+    succ = _successors(g)
     reached = {x}
 
     def extend(path: list[str]):
@@ -273,10 +282,10 @@ def oracle_crossing_count(g: FoliationGraph, a: Fraction) -> int:
     def turn(x: Fraction) -> Fraction:
         return x - (x.numerator // x.denominator)
 
+    angle = {v.id: v.angle for v in g.vertices}
     count = 0
     for e in g.edges:
-        t = g.vertex(e.tail.vertex).angle
-        h = g.vertex(e.head.vertex).angle
+        t, h = angle[e.tail.vertex], angle[e.head.vertex]
         count += e.winding + (0 < turn(a - t) < turn(h - t))
     return count
 
@@ -298,12 +307,13 @@ def oracle_every_edge_on_cycle(g: FoliationGraph) -> bool:
 
 def oracle_all_pairs_positive_path(g: FoliationGraph) -> bool:
     ids = [v.id for v in g.vertices]
+    successors = _successors(g)
     for x in ids:
         reach = enum_reachable(g, x)
         for y in ids:
             if x == y:
                 # Needs a closed positive path: some successor reaches back.
-                succ = {e.head.vertex for e in g.out_edges(x)}
+                succ = set(successors[x])
                 if x in succ:
                     continue
                 if not any(x in enum_reachable(g, w) for w in succ):

@@ -110,7 +110,8 @@ def test_validate_rarely_reached_branches():
     # Exact reports, fixed before validate moved onto the shared indices.
     th = builtin("theta")
     e0, e1, e2 = th.edges
-    s, m = th.vertex("s"), th.vertex("m")
+    by_id = {v.id: v for v in th.vertices}
+    s, m = by_id["s"], by_id["m"]
     dangling = _graph(th.vertices, [Edge("e0", End("z", "out0"), e0.head, 0), e1, e2])
     # An unknown vertex skips the connectivity search.
     assert validate(dangling).violations == (
@@ -281,6 +282,23 @@ def test_lemma_equivalence_random(seed):
     assert strong == oracle_all_pairs_positive_path(g)
 
 
+def test_oracles_do_not_read_the_graph_indices():
+    # The oracles judge the indices that ``is_calabi`` and ``validate``
+    # read, so they must build their own maps from ``vertices`` and
+    # ``edges``: corrupting the cached successor lists and vertex map of
+    # a graph changes no oracle's answer.
+    rng = random.Random(41)
+    for _ in range(40):
+        g = random_valid_graph(rng, max_pairs=rng.choice((2, 4, 6)))
+        clean = FoliationGraph(g.name, g.vertices, g.edges)
+        levels = regular_levels(clean)
+        g.__dict__["_succ"] = {v.id: [] for v in g.vertices}
+        g.__dict__["_vertex_by_id"] = {v.id: g.vertices[0] for v in g.vertices}
+        for oracle in (oracle_strongly_connected, oracle_every_edge_on_cycle, oracle_all_pairs_positive_path):
+            assert oracle(g) == oracle(clean)
+        assert [oracle_crossing_count(g, a) for a in levels] == [oracle_crossing_count(clean, a) for a in levels]
+
+
 def _crossing_profile_steps(g):
     """Pairs (vertex kind, count delta) across each critical angle."""
     import bisect
@@ -364,8 +382,7 @@ def test_complexity_matches_level_by_level_reference():
         g = random_valid_graph(rng, max_pairs=rng.choice((1, 3, 6, 10)))
         assert complexity(g) == min((crossing_count(g, a), a) for a in regular_levels(g))
         wound += sum(e.winding > 0 for e in g.edges)
-        wrapping += sum(
-            g.vertex(e.head.vertex).angle < g.vertex(e.tail.vertex).angle for e in g.edges
-        )
+        angle = {v.id: v.angle for v in g.vertices}
+        wrapping += sum(angle[e.head.vertex] < angle[e.tail.vertex] for e in g.edges)
     # The sample exercises both terms of the count below the lowest level.
     assert wound and wrapping
