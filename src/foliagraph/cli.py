@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 
-from . import fileio
 from .fileio import ParseError, parse_path, serialize_graph, serialize_surface, to_dot
 from .graph import (
     Foliation,

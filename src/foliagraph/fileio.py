@@ -104,8 +104,6 @@ def parse_value(expr: str, table: SymbolTable) -> ExactScalar:
         chunks = chunks[1:]
     else:
         chunks = ["+"] + chunks
-    if len(chunks) % 2:
-        raise ValueError(f"malformed value {expr!r}")
     rational = Fraction(0)
     coeffs: dict[str, Fraction] = {}
     for sign, term in zip(chunks[::2], chunks[1::2]):

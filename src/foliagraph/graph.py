@@ -306,12 +306,6 @@ def crossing_count(g: Foliation, a: Fraction) -> int:
     return sum(g._crossings(gap))
 
 
-def regular_levels(g: FoliationGraph) -> list[Fraction]:
-    """One regular sample angle per interval between consecutive critical
-    values, in increasing order: the circular midpoints."""
-    return sorted(g._midpoint(k) for k in range(len(g._order)))
-
-
 def complexity(g: Foliation) -> tuple[int, Fraction]:
     """Minimum crossing count over regular levels, with the smallest
     minimizing sample angle as witness.  One sweep per graph: the result

@@ -2,12 +2,13 @@
 crossing events so every merge happens below every split, and reglue.
 
 Cutting the circle at a regular angle turns the graph into a word of
-MERGE/SPLIT events acting on strands (edge segments crossing the cut),
-plus a gluing bijection from top strands back to bottom strands.  Sorting
-the word by adjacent transpositions is the combinatorial shadow of
-rearranging the Morse function to be self-indexing; regluing the sorted
-word yields a graph with strictly smaller complexity and the same number
-of merges and splits.  Iterating reaches a Calabi graph.
+MERGE/SPLIT events acting on strands (edge segments crossing the cut)
+between two aligned boundaries: each top strand continues into the
+bottom strand at the same position.  Sorting the word by adjacent
+transpositions is the combinatorial shadow of rearranging the Morse
+function to be self-indexing; regluing the sorted word yields a graph
+with strictly smaller complexity and the same number of merges and
+splits.  Iterating reaches a Calabi graph.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .graph import (
     FreeCircle,
     Vertex,
     _calabi_verdict,
+    _connected,
     complexity,
 )
 
@@ -54,9 +56,10 @@ class RegluingError(ValueError):
 
 
 class StuckError(RuntimeError):
-    """A reduction step could not be completed; wraps the diagnostic."""
+    """A reduction step could not be completed; wraps the diagnostic
+    (``cause``) and the trace of the steps completed before it."""
 
-    def __init__(self, message: str, cause: Exception, trace: "ReductionTrace | None" = None):
+    def __init__(self, message: str, cause: Exception, trace: "ReductionTrace"):
         super().__init__(message)
         self.cause = cause
         self.trace = trace
@@ -81,41 +84,25 @@ Event = Merge | Split
 class CutGraph:
     """The graph cut open along a regular level.
 
-    ``bottom``/``top`` list the strands at heights 0 and 1, ``events`` is
-    the height-ordered word acting on the live strand set, and ``glue``
-    maps each top strand to the bottom strand it continues into.
+    ``bottom``/``top`` list the strands at heights 0 and 1, aligned:
+    ``top[i]`` continues across the cut into ``bottom[i]``.  ``events`` is
+    the height-ordered word acting on the live strand set.
 
     Construction checks the cut: the word replays from ``bottom`` to
-    ``top`` (see ``live_after``), both boundaries have the same size, and
-    ``glue`` is a bijection from top onto bottom.  ValueError otherwise.
+    ``top`` (see ``live_after``) and both boundaries have the same size,
+    so the alignment is a bijection.  ValueError otherwise.
     """
 
     bottom: tuple[int, ...]
     top: tuple[int, ...]
     events: tuple[Event, ...]
-    glue: tuple[tuple[int, int], ...]
     source: str
-    cut_angle: Fraction
 
     def __post_init__(self):
         if live_after(self.bottom, self.events) != set(self.top) or len(self.top) != len(set(self.top)):
             raise ValueError("replaying events does not yield the top strands")
         if len(self.bottom) != len(self.top):
             raise ValueError("boundary strand counts differ")
-        # Both boundaries are duplicate-free and equally long by now.
-        gm = self.glue_map
-        if gm.keys() != set(self.top) or set(gm.values()) != set(self.bottom):
-            raise ValueError("glue is not a bijection from top onto bottom")
-
-    @property
-    def glue_map(self) -> dict[int, int]:
-        return dict(self.glue)
-
-    def merge_count(self) -> int:
-        return sum(1 for e in self.events if isinstance(e, Merge))
-
-    def split_count(self) -> int:
-        return sum(1 for e in self.events if isinstance(e, Split))
 
 
 def live_after(bottom: tuple[int, ...], events: Sequence[Event]) -> set[int]:
@@ -158,23 +145,22 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
     """Cut open the graph along the regular level ``a``.
 
     Each edge falls into crossing-count + 1 segments; consecutive segments
-    of one edge are glued across the cut.  Events are the vertices ordered
-    by height above the cut: the circular order rotated at its gap.
+    of one edge are glued across the cut: ``top[i]`` continues into
+    ``bottom[i]``.  Events are the vertices ordered by height above the
+    cut: the circular order rotated at its gap.
     """
     if isinstance(g, FreeCircle):
         raise ValueError("cannot cut a vertex-free graph")
-    a, gap = g._gap(a, "cut angle")
+    _, gap = g._gap(a, "cut angle")
 
     strand: dict[tuple[str, str], int] = {}  # the segment at each (vertex id, slot)
     bottom: list[int] = []
     top: list[int] = []
-    glue: list[tuple[int, int]] = []
     k = 0  # the next strand id; an edge's segments are consecutive
     for e, n in zip(g.edges, g._crossings(gap)):
         strand[e.tail.vertex, e.tail.slot], strand[e.head.vertex, e.head.slot] = k, k + n
         bottom.extend(range(k + 1, k + n + 1))
         top.extend(range(k, k + n))
-        glue.extend(zip(range(k, k + n), range(k + 1, k + n + 1)))
         k += n + 1
 
     events: list[Event] = []
@@ -185,7 +171,7 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
         else:
             events.append(Split(strand[vid, "in0"], (strand[vid, "out0"], strand[vid, "out1"])))
 
-    return CutGraph(tuple(bottom), tuple(top), tuple(events), tuple(glue), g.name, a)
+    return CutGraph(tuple(bottom), tuple(top), tuple(events), g.name)
 
 
 def _transpose(
@@ -234,7 +220,7 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     it.  This costs O(n + k), plus O(log n + r) per rewrite whose split
     and merge share a strand, for r splits that output one strand (a
     bubble re-emits its borrowed strand; r <= 2 on the perfbench
-    harmonize cuts), plus O(n + k) per bubble.  Boundaries and glue are
+    harmonize cuts), plus O(n + k) per bubble.  Boundaries are
     unchanged.  Raises NotSortableError when a bubble has no strand to
     borrow.
 
@@ -296,7 +282,6 @@ def reglue(c: CutGraph) -> Foliation:
     a run ending at an earlier vertex spends one pass wrapping the circle.
     """
     n = len(c.events)
-    gm = c.glue_map
     name = c.source if c.source.endswith("-reglued") else f"{c.source}-reglued"
 
     if n == 0:
@@ -304,11 +289,12 @@ def reglue(c: CutGraph) -> Foliation:
         # orbit regains a connected graph.
         if not c.bottom:
             raise RegluingError("empty cut")
+        glue = dict(zip(c.top, c.bottom))
         orbit = {c.bottom[0]}
-        s = gm[c.bottom[0]]
+        s = glue[c.bottom[0]]
         while s not in orbit:
             orbit.add(s)
-            s = gm[s]
+            s = glue[s]
         if len(orbit) != len(c.bottom):
             raise RegluingError("glue splits into several covering circles")
         return FreeCircle(name, len(c.bottom))
@@ -317,10 +303,9 @@ def reglue(c: CutGraph) -> Foliation:
     # bubble rule borrows and re-emits strands), so segments are numbered
     # by birth: the bottom strands in order, then the out-slots in word
     # order.  Each ends at an event's in-slot or at the top, where the
-    # glue hands it on to a segment born at the bottom.
+    # glue hands it on to the bottom segment at the same position.
     b = len(c.bottom)
-    at_bottom = {s: k for k, s in enumerate(c.bottom)}
-    live = dict(at_bottom)  # strand -> its current segment
+    live = {s: k for k, s in enumerate(c.bottom)}  # strand -> its current segment
     born: list[tuple[int, str]] = []  # (event, out-slot) of segment b + m
     dies: dict[int, tuple[int, str]] = {}  # segment -> (event, in-slot)
     for i, ev in enumerate(c.events):
@@ -334,7 +319,7 @@ def reglue(c: CutGraph) -> Foliation:
             x, y = ev.outputs
             live[x], live[y] = b + len(born), b + len(born) + 1
             born += ((i, "out0"), (i, "out1"))
-    wraps = {live[t]: at_bottom[gm[t]] for t in c.top}
+    wraps = {live[t]: k for k, t in enumerate(c.top)}
 
     ids = [f"v{i}" for i in range(n)]
     vertices = tuple(
@@ -344,8 +329,6 @@ def reglue(c: CutGraph) -> Foliation:
 
     edges = []
     passed = [False] * b  # bottom segments some edge runs through
-    root = list(range(n))  # union-find over events, joined along the edges
-    parts = n
     for m, (i, slot) in enumerate(born):
         seg, passes = b + m, 0
         while seg not in dies:
@@ -355,33 +338,20 @@ def reglue(c: CutGraph) -> Foliation:
         j, in_slot = dies[seg]
         winding = passes - 1 if j < i else passes
         edges.append(Edge(f"e{m}", End(ids[i], slot), End(ids[j], in_slot), winding))
-        ri, rj = _find(root, i), _find(root, j)
-        if ri != rj:
-            root[ri] = rj
-            parts -= 1
 
     orphans = sorted(s for s, seen in zip(c.bottom, passed) if not seen)
     if orphans:
         raise RegluingError(
             f"glue orbit through strands {orphans} avoids every vertex"
         )
-    # The checked cut guarantees every invariant of validate but connectivity.
-    if parts != 1:
-        raise RegluingError("reglued graph is disconnected")
 
     g = FoliationGraph(name, vertices, tuple(edges))
     # Word order is angle order: seed the circular order instead of sorting.
     g.__dict__["_order"] = vertices
+    # The checked cut guarantees every invariant of validate but connectivity.
+    if not _connected(g):
+        raise RegluingError("reglued graph is disconnected")
     return g
-
-
-def _find(root: list[int], v: int) -> int:
-    """The representative of ``v`` in the union-find forest ``root``,
-    halving the path on the way."""
-    while root[v] != v:
-        root[v] = root[root[v]]
-        v = root[v]
-    return v
 
 
 @dataclass(frozen=True)
@@ -412,18 +382,19 @@ def reduce_once(g: FoliationGraph) -> FoliationGraph:
         raise ValueError("reduction needs a graph with vertices")
     if _calabi_verdict(g):
         raise ValueError("graph is already Calabi; nothing to reduce")
-    return _reduce_step(g).graph_after
+    return _reduce_step(g, ()).graph_after
 
 
-def _reduce_step(g: FoliationGraph) -> ReductionStep:
-    """Reduce a graph already known not to be Calabi."""
+def _reduce_step(g: FoliationGraph, done: Sequence[ReductionStep]) -> ReductionStep:
+    """Reduce a graph already known not to be Calabi, after the steps
+    ``done``; a stuck step raises StuckError carrying them as its trace."""
     before, witness = complexity(g)
     c = cut(g, witness)
     try:
         sorted_cut, rewrites = sort_events(c)
         g2 = reglue(sorted_cut)
     except (NotSortableError, RegluingError) as exc:
-        raise StuckError(f"reduction of {g.name} stuck: {exc}", exc) from exc
+        raise StuckError(f"reduction of {g.name} stuck: {exc}", exc, ReductionTrace(tuple(done))) from exc
     after, _ = complexity(g2)
     if after >= before:
         raise AssertionError("reduction did not decrease complexity")
@@ -441,10 +412,7 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     steps: list[ReductionStep] = []
     current = g
     while not _calabi_verdict(current):
-        try:
-            step = _reduce_step(current)
-        except StuckError as exc:
-            raise StuckError(str(exc), exc.cause, ReductionTrace(tuple(steps))) from exc
+        step = _reduce_step(current, steps)
         steps.append(step)
         current = step.graph_after
     return current, ReductionTrace(tuple(steps))

@@ -194,10 +194,17 @@ class SurfaceModel:
 
     @cached_property
     def _cup_vanisher(self) -> tuple[int, ...] | None:
+        # A relation on (q_1, p_1, ...) with the p entries negated is one on
+        # (q_1, -p_1, ...); relating the periods themselves negates no scalar.
         paired: list[ExactScalar] = []
         for s in self.summands:
-            paired.extend((s.q, -s.p))
-        return integer_relation(paired)
+            paired.extend((s.q, s.p))
+        rel = integer_relation(paired)
+        if rel is None:
+            return None
+        theta = [-a if k % 2 else a for k, a in enumerate(rel)]
+        sign = -1 if next(a for a in theta if a) < 0 else 1
+        return tuple(sign * a for a in theta)
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,12 @@ def random_valid_graph(rng: random.Random, n_pairs: int | None = None, max_pairs
     return g
 
 
+def regular_levels(g: FoliationGraph) -> list[Fraction]:
+    """One regular sample angle per interval between consecutive critical
+    values, in increasing order: the circular midpoints."""
+    return sorted(g._midpoint(k) for k in range(len(g._order)))
+
+
 def random_non_calabi_graph(rng: random.Random, max_pairs: int = 6) -> FoliationGraph:
     for _ in range(10000):
         g = random_valid_graph(rng, max_pairs=max_pairs)
@@ -122,9 +128,9 @@ def random_reusing_word(rng: random.Random, n_ids: int = 8) -> CutGraph:
                     live = [s for s in live if s != x] + list(outs)
                     events.append(Split(x, outs))
         if len(live) == len(bottom):
+            # Both boundaries shuffled: ``top[i]`` continues into ``bottom[i]``.
             top = rng.sample(live, len(live))
-            glue = tuple(zip(top, rng.sample(bottom, len(bottom))))
-            return CutGraph(tuple(bottom), tuple(top), tuple(events), glue, "word", Fraction(0))
+            return CutGraph(tuple(rng.sample(bottom, len(bottom))), tuple(top), tuple(events), "word")
 
 
 # -- reduction checks ------------------------------------------------------

@@ -1,9 +1,10 @@
 import os
+import random
 
-from foliagraph import builtin, harmonize, parse, serialize_graph, serialize_surface, to_dot
+from foliagraph import builtin, builtin_example, harmonize, parse, serialize_graph, serialize_surface, to_dot
 from foliagraph.cli import main
 
-from graphgen import is_theta
+from graphgen import is_theta, random_non_calabi_graph
 from test_reduction import MULTISTEP_FIXTURE
 
 
@@ -84,6 +85,15 @@ def test_harmonize_dot_dir(capsys, tmp_path):
         assert (dot_dir / f"step{k}_after.dot").read_text() == to_dot(step.graph_after)
 
 
+def test_harmonize_stuck_exits_1(capsys, tmp_path):
+    # The first graph of this seed gets stuck on a bubble after one step.
+    path = tmp_path / "stuck.graph"
+    path.write_text(serialize_graph(random_non_calabi_graph(random.Random(2024_03), max_pairs=6)))
+    code, out, err = run(capsys, "harmonize", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("stuck: reduction of random-reglued stuck: bubble SPLIT(")
+
+
 def test_validate_graph_file(capsys, tmp_path):
     path = tmp_path / "g.graph"
     path.write_text(serialize_graph(builtin("theta")))
@@ -139,8 +149,6 @@ def test_surface_classify_machine(capsys):
 
 
 def test_surface_classify_from_file(capsys, tmp_path):
-    from foliagraph import builtin_example
-
     path = tmp_path / "ex2.surface"
     path.write_text(serialize_surface(builtin_example(2)))
     code, out, _ = run(capsys, "surface-classify", str(path))
@@ -168,3 +176,19 @@ def test_graph_source_for_surface_command(capsys):
     code, _, err = run(capsys, "surface-check", "builtin:theta")
     assert code == 2
     assert "surface" in err
+
+
+def test_surface_file_for_graph_command(capsys, tmp_path):
+    path = tmp_path / "ex1.surface"
+    path.write_text(serialize_surface(builtin_example(1)))
+    code, _, err = run(capsys, "calabi", str(path))
+    assert code == 2
+    assert err == f"{path}:1:1: expected a graph, found a surface model\n"
+
+
+def test_invalid_graph_file_for_complexity(capsys, tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_text(serialize_graph(builtin("theta")).replace("1/4", "3/4"))
+    code, out, err = run(capsys, "complexity", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{path}:1:1: ") and "distinct" in err

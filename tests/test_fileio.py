@@ -15,6 +15,7 @@ from foliagraph import (
     to_dot,
     validate,
 )
+from foliagraph.cli import main
 from foliagraph.fileio import parse_value
 from foliagraph.scalars import SymbolDecl, SymbolTable
 
@@ -118,6 +119,30 @@ def test_diagnostic_points_at_the_offending_word(text, where):
     with pytest.raises(ParseError) as exc:
         parse(text, "f")
     assert str(exc.value).startswith(where)
+
+
+@pytest.mark.parametrize(
+    "data, command, where",
+    [
+        (b"graph g\n  vertex a MERGE 1/2\n", "validate", "2:1: unexpected end of file"),
+        (b"surface s\n  summand t periods (, 1)\nend\n", "surface-check", "2:22: empty value"),
+        (
+            b"surface s\n  summand t periods (1, 0)\n  summand u periods (0, 1)\n"
+            b"  tube v t u kind A disks small big\nend\n",
+            "surface-check",
+            "4:33: expected 'small' or 'ribbon(<w>)', got 'big'",
+        ),
+        (b"graph \xff\nend\n", "calabi", "1:1: not valid UTF-8: "),
+        (b"scalar lam irrational approx [1, 2]\n", "surface-classify", "1:1: file declares no graph or surface"),
+    ],
+)
+def test_cli_exits_2_with_file_line_col(capsys, tmp_path, data, command, where):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}:{where}")
 
 
 def test_angle_out_of_range():

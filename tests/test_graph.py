@@ -20,7 +20,6 @@ from foliagraph import (
     is_calabi,
     validate,
 )
-from foliagraph.graph import regular_levels
 
 from graphgen import (
     exhaustive_valid_graphs,
@@ -29,6 +28,7 @@ from graphgen import (
     oracle_every_edge_on_cycle,
     oracle_strongly_connected,
     random_valid_graph,
+    regular_levels,
 )
 
 

@@ -14,6 +14,7 @@ from foliagraph import (
     FreeCircle,
     Merge,
     NotSortableError,
+    ReductionTrace,
     Split,
     StuckError,
     builtin,
@@ -27,11 +28,18 @@ from foliagraph import (
     sort_events,
     validate,
 )
-from foliagraph.graph import FoliationGraph, regular_levels
+from foliagraph.graph import FoliationGraph
 import foliagraph.reduction as reduction
 from foliagraph.reduction import RegluingError, _transpose
 
-from graphgen import is_theta, random_non_calabi_graph, random_reusing_word, random_valid_graph, reglue_rotates
+from graphgen import (
+    is_theta,
+    random_non_calabi_graph,
+    random_reusing_word,
+    random_valid_graph,
+    reglue_rotates,
+    regular_levels,
+)
 
 
 def test_cut_dumbbell_matches_hand_replay():
@@ -47,8 +55,7 @@ def test_cut_dumbbell_matches_hand_replay():
     p1, p2 = split.outputs
     assert set(merge.inputs) == {p1, q}
     r = merge.output
-    assert set(c.top) == {p2, r}
-    assert c.glue_map == {p2: p, r: q}
+    assert dict(zip(c.top, c.bottom)) == {p2: p, r: q}
 
 
 def test_cut_theta_single_strand():
@@ -76,7 +83,6 @@ def test_sort_dumbbell_one_rewrite():
     assert set(split.outputs) == set(c.top)
     assert sorted_cut.bottom == c.bottom
     assert sorted_cut.top == c.top
-    assert sorted_cut.glue == c.glue
 
 
 def test_sort_already_sorted_is_identity():
@@ -97,7 +103,7 @@ def test_sort_single_strand_bubble_not_sortable():
 def test_sort_borrows_smallest_strand():
     # A bubble beside a parallel strand is sortable via the borrow rule.
     word = (Split(0, (2, 3)), Merge((2, 3), 4))
-    c = CutGraph((0, 1), (4, 1), word, ((4, 0), (1, 1)), "bubble", Fraction(0))
+    c = CutGraph((0, 1), (4, 1), word, "bubble")
     sorted_cut, rewrites = sort_events(c)
     assert rewrites == 1
     merge, split = sorted_cut.events
@@ -108,21 +114,20 @@ def test_sort_borrows_smallest_strand():
 
 
 @pytest.mark.parametrize(
-    "bottom, top, events, glue, message",
+    "bottom, top, events, message",
     [
-        ((0, 0), (0, 0), (), ((0, 0),), "duplicate bottom strands"),
-        ((0,), (2,), (Merge((0, 1), 2),), ((2, 0),), "dead strand"),
-        ((0, 1), (2, 1), (Merge((0, 0), 2),), ((2, 0), (1, 1)), "consumes strand 0 twice"),
-        ((0,), (1, 1), (Split(0, (1, 1)),), ((1, 0),), "split outputs collide"),
-        ((0, 1), (1, 2), (Split(0, (1, 2)),), ((1, 0), (2, 1)), "output 1 already live"),
-        ((0,), (1,), (Split(0, (1, 2)),), ((1, 0),), "does not yield the top strands"),
-        ((0, 1), (2,), (Merge((0, 1), 2),), ((2, 0),), "boundary strand counts differ"),
-        ((0, 1), (0, 1), (), ((0, 0), (1, 0)), "glue is not a bijection"),
+        ((0, 0), (0, 0), (), "duplicate bottom strands"),
+        ((0,), (2,), (Merge((0, 1), 2),), "dead strand"),
+        ((0, 1), (2, 1), (Merge((0, 0), 2),), "consumes strand 0 twice"),
+        ((0,), (1, 1), (Split(0, (1, 1)),), "split outputs collide"),
+        ((0, 1), (1, 2), (Split(0, (1, 2)),), "output 1 already live"),
+        ((0,), (1,), (Split(0, (1, 2)),), "does not yield the top strands"),
+        ((0, 1), (2,), (Merge((0, 1), 2),), "boundary strand counts differ"),
     ],
 )
-def test_malformed_cut_rejected_at_construction(bottom, top, events, glue, message):
+def test_malformed_cut_rejected_at_construction(bottom, top, events, message):
     with pytest.raises(ValueError, match=message):
-        CutGraph(bottom, top, events, glue, "bad", Fraction(0))
+        CutGraph(bottom, top, events, "bad")
 
 
 def test_reglue_sorted_dumbbell_is_theta():
@@ -170,11 +175,12 @@ def test_reglue_rotates_rejects_mutants():
 
 
 def test_reglue_vertex_free_cut():
-    c = CutGraph((0, 1, 2), (0, 1, 2), (), ((0, 1), (1, 2), (2, 0)), "cover", Fraction(0))
+    # Top strand i continues into bottom strand i + 1 (mod 3): one orbit.
+    c = CutGraph((1, 2, 0), (0, 1, 2), (), "cover")
     fc = reglue(c)
     assert fc == FreeCircle("cover-reglued", 3)
     # Two orbits cannot reassemble into one connected object.
-    c2 = CutGraph((0, 1), (0, 1), (), ((0, 0), (1, 1)), "split-cover", Fraction(0))
+    c2 = CutGraph((0, 1), (0, 1), (), "split-cover")
     with pytest.raises(RegluingError):
         reglue(c2)
 
@@ -182,7 +188,7 @@ def test_reglue_vertex_free_cut():
 def test_reglue_rejects_two_component_word():
     # Two bubbles on separate strands reglue into two disjoint thetas.
     word = (Split(0, (2, 3)), Merge((2, 3), 4), Split(1, (5, 6)), Merge((5, 6), 7))
-    c = CutGraph((0, 1), (4, 7), word, ((4, 0), (7, 1)), "pair", Fraction(0))
+    c = CutGraph((0, 1), (4, 7), word, "pair")
     with pytest.raises(RegluingError, match="disconnected"):
         reglue(c)
 
@@ -191,7 +197,7 @@ def test_reglue_rejects_orphan_glue_orbit():
     # Strand 9 is glued to itself and meets no event: a covering circle
     # beside the graph.
     word = (Split(0, (1, 2)), Merge((1, 2), 3))
-    c = CutGraph((0, 9), (3, 9), word, ((3, 0), (9, 9)), "x", Fraction(0))
+    c = CutGraph((0, 9), (3, 9), word, "x")
     with pytest.raises(RegluingError) as exc:
         reglue(c)
     assert str(exc.value) == "glue orbit through strands [9] avoids every vertex"
@@ -206,6 +212,22 @@ def test_reduce_once_dumbbell():
 def test_reduce_once_rejects_calabi_input():
     with pytest.raises(ValueError):
         reduce_once(builtin("theta"))
+
+
+def test_stuck_error_carries_the_completed_steps_and_its_cause():
+    # The first graph of this seed completes one step, then meets a bubble
+    # with nothing to borrow.
+    g = random_non_calabi_graph(random.Random(2024_03), max_pairs=6)
+    with pytest.raises(StuckError) as exc:
+        harmonize(g)
+    stuck = exc.value
+    assert len(stuck.trace.steps) == 1 and stuck.trace.steps[0].graph_before == g
+    assert isinstance(stuck.cause, NotSortableError)
+    assert stuck.__cause__ is stuck.cause
+    with pytest.raises(StuckError) as exc:
+        reduce_once(stuck.trace.steps[0].graph_after)
+    assert exc.value.trace == ReductionTrace()
+    assert str(exc.value) == str(stuck)
 
 
 def test_harmonize_fixed_points():
@@ -317,22 +339,21 @@ def test_sort_preserves_interface_and_counting(seed):
     k, witness = complexity(g)
     c = cut(g, witness)
     assert len(c.bottom) == k
+    merges = sum(isinstance(e, Merge) for e in c.events)
     try:
         sorted_cut, _ = sort_events(c)
     except NotSortableError:
-        assert k <= c.merge_count()
+        assert k <= merges
         return
     assert sorted_cut.bottom == c.bottom
     assert sorted_cut.top == c.top
-    assert sorted_cut.glue == c.glue
-    assert sorted_cut.merge_count() == c.merge_count()
-    assert sorted_cut.split_count() == c.split_count()
     kinds = [type(e) for e in sorted_cut.events]
+    assert len(kinds) == len(c.events) and kinds.count(Merge) == merges
     assert kinds == sorted(kinds, key=lambda t: t is Split)
     # Separator level: everything merged, nothing split yet.
     levels = replay(sorted_cut.bottom, sorted_cut.events)
-    separator = levels[sorted_cut.merge_count()]
-    assert len(separator) == len(c.bottom) - c.merge_count() >= 1
+    separator = levels[merges]
+    assert len(separator) == len(c.bottom) - merges >= 1
     if c.events:
         assert len(separator) < len(c.bottom)
 
@@ -384,7 +405,7 @@ def replay(bottom, events):
 def _sort_events_by_full_replay(c):
     """Reference sorter: replays the whole word before every rewrite and
     fixes the lowest (split, merge) inversion."""
-    used = {s for pair in c.glue for s in pair}
+    used = set(c.bottom + c.top)
     for ev in c.events:
         used.update((ev.inputs + (ev.output,)) if isinstance(ev, Merge) else ((ev.input,) + ev.outputs))
     fresh = iter(range(max(used, default=-1) + 1, 10**9))
