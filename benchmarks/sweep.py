@@ -147,7 +147,8 @@ def scalar_inputs(n: int) -> dict:
     table = example_table()
 
     def value():
-        return fg.ExactScalar.make(table, _random_rational(rng), {s: _random_rational(rng) for s in table.names})
+        # The coordinates over (1, lam, mu, nu), drawn in that order.
+        return fg.ExactScalar(table, tuple(_random_rational(rng) for _ in range(len(table.names) + 1)))
 
     base = value()
     while base.is_zero():

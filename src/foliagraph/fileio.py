@@ -27,7 +27,9 @@ import re
 from fractions import Fraction
 
 from .graph import (
+    IN_SLOTS,
     MERGE,
+    OUT_SLOTS,
     SPLIT,
     Edge,
     End,
@@ -37,7 +39,7 @@ from .graph import (
     Vertex,
 )
 from .scalars import ExactScalar, SymbolDecl, SymbolTable
-from .surfaces import SMALL, Disk, Summand, SurfaceModel, Tube, ribbon
+from .surfaces import SMALL, TUBE_KINDS, Disk, Summand, SurfaceModel, Tube, ribbon
 
 ParsedFile = FoliationGraph | FreeCircle | SurfaceModel
 
@@ -94,7 +96,7 @@ _TERM = re.compile(r"(?:(?P<coeff>-?\d+(?:/\d+|\.\d+)?)\s*\*\s*)?(?P<sym>[A-Za-z
 
 
 def parse_value(expr: str, table: SymbolTable) -> ExactScalar:
-    """Parse ``q0 + q1*name1 - ...`` over the given table."""
+    """Parse ``q0 + q1*name1 - ...`` over the given table, term by term."""
     text = expr.strip()
     if not text:
         raise ValueError("empty value")
@@ -104,22 +106,19 @@ def parse_value(expr: str, table: SymbolTable) -> ExactScalar:
         chunks = chunks[1:]
     else:
         chunks = ["+"] + chunks
-    rational = Fraction(0)
-    coeffs: dict[str, Fraction] = {}
+    vector = [Fraction(0)] * (len(table.names) + 1)
     for sign, term in zip(chunks[::2], chunks[1::2]):
         m = _TERM.match(term.strip())
         if not m:
             raise ValueError(f"malformed term {term!r}")
-        factor = Fraction(-1) if sign == "-" else Fraction(1)
-        if m.group("num") is not None:
-            rational += factor * _rational(m.group("num"))
-        else:
-            name = m.group("sym")
-            if name not in table.names:
-                raise ValueError(f"unknown scalar {name!r}")
-            coeff = _rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
-            coeffs[name] = coeffs.get(name, Fraction(0)) + factor * coeff
-    return ExactScalar.make(table, rational, coeffs)
+        name = m.group("sym")
+        i = 0 if name is None else table._coordinate.get(name)
+        if i is None:
+            raise ValueError(f"unknown scalar {name!r}")
+        number = m.group("num") or m.group("coeff")
+        c = _rational(number) if number else Fraction(1)
+        vector[i] += -c if sign == "-" else c
+    return ExactScalar(table, tuple(vector))
 
 
 def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
@@ -138,7 +137,6 @@ def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
 
     vertices: list[Vertex] = []
     edges: list[Edge] = []
-    end_re = re.compile(r"^(\w+)\.(out0|out1|in0|in1)$")
     while True:
         lno, text = lines.take()
         ws = text.split()
@@ -157,17 +155,15 @@ def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
         elif ws[0] == "edge":
             if len(ws) != 7 or ws[3] != "->" or ws[5] != "winding":
                 _fail(lines, lno, _col(text, 0), "expected 'edge <id> <v>.<out> -> <v>.<in> winding <nat>'")
-            mt = end_re.match(ws[2])
-            mh = end_re.match(ws[4])
-            if not mt or not mt.group(2).startswith("out"):
+            # (vertex, slot) split at the last ".", so a vertex id may hold dots.
+            tail, head = End(*ws[2].rpartition(".")[::2]), End(*ws[4].rpartition(".")[::2])
+            if not tail.vertex or tail.slot not in OUT_SLOTS[SPLIT]:
                 _fail(lines, lno, _col(text, 2), f"tail {ws[2]!r} must be <vertex>.out0 or .out1")
-            if not mh or not mh.group(2).startswith("in"):
+            if not head.vertex or head.slot not in IN_SLOTS[MERGE]:
                 _fail(lines, lno, _col(text, 4), f"head {ws[4]!r} must be <vertex>.in0 or .in1")
             if not (ws[6].isascii() and ws[6].isdigit()):
                 _fail(lines, lno, _col(text, 6), "winding must be a natural number")
-            edges.append(
-                Edge(ws[1], End(mt.group(1), mt.group(2)), End(mh.group(1), mh.group(2)), int(ws[6]))
-            )
+            edges.append(Edge(ws[1], tail, head, int(ws[6])))
         else:
             _fail(lines, lno, _col(text, 0), f"unexpected directive {ws[0]!r} in graph block")
 
@@ -217,7 +213,7 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
         elif ws[0] == "tube":
             if len(ws) != 9 or ws[4] != "kind" or ws[6] != "disks":
                 _fail(lines, lno, _col(text, 0), "expected 'tube <id> <sid> <sid> kind A|B|C disks <disk> <disk>'")
-            if ws[5] not in ("A", "B", "C"):
+            if ws[5] not in TUBE_KINDS:
                 _fail(lines, lno, _col(text, 5), f"tube kind must be A, B or C, got {ws[5]!r}")
             for k in (2, 3):
                 if ws[k] not in known:

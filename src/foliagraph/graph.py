@@ -177,6 +177,13 @@ def _turn(x: Fraction) -> Fraction:
 def validate(g: Foliation) -> ValidationReport:
     """Check every structural invariant, reporting all failures."""
     bad: list[str] = []
+    named = [("graph name", g.name)]
+    if isinstance(g, FoliationGraph):
+        named += [("vertex id", v.id) for v in g.vertices] + [("edge id", e.id) for e in g.edges]
+    for noun, ident in named:
+        # The text format splits lines at whitespace and drops what follows "#".
+        if ident.split() != [ident] or "#" in ident:
+            bad.append(f"{noun} {ident!r} is empty or holds whitespace or '#'")
     if isinstance(g, FreeCircle):
         if g.winding < 1:
             bad.append("free circle winding must be >= 1")

@@ -224,6 +224,16 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     unchanged.  Raises NotSortableError when a bubble has no strand to
     borrow.
 
+    On a cut that ``cut`` makes, with k strands and m merges, it raises
+    exactly when k <= m.  If k <= m, no sorted word exists: its m-th merge
+    would run on k - (m - 1) < 2 live strands; a rewrite fails only at a
+    bubble with nothing to borrow, and one that succeeds keeps the word
+    valid, so the sort stops at such a bubble.  If k > m, the bubble met
+    while the j-th merge passes split i (from 0) sees k - (j - 1) + i >=
+    k - (m - 1) >= 2 strands live below it, one besides the split's input
+    to borrow.  A borrow restricted to fewer strands, such as one sheet
+    of a divisible class, must prove its own rule.
+
     A word that re-emits a consumed strand id (``cut`` never makes one)
     is sorted by the same rule, so a rewrite can emit an id still live
     where it lands; the checked replay of a bubble's prefix or of the

@@ -61,12 +61,11 @@ class SymbolTable:
         return dict(sorted(zip(self.names, range(1, len(self.names) + 1))))
 
     def rational(self, q: Rational) -> "ExactScalar":
-        return ExactScalar.make(self, q)
+        return ExactScalar(self, (Fraction(q),) + (Fraction(0),) * len(self.names))
 
-    def symbol(self, name: str, coeff: Rational = 1) -> "ExactScalar":
-        if name not in self._coordinate:
-            raise KeyError(name)
-        return ExactScalar.make(self, 0, {name: coeff})
+    def symbol(self, name: str) -> "ExactScalar":
+        i = self._coordinate[name]
+        return ExactScalar(self, tuple(Fraction(int(k == i)) for k in range(len(self.names) + 1)))
 
 
 def _coerce_tables(a: SymbolTable, b: SymbolTable) -> SymbolTable:
@@ -91,19 +90,6 @@ class ExactScalar:
 
     table: SymbolTable
     vector: tuple[Fraction, ...]
-
-    @staticmethod
-    def make(
-        table: SymbolTable,
-        rational_part: Rational = 0,
-        coeffs: dict[str, Rational] | None = None,
-    ) -> "ExactScalar":
-        vector = [Fraction(rational_part)] + [Fraction(0)] * len(table.names)
-        for name, c in (coeffs or {}).items():
-            if name not in table._coordinate:
-                raise KeyError(f"unknown symbol {name!r}")
-            vector[table._coordinate[name]] = Fraction(c)
-        return ExactScalar(table, tuple(vector))
 
     def is_zero(self) -> bool:
         return not any(self.vector)

@@ -28,11 +28,11 @@ def example_table() -> SymbolTable:
 
 
 def _random_scalar(rng: random.Random, table: SymbolTable) -> ExactScalar:
-    coeffs = {}
+    value = table.rational(0)
     for name in table.names:
         if rng.random() < 0.3:
-            coeffs[name] = Fraction(rng.randint(-2, 2))
-    return ExactScalar.make(table, Fraction(rng.randint(-2, 2)), coeffs)
+            value += rng.randint(-2, 2) * table.symbol(name)
+    return value + rng.randint(-2, 2)
 
 
 def _random_disk(rng: random.Random):

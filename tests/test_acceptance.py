@@ -27,7 +27,6 @@ from foliagraph import (
     serialize_graph,
     validate,
 )
-from foliagraph.scalars import ExactScalar
 
 from graphgen import (
     exhaustive_valid_graphs,
@@ -244,13 +243,11 @@ def test_criterion_7_exact_arithmetic_oracle(announce):
     rng = random.Random(2024_07)
 
     def random_scalar():
-        coeffs = {}
+        value = table.rational(0)
         for name in table.names:
             if rng.random() < 0.4:
-                coeffs[name] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        return ExactScalar.make(
-            table, Fraction(rng.randint(-6, 6), rng.randint(1, 4)), coeffs
-        )
+                value += Fraction(rng.randint(-6, 6), rng.randint(1, 4)) * table.symbol(name)
+        return value + Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
     for i in range(1000):
         values = [random_scalar() for _ in range(rng.randint(1, 6))]

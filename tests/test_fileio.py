@@ -4,8 +4,15 @@ from fractions import Fraction
 import pytest
 
 from foliagraph import (
+    MERGE,
+    SPLIT,
+    Edge,
+    End,
+    FoliationGraph,
+    FreeCircle,
     ParseError,
     SurfaceModel,
+    Vertex,
     builtin,
     builtin_example,
     parse,
@@ -34,6 +41,19 @@ end
 """
 
 
+def _theta(name: str = "theta", m: str = "m", s: str = "s", e0: str = "e0") -> FoliationGraph:
+    """The builtin theta under other names."""
+    return FoliationGraph(
+        name,
+        (Vertex(m, MERGE, Fraction(3, 4)), Vertex(s, SPLIT, Fraction(1, 4))),
+        (
+            Edge(e0, End(m, "out0"), End(s, "in0"), 0),
+            Edge("e1", End(s, "out0"), End(m, "in0"), 0),
+            Edge("e2", End(s, "out1"), End(m, "in1"), 0),
+        ),
+    )
+
+
 def test_theta_fixture_parses_to_builtin():
     assert parse(THETA_FIXTURE) == builtin("theta")
 
@@ -44,6 +64,32 @@ def test_graph_roundtrip_builtin():
         text = serialize_graph(g)
         assert parse(text) == g
         assert serialize(parse(text)) == text
+
+
+def test_graph_roundtrip_ids_with_dots_and_dashes():
+    # An edge end splits at its last ".", so a vertex id may hold one.
+    g = _theta(m="m-1", s="s.1")
+    assert validate(g).ok
+    text = serialize_graph(g)
+    assert "edge e1 s.1.out0 -> m-1.in0 winding 0" in text
+    assert parse(text) == g
+
+
+@pytest.mark.parametrize(
+    "g, violation",
+    [
+        (_theta(name=""), "graph name '' is empty or holds whitespace or '#'"),
+        (_theta(m="m 1"), "vertex id 'm 1' is empty or holds whitespace or '#'"),
+        (_theta(s=""), "vertex id '' is empty or holds whitespace or '#'"),
+        (_theta(e0="e#0"), "edge id 'e#0' is empty or holds whitespace or '#'"),
+        # A line separator, where the parser's line split breaks the header.
+        (FreeCircle("c\u20281", 2), "graph name 'c\\u20281' is empty or holds whitespace or '#'"),
+    ],
+)
+def test_validate_rejects_ids_the_text_format_cannot_carry(g, violation):
+    assert validate(g).violations == (violation,)
+    with pytest.raises(ParseError):
+        parse(serialize(g))
 
 
 def test_graph_roundtrip_random():
@@ -113,6 +159,10 @@ def test_bad_token_position():
             "scalar lam irrational approx [1, 2]\nsurface s\n  summand t periods (2/0*lam, 1)\nend\n",
             "f:3:22: expected a rational number, got '2/0'",
         ),
+        # An edge end names a slot of its own direction after a vertex id.
+        (THETA_FIXTURE.replace("e0 m.out0", "e0 m.out2"), "f:5:11: tail 'm.out2' must be <vertex>.out0 or .out1"),
+        (THETA_FIXTURE.replace("e1 s.out0", "e1 .out0"), "f:6:11: tail '.out0' must be <vertex>.out0 or .out1"),
+        (THETA_FIXTURE.replace("e1 s.out0", "e1 m.in0"), "f:6:11: tail 'm.in0' must be <vertex>.out0 or .out1"),
     ],
 )
 def test_diagnostic_points_at_the_offending_word(text, where):
@@ -193,10 +243,13 @@ def test_tube_cycle_diagnosed_at_end():
 
 
 def test_parse_value_forms():
-    t = SymbolTable((SymbolDecl("lam", Fraction(1), Fraction(2)),))
+    t = SymbolTable((SymbolDecl("lam", Fraction(1), Fraction(2)), SymbolDecl("mu", Fraction(2), Fraction(3))))
     assert parse_value("1/2 + 3*lam", t) == t.rational(Fraction(1, 2)) + 3 * t.symbol("lam")
     assert parse_value("-lam + 1", t) == t.rational(1) - t.symbol("lam")
     assert parse_value("0.5", t) == t.rational(Fraction(1, 2))
+    # Terms add into their coordinates, repeats and rationals included.
+    assert parse_value("lam + lam", t) == 2 * t.symbol("lam")
+    assert parse_value("0.5*mu - 1/2 - mu", t) == parse_value("-1/2*mu - 1/2", t) == -t.symbol("mu") / 2 - Fraction(1, 2)
     with pytest.raises(ValueError):
         parse_value("lam lam", t)
 

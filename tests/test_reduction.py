@@ -25,6 +25,7 @@ from foliagraph import (
     is_calabi,
     reduce_once,
     reglue,
+    serialize,
     sort_events,
     validate,
 )
@@ -356,6 +357,30 @@ def test_sort_preserves_interface_and_counting(seed):
     assert len(separator) == len(c.bottom) - merges >= 1
     if c.events:
         assert len(separator) < len(c.bottom)
+
+
+def test_sort_fails_exactly_when_strands_are_at_most_merges():
+    # The rule proved in sort_events' docstring, at every regular level of
+    # random non-Calabi graphs and of every graph their reductions reach.
+    rng = random.Random(2024_14)
+    outcomes = set()
+    for _ in range(150):
+        g = random_non_calabi_graph(rng, max_pairs=8)
+        try:
+            steps = harmonize(g)[1].steps
+        except StuckError as exc:
+            steps = exc.trace.steps
+        for h in (g, *(step.graph_after for step in steps)):
+            for a in regular_levels(h):
+                c = cut(h, a)
+                try:
+                    sort_events(c)
+                    stuck = False
+                except NotSortableError:
+                    stuck = True
+                assert stuck == (len(c.bottom) <= h.merge_count()), (serialize(h), a)
+                outcomes.add(stuck)
+    assert outcomes == {False, True}
 
 
 @settings(max_examples=40, deadline=None)
