@@ -108,7 +108,7 @@ def sweep_one(size: int) -> dict:
     except ValueError as exc:
         fail(size, f"cut rejected: {exc}")
     sort_s, (sorted_cut, rewrites) = best_of(lambda: fg.sort_events(c))
-    kinds = [isinstance(ev, fg.Split) for ev in sorted_cut.events]
+    kinds = [ev.kind == fg.SPLIT for ev in sorted_cut.events]
     if kinds != sorted(kinds):
         fail(size, "sorted word has a split below a merge")
     if not fg.validate(fg.reglue(sorted_cut)).ok:

@@ -25,12 +25,11 @@ from .graph import (
 )
 from .reduction import (
     CutGraph,
-    Merge,
+    Event,
     NotSortableError,
     ReductionStep,
     ReductionTrace,
     RegluingError,
-    Split,
     StuckError,
     contiguous,
     cut,

@@ -15,8 +15,10 @@ or ``graph <name> freecircle <w> end`` on one line.  Surface files:
       tube <id> <sid> <sid> kind A|B|C disks small|ribbon(<w>) small|ribbon(<w>)
     end
 
-Rationals are written ``p/q`` (decimals are accepted on input); values are
-rational combinations of declared scalars like ``1/2 + 3*lam - mu``.
+Rationals are written ``p/q``; on input every angle, interval bound and
+coefficient is an ASCII integer, fraction or decimal: ``-?[0-9]+``,
+optionally followed by ``/[0-9]+`` or ``.[0-9]+``.  Values are rational
+combinations of declared scalars like ``1/2 + 3*lam - mu``.
 ``#`` starts a comment.  Serialization is canonical (sorted ids, p/q
 rationals) and parsing a serialized object reproduces it exactly.
 """
@@ -38,7 +40,7 @@ from .graph import (
     FreeCircle,
     Vertex,
 )
-from .scalars import ExactScalar, SymbolDecl, SymbolTable
+from .scalars import SYMBOL_NAME, ExactScalar, SymbolDecl, SymbolTable
 from .surfaces import SMALL, TUBE_KINDS, Disk, Summand, SurfaceModel, Tube, ribbon
 
 ParsedFile = FoliationGraph | FreeCircle | SurfaceModel
@@ -85,14 +87,25 @@ def _col(text: str, word: int) -> int:
     return [m.start() + 1 for m in re.finditer(r"\S+", text)][word]
 
 
+# The one grammar of a rational on input, the same on every Python version
+# (``Fraction(str)`` also takes "1_0", "1e-1" and non-ASCII digits, some
+# only on newer versions).
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
 def _rational(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a rational number, got {token!r}") from None
+    m = _RATIONAL.fullmatch(token)
+    if m is None or m[2] is not None and int(m[2]) == 0:
+        raise ValueError(f"expected a rational number, got {token!r}")
+    whole, den, frac = m.groups()
+    if frac is not None:  # whole.frac = int(whole + frac) / 10**len(frac)
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    return Fraction(int(whole), int(den or 1))
 
 
-_TERM = re.compile(r"(?:(?P<coeff>-?\d+(?:/\d+|\.\d+)?)\s*\*\s*)?(?P<sym>[A-Za-z_]\w*)$|(?P<num>-?\d+(?:/\d+|\.\d+)?)$")
+_TERM = re.compile(
+    rf"(?:(?P<coeff>{_RATIONAL.pattern})\s*\*\s*)?(?P<sym>{SYMBOL_NAME})$|(?P<num>{_RATIONAL.pattern})$"
+)
 
 
 def parse_value(expr: str, table: SymbolTable) -> ExactScalar:
@@ -249,7 +262,7 @@ def parse(data: bytes | str, filename: str = "<input>") -> ParsedFile:
         words = text_line.split()
         if words[0] == "scalar":
             m = re.match(
-                r"^\s*scalar\s+([A-Za-z_]\w*)\s+irrational\s+approx\s+\[\s*(\S+?)\s*,\s*(\S+?)\s*\]\s*$",
+                rf"^\s*scalar\s+({SYMBOL_NAME})\s+irrational\s+approx\s+\[\s*(\S+?)\s*,\s*(\S+?)\s*\]\s*$",
                 text_line,
             )
             if not m:
@@ -331,17 +344,22 @@ def serialize_surface(m: SurfaceModel) -> str:
     return "\n".join(out) + "\n"
 
 
+def _dot_quoted(ident: str) -> str:
+    """``ident`` as a DOT quoted string: backslash and quote escaped."""
+    return '"' + ident.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: Foliation) -> str:
     """Deterministic DOT export: nodes labeled KIND@angle, edges w=<winding>."""
-    out = [f'digraph "{g.name}" {{']
+    out = [f"digraph {_dot_quoted(g.name)} {{"]
     if isinstance(g, FreeCircle):
         out.append(f'  "circle" [label="CIRCLE w={g.winding}" shape=doublecircle];')
     else:
         for v in g.vertices:
-            out.append(f'  "{v.id}" [label="{v.kind}@{v.angle}"];')
+            out.append(f'  {_dot_quoted(v.id)} [label="{v.kind}@{v.angle}"];')
         for e in g.edges:
             out.append(
-                f'  "{e.tail.vertex}" -> "{e.head.vertex}" [label="w={e.winding}"];'
+                f'  {_dot_quoted(e.tail.vertex)} -> {_dot_quoted(e.head.vertex)} [label="w={e.winding}"];'
             )
     out.append("}")
     return "\n".join(out) + "\n"

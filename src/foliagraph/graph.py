@@ -170,20 +170,26 @@ class CalabiCertificate:
     obstruction: Obstruction | None = None
 
 
+def _token_faults(named: list[tuple[str, str]]) -> list[str]:
+    """One message per ``(noun, ident)`` whose ident the text formats cannot
+    carry: they split lines at whitespace and drop what follows "#"."""
+    return [
+        f"{noun} {ident!r} is empty or holds whitespace or '#'"
+        for noun, ident in named
+        if ident.split() != [ident] or "#" in ident
+    ]
+
+
 def _turn(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
 def validate(g: Foliation) -> ValidationReport:
     """Check every structural invariant, reporting all failures."""
-    bad: list[str] = []
     named = [("graph name", g.name)]
     if isinstance(g, FoliationGraph):
         named += [("vertex id", v.id) for v in g.vertices] + [("edge id", e.id) for e in g.edges]
-    for noun, ident in named:
-        # The text format splits lines at whitespace and drops what follows "#".
-        if ident.split() != [ident] or "#" in ident:
-            bad.append(f"{noun} {ident!r} is empty or holds whitespace or '#'")
+    bad = _token_faults(named)
     if isinstance(g, FreeCircle):
         if g.winding < 1:
             bad.append("free circle winding must be >= 1")

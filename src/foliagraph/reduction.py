@@ -2,9 +2,13 @@
 crossing events so every merge happens below every split, and reglue.
 
 Cutting the circle at a regular angle turns the graph into a word of
-MERGE/SPLIT events acting on strands (edge segments crossing the cut)
-between two aligned boundaries: each top strand continues into the
-bottom strand at the same position.  Sorting the word by adjacent
+events acting on strands (edge segments crossing the cut) between two
+aligned boundaries: each top strand continues into the bottom strand at
+the same position.  An event is a vertex in the graph layer's slot
+vocabulary: ``Event(kind, inputs, outputs)`` holds one strand per slot
+of ``IN_SLOTS[kind]`` and ``OUT_SLOTS[kind]``, so ``cut`` reads it off a
+vertex and ``reglue`` writes it back by zipping with the same tables.
+Sorting the word by adjacent
 transpositions is the combinatorial shadow of rearranging the Morse
 function to be self-indexing; regluing the sorted word yields a graph
 with strictly smaller complexity and the same number of merges and
@@ -17,10 +21,12 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .graph import (
+    IN_SLOTS,
     MERGE,
+    OUT_SLOTS,
     SPLIT,
     Edge,
     End,
@@ -65,19 +71,16 @@ class StuckError(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class Merge:
-    inputs: tuple[int, int]
-    output: int
+class Event(NamedTuple):
+    """A vertex of ``kind`` crossed by the cut word: it consumes the
+    strands ``inputs`` and produces ``outputs``, which line up with its
+    slots ``IN_SLOTS[kind]`` and ``OUT_SLOTS[kind]``.  Immutable; a named
+    tuple because ``cut`` and every rewrite build one per event, at less
+    than half a frozen dataclass's cost."""
 
-
-@dataclass(frozen=True)
-class Split:
-    input: int
-    outputs: tuple[int, int]
-
-
-Event = Merge | Split
+    kind: str
+    inputs: tuple[int, ...]
+    outputs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -105,40 +108,40 @@ class CutGraph:
             raise ValueError("boundary strand counts differ")
 
 
+# The number of in- and out-slots of each kind.
+_ARITY = {kind: (len(IN_SLOTS[kind]), len(OUT_SLOTS[kind])) for kind in IN_SLOTS}
+
+
 def live_after(bottom: tuple[int, ...], events: Sequence[Event]) -> set[int]:
     """The strands live after the word ``events`` runs from ``bottom``,
     replayed with one mutable set in O(n + k).
 
-    Raises ValueError if the bottom repeats a strand, an event consumes a
-    dead strand, a merge consumes one strand twice, or an output collides
-    with a live strand.
+    Raises ValueError naming the event if the bottom repeats a strand, an
+    event's kind is unknown or its strand counts do not fit the kind's
+    slots, an event consumes a dead strand or one strand twice, its
+    outputs collide, or an output collides with a live strand.
     """
     live = set(bottom)
     if len(live) != len(bottom):
         raise ValueError("duplicate bottom strands")
-    for i, ev in enumerate(events):
-        _apply(live, ev, i)
+    for i, (kind, consumed, produced) in enumerate(events):
+        arity = _ARITY.get(kind)
+        if arity != (len(consumed), len(produced)):
+            if arity is None:
+                raise ValueError(f"event {i}: unknown kind {kind!r}")
+            raise ValueError(f"event {i}: {kind} takes {arity[0]} input(s) and {arity[1]} output(s)")
+        # A kind has at most two slots a side, so a repeat involves the first.
+        if consumed[0] in consumed[1:]:
+            raise ValueError(f"event {i}: {kind.lower()} consumes strand {consumed[0]} twice")
+        if produced[0] in produced[1:]:
+            raise ValueError(f"event {i}: {kind.lower()} outputs collide")
+        if not live.issuperset(consumed):
+            raise ValueError(f"event {i}: consumes dead strand(s) {sorted(set(consumed) - live)}")
+        live.difference_update(consumed)
+        if not live.isdisjoint(produced):
+            raise ValueError(f"event {i}: output {next(s for s in produced if s in live)} already live")
+        live.update(produced)
     return live
-
-
-def _apply(live: set[int], ev: Event, i: int) -> None:
-    """Run event number ``i`` on ``live`` in place; see ``live_after``."""
-    if isinstance(ev, Merge):
-        a, b = ev.inputs
-        if a == b:
-            raise ValueError(f"event {i}: merge consumes strand {a} twice")
-        consumed, produced = (a, b), (ev.output,)
-    else:
-        consumed, produced = (ev.input,), ev.outputs
-        if len(set(produced)) != 2:
-            raise ValueError(f"event {i}: split outputs collide")
-    if not live.issuperset(consumed):
-        raise ValueError(f"event {i}: consumes dead strand(s) {sorted(set(consumed) - live)}")
-    live.difference_update(consumed)
-    for s in produced:
-        if s in live:
-            raise ValueError(f"event {i}: output {s} already live")
-    live.update(produced)
 
 
 def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
@@ -153,39 +156,34 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
         raise ValueError("cannot cut a vertex-free graph")
     _, gap = g._gap(a, "cut angle")
 
-    strand: dict[tuple[str, str], int] = {}  # the segment at each (vertex id, slot)
+    strand: dict[str, dict[str, int]] = {v.id: {} for v in g.vertices}  # vertex id -> slot -> segment
     bottom: list[int] = []
     top: list[int] = []
     k = 0  # the next strand id; an edge's segments are consecutive
     for e, n in zip(g.edges, g._crossings(gap)):
-        strand[e.tail.vertex, e.tail.slot], strand[e.head.vertex, e.head.slot] = k, k + n
+        strand[e.tail.vertex][e.tail.slot], strand[e.head.vertex][e.head.slot] = k, k + n
         bottom.extend(range(k + 1, k + n + 1))
         top.extend(range(k, k + n))
         k += n + 1
 
-    events: list[Event] = []
+    events = []
     for v in g._order[gap:] + g._order[:gap]:
-        vid = v.id
-        if v.kind == MERGE:
-            events.append(Merge((strand[vid, "in0"], strand[vid, "in1"]), strand[vid, "out0"]))
-        else:
-            events.append(Split(strand[vid, "in0"], (strand[vid, "out0"], strand[vid, "out1"])))
-
+        at = strand[v.id].__getitem__
+        events.append(Event(v.kind, tuple(map(at, IN_SLOTS[v.kind])), tuple(map(at, OUT_SLOTS[v.kind]))))
     return CutGraph(tuple(bottom), tuple(top), tuple(events), g.name)
 
 
 def _transpose(
-    split: Split, merge: Merge, live_before: Collection[int], fresh: Iterator[int]
-) -> tuple[Merge, Split]:
+    split: Event, merge: Event, live_before: Collection[int], fresh: Iterator[int]
+) -> tuple[Event, Event]:
     """Rewrite the adjacent pair (split; merge) into (merge; split).
 
     The net strand interface of the pair (strands consumed from outside,
     strands handed on) is preserved in all three cases, so the rest of the
     word and the boundary data stay untouched.
     """
-    x, (x1, x2) = split.input, split.outputs
-    y1, y2 = merge.inputs
-    y = merge.output
+    (x,), (x1, x2) = split.inputs, split.outputs
+    (y1, y2), (y,) = merge.inputs, merge.outputs
     shared = {x1, x2} & {y1, y2}
     if not shared:
         # Disjoint: the events commute as written.
@@ -196,7 +194,7 @@ def _transpose(
         other_x = x2 if s == x1 else x1
         other_y = y2 if s == y1 else y1
         z = next(fresh)
-        return Merge((x, other_y), z), Split(z, (other_x, y))
+        return Event(MERGE, (x, other_y), (z,)), Event(SPLIT, (z,), (other_x, y))
     # Bubble: both split outputs feed the merge.  Borrow a parallel live
     # strand, merge into it, and split it back off unchanged.  Only this
     # case reads ``live_before``.
@@ -204,7 +202,7 @@ def _transpose(
     if w is None:
         raise NotSortableError((x, x1, x2, y), len(live_before))
     z = next(fresh)
-    return Merge((x, w), z), Split(z, (y, w))
+    return Event(MERGE, (x, w), (z,)), Event(SPLIT, (z,), (y, w))
 
 
 def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
@@ -244,11 +242,11 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     valid word.
     """
     # Every strand that is ever live is a bottom strand or an event output.
-    born = [s for ev in c.events for s in (ev.outputs if isinstance(ev, Split) else (ev.output,))]
+    born = [s for ev in c.events for s in ev.outputs]
     fresh = iter(range(max((*c.bottom, *born), default=-1) + 1, 10**9))
 
-    merges: list[Merge] = []
-    splits: list[Split] = []
+    merges: list[Event] = []
+    splits: list[Event] = []
     # Strand -> the ascending indices of the splits that output it now.
     made: defaultdict[int, list[int]] = defaultdict(list)
 
@@ -260,7 +258,7 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
 
     rewrites = 0
     for ev in c.events:
-        if isinstance(ev, Split):
+        if ev.kind == SPLIT:
             for s in ev.outputs:
                 made[s].append(len(splits))
             splits.append(ev)
@@ -318,24 +316,16 @@ def reglue(c: CutGraph) -> Foliation:
     live = {s: k for k, s in enumerate(c.bottom)}  # strand -> its current segment
     born: list[tuple[int, str]] = []  # (event, out-slot) of segment b + m
     dies: dict[int, tuple[int, str]] = {}  # segment -> (event, in-slot)
-    for i, ev in enumerate(c.events):
-        if isinstance(ev, Merge):
-            x, y = ev.inputs
-            dies[live.pop(x)], dies[live.pop(y)] = (i, "in0"), (i, "in1")
-            live[ev.output] = b + len(born)
-            born.append((i, "out0"))
-        else:
-            dies[live.pop(ev.input)] = (i, "in0")
-            x, y = ev.outputs
-            live[x], live[y] = b + len(born), b + len(born) + 1
-            born += ((i, "out0"), (i, "out1"))
+    for i, (kind, ins, outs) in enumerate(c.events):
+        for s, slot in zip(ins, IN_SLOTS[kind]):
+            dies[live.pop(s)] = (i, slot)
+        for s, slot in zip(outs, OUT_SLOTS[kind]):
+            live[s] = b + len(born)
+            born.append((i, slot))
     wraps = {live[t]: k for k, t in enumerate(c.top)}
 
     ids = [f"v{i}" for i in range(n)]
-    vertices = tuple(
-        Vertex(ids[i], MERGE if isinstance(ev, Merge) else SPLIT, Fraction(i + 1, n + 1))
-        for i, ev in enumerate(c.events)
-    )
+    vertices = tuple(Vertex(ids[i], ev.kind, Fraction(i + 1, n + 1)) for i, ev in enumerate(c.events))
 
     edges = []
     passed = [False] * b  # bottom segments some edge runs through

@@ -10,6 +10,7 @@ coefficients.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,6 +18,9 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction | int
+
+# A symbol name: the grammar the text format reads.
+SYMBOL_NAME = r"[A-Za-z_]\w*"
 
 
 class TableMismatchError(ValueError):
@@ -36,6 +40,8 @@ class SymbolDecl:
     hi: Fraction
 
     def __post_init__(self):
+        if not re.fullmatch(SYMBOL_NAME, self.name):
+            raise ValueError(f"symbol name {self.name!r} does not match {SYMBOL_NAME}")
         if not self.lo < self.hi:
             raise ValueError(f"symbol {self.name}: interval needs lo < hi")
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .graph import _token_faults
 from .scalars import (
     ExactScalar,
     Rational,
@@ -84,6 +85,10 @@ class SurfaceModel:
     tubes: tuple[Tube, ...]
 
     def __post_init__(self):
+        named = [("model name", self.name)] + [("summand id", s.id) for s in self.summands]
+        faults = _token_faults(named + [("tube id", t.id) for t in self.tubes])
+        if faults:
+            raise ValueError(faults[0])
         if not self.summands:
             raise ValueError("a surface model needs at least one summand")
         ids = [s.id for s in self.summands]

@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from foliagraph import MERGE, SPLIT, CutGraph, Edge, End, FoliationGraph, Merge, Split, Vertex, builtin, is_calabi, validate
+from foliagraph import MERGE, SPLIT, CutGraph, Edge, End, Event, FoliationGraph, Vertex, builtin, is_calabi, validate
 
 
 def _stubs(n_pairs: int):
@@ -119,14 +119,14 @@ def random_reusing_word(rng: random.Random, n_ids: int = 8) -> CutGraph:
                 a, b = rng.sample(live, 2)
                 out = rng.choice([s for s in range(n_ids) if s not in live] + [a, b])
                 live = [s for s in live if s not in (a, b)] + [out]
-                events.append(Merge((a, b), out))
+                events.append(Event(MERGE, (a, b), (out,)))
             else:
                 x = rng.choice(live)
                 free = [s for s in range(n_ids) if s not in live or s == x]
                 if len(free) >= 2:
                     outs = tuple(rng.sample(free, 2))
                     live = [s for s in live if s != x] + list(outs)
-                    events.append(Split(x, outs))
+                    events.append(Event(SPLIT, (x,), outs))
         if len(live) == len(bottom):
             # Both boundaries shuffled: ``top[i]`` continues into ``bottom[i]``.
             top = rng.sample(live, len(live))

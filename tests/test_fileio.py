@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -247,11 +248,48 @@ def test_parse_value_forms():
     assert parse_value("1/2 + 3*lam", t) == t.rational(Fraction(1, 2)) + 3 * t.symbol("lam")
     assert parse_value("-lam + 1", t) == t.rational(1) - t.symbol("lam")
     assert parse_value("0.5", t) == t.rational(Fraction(1, 2))
+    for number in ("-0", "-7/4", "-1.50", "007/010"):
+        assert parse_value(number, t) == t.rational(Fraction(number))
     # Terms add into their coordinates, repeats and rationals included.
     assert parse_value("lam + lam", t) == 2 * t.symbol("lam")
     assert parse_value("0.5*mu - 1/2 - mu", t) == parse_value("-1/2*mu - 1/2", t) == -t.symbol("mu") / 2 - Fraction(1, 2)
     with pytest.raises(ValueError):
         parse_value("lam lam", t)
+
+
+BAD_RATIONALS = ["1_0/31", "1e-1", ".25", "\u0663/31", "\u0663", "1/", "1.", "0x1"]
+
+
+@pytest.mark.parametrize("token", BAD_RATIONALS)
+def test_rational_grammar_is_ascii_in_every_position(token):
+    # Fraction(str) takes some of these, on some Python versions only; the
+    # format reads one grammar, -?[0-9]+(/[0-9]+|.[0-9]+)?, everywhere.
+    angle = THETA_FIXTURE.replace("SPLIT 1/4", f"SPLIT {token}")
+    with pytest.raises(ParseError) as exc:
+        parse(angle, "f")
+    assert str(exc.value) == f"f:4:18: expected a rational number, got {token!r}"
+    bound = f"scalar lam irrational approx [{token}, 2]\nsurface s\n  summand t periods (lam, 1)\nend\n"
+    with pytest.raises(ParseError) as exc:
+        parse(bound, "f")
+    assert str(exc.value) == f"f:1:31: expected a rational number, got {token!r}"
+    for value in (token, f"{token}*lam"):
+        coefficient = f"scalar lam irrational approx [1, 2]\nsurface s\n  summand t periods ({value}, 1)\nend\n"
+        with pytest.raises(ParseError) as exc:
+            parse(coefficient, "f")
+        assert (exc.value.line, exc.value.col) == (3, 22)
+
+
+def test_dot_quotes_ids_with_quotes_and_backslashes():
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    g = _theta(name='th"eta\\', m='a"b', s='a\\"b')
+    assert validate(g).ok
+    text = to_dot(g)
+    # Every quote opens or closes a well-formed quoted string.
+    assert '"' not in quoted.sub("", text)
+    lines = text.splitlines()
+    names = [quoted.search(line).group() for line in lines[:3]]
+    assert [re.sub(r"\\(.)", r"\1", q[1:-1]) for q in names] == [g.name] + [v.id for v in g.vertices]
+    assert len(set(names)) == 3
 
 
 def test_dot_deterministic_and_labeled():

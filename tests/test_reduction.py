@@ -11,11 +11,10 @@ from foliagraph import (
     MERGE,
     SPLIT,
     CutGraph,
+    Event,
     FreeCircle,
-    Merge,
     NotSortableError,
     ReductionTrace,
-    Split,
     StuckError,
     builtin,
     complexity,
@@ -48,21 +47,21 @@ def test_cut_dumbbell_matches_hand_replay():
     assert len(c.bottom) == len(c.top) == 2
     assert len(c.events) == 2
     split, merge = c.events
-    assert isinstance(split, Split) and isinstance(merge, Merge)
+    assert (split.kind, merge.kind) == (SPLIT, MERGE)
     p, q = c.bottom
     # The split consumes one bottom strand, the merge eats one split
     # output together with the other bottom strand.
-    assert split.input == p
+    assert split.inputs == (p,)
     p1, p2 = split.outputs
     assert set(merge.inputs) == {p1, q}
-    r = merge.output
+    (r,) = merge.outputs
     assert dict(zip(c.top, c.bottom)) == {p2: p, r: q}
 
 
 def test_cut_theta_single_strand():
     c = cut(builtin("theta"), Fraction(0))
     assert len(c.bottom) == 1 and len(c.top) == 1
-    assert isinstance(c.events[0], Split) and isinstance(c.events[1], Merge)
+    assert [ev.kind for ev in c.events] == [SPLIT, MERGE]
 
 
 def test_cut_rejects_free_circle_and_singular_angle():
@@ -77,7 +76,7 @@ def test_sort_dumbbell_one_rewrite():
     sorted_cut, rewrites = sort_events(c)
     assert rewrites == 1
     merge, split = sorted_cut.events
-    assert isinstance(merge, Merge) and isinstance(split, Split)
+    assert (merge.kind, split.kind) == (MERGE, SPLIT)
     # Case (ii): merge the split's input with the other bottom strand,
     # then split into the original outward strands.
     assert set(merge.inputs) == set(c.bottom)
@@ -103,7 +102,7 @@ def test_sort_single_strand_bubble_not_sortable():
 
 def test_sort_borrows_smallest_strand():
     # A bubble beside a parallel strand is sortable via the borrow rule.
-    word = (Split(0, (2, 3)), Merge((2, 3), 4))
+    word = (Event(SPLIT, (0,), (2, 3)), Event(MERGE, (2, 3), (4,)))
     c = CutGraph((0, 1), (4, 1), word, "bubble")
     sorted_cut, rewrites = sort_events(c)
     assert rewrites == 1
@@ -111,19 +110,22 @@ def test_sort_borrows_smallest_strand():
     assert merge.inputs == (0, 1)
     assert split.outputs == (4, 1)
     levels = replay(sorted_cut.bottom, sorted_cut.events)
-    assert levels[1] == frozenset({merge.output})
+    assert levels[1] == frozenset(merge.outputs)
 
 
 @pytest.mark.parametrize(
     "bottom, top, events, message",
     [
         ((0, 0), (0, 0), (), "duplicate bottom strands"),
-        ((0,), (2,), (Merge((0, 1), 2),), "dead strand"),
-        ((0, 1), (2, 1), (Merge((0, 0), 2),), "consumes strand 0 twice"),
-        ((0,), (1, 1), (Split(0, (1, 1)),), "split outputs collide"),
-        ((0, 1), (1, 2), (Split(0, (1, 2)),), "output 1 already live"),
-        ((0,), (1,), (Split(0, (1, 2)),), "does not yield the top strands"),
-        ((0, 1), (2,), (Merge((0, 1), 2),), "boundary strand counts differ"),
+        ((0,), (2,), (Event(MERGE, (0, 1), (2,)),), "dead strand"),
+        ((0, 1), (2, 1), (Event(MERGE, (0, 0), (2,)),), "consumes strand 0 twice"),
+        ((0,), (1, 1), (Event(SPLIT, (0,), (1, 1)),), "split outputs collide"),
+        ((0, 1), (1, 2), (Event(SPLIT, (0,), (1, 2)),), "output 1 already live"),
+        ((0,), (1,), (Event(SPLIT, (0,), (1, 2)),), "does not yield the top strands"),
+        ((0, 1), (2,), (Event(MERGE, (0, 1), (2,)),), "boundary strand counts differ"),
+        ((0,), (1,), (Event("SADDLE", (0,), (1,)),), r"event 0: unknown kind 'SADDLE'"),
+        ((0, 1, 2), (3,), (Event(MERGE, (0, 1, 2), (3,)),), r"event 0: MERGE takes 2 input\(s\) and 1 output\(s\)"),
+        ((0,), (1, 2, 3), (Event(SPLIT, (0,), (1, 2, 3)),), r"event 0: SPLIT takes 1 input\(s\) and 2 output\(s\)"),
     ],
 )
 def test_malformed_cut_rejected_at_construction(bottom, top, events, message):
@@ -188,7 +190,12 @@ def test_reglue_vertex_free_cut():
 
 def test_reglue_rejects_two_component_word():
     # Two bubbles on separate strands reglue into two disjoint thetas.
-    word = (Split(0, (2, 3)), Merge((2, 3), 4), Split(1, (5, 6)), Merge((5, 6), 7))
+    word = (
+        Event(SPLIT, (0,), (2, 3)),
+        Event(MERGE, (2, 3), (4,)),
+        Event(SPLIT, (1,), (5, 6)),
+        Event(MERGE, (5, 6), (7,)),
+    )
     c = CutGraph((0, 1), (4, 7), word, "pair")
     with pytest.raises(RegluingError, match="disconnected"):
         reglue(c)
@@ -197,7 +204,7 @@ def test_reglue_rejects_two_component_word():
 def test_reglue_rejects_orphan_glue_orbit():
     # Strand 9 is glued to itself and meets no event: a covering circle
     # beside the graph.
-    word = (Split(0, (1, 2)), Merge((1, 2), 3))
+    word = (Event(SPLIT, (0,), (1, 2)), Event(MERGE, (1, 2), (3,)))
     c = CutGraph((0, 9), (3, 9), word, "x")
     with pytest.raises(RegluingError) as exc:
         reglue(c)
@@ -340,7 +347,7 @@ def test_sort_preserves_interface_and_counting(seed):
     k, witness = complexity(g)
     c = cut(g, witness)
     assert len(c.bottom) == k
-    merges = sum(isinstance(e, Merge) for e in c.events)
+    merges = sum(e.kind == MERGE for e in c.events)
     try:
         sorted_cut, _ = sort_events(c)
     except NotSortableError:
@@ -348,9 +355,9 @@ def test_sort_preserves_interface_and_counting(seed):
         return
     assert sorted_cut.bottom == c.bottom
     assert sorted_cut.top == c.top
-    kinds = [type(e) for e in sorted_cut.events]
-    assert len(kinds) == len(c.events) and kinds.count(Merge) == merges
-    assert kinds == sorted(kinds, key=lambda t: t is Split)
+    kinds = [e.kind for e in sorted_cut.events]
+    assert len(kinds) == len(c.events) and kinds.count(MERGE) == merges
+    assert kinds == sorted(kinds, key=lambda k: k == SPLIT)
     # Separator level: everything merged, nothing split yet.
     levels = replay(sorted_cut.bottom, sorted_cut.events)
     separator = levels[merges]
@@ -422,8 +429,7 @@ def replay(bottom, events):
     the live strand set before each event and after the last one."""
     levels = [frozenset(bottom)]
     for ev in events:
-        ins, outs = (ev.inputs, (ev.output,)) if isinstance(ev, Merge) else ((ev.input,), ev.outputs)
-        levels.append(levels[-1].difference(ins).union(outs))
+        levels.append(levels[-1].difference(ev.inputs).union(ev.outputs))
     return levels
 
 
@@ -432,13 +438,13 @@ def _sort_events_by_full_replay(c):
     fixes the lowest (split, merge) inversion."""
     used = set(c.bottom + c.top)
     for ev in c.events:
-        used.update((ev.inputs + (ev.output,)) if isinstance(ev, Merge) else ((ev.input,) + ev.outputs))
+        used.update(ev.inputs + ev.outputs)
     fresh = iter(range(max(used, default=-1) + 1, 10**9))
     events, rewrites = list(c.events), 0
     while True:
         levels = replay(c.bottom, tuple(events))
         pos = next(
-            (i for i in range(len(events) - 1) if isinstance(events[i], Split) and isinstance(events[i + 1], Merge)),
+            (i for i in range(len(events) - 1) if (events[i].kind, events[i + 1].kind) == (SPLIT, MERGE)),
             None,
         )
         if pos is None:
@@ -539,21 +545,15 @@ def test_sort_events_matches_reference_on_reused_strands():
 def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
     # Two full-word checks per step, when ``cut`` and ``sort_events`` each
     # construct a CutGraph, plus one prefix replay per bubble, the only
-    # rewrite that reads a live set.  No event runs outside a replay, so
-    # commuting and shared-strand rewrites build no set.
-    replays = replayed = applied = bubbles = 0
-    real_live_after, real_apply, real_transpose = reduction.live_after, reduction._apply, _transpose
+    # rewrite that reads a live set, so commuting and shared-strand
+    # rewrites build no set.
+    replays = bubbles = 0
+    real_live_after, real_transpose = reduction.live_after, _transpose
 
     def counting_live_after(bottom, events):
-        nonlocal replays, replayed
+        nonlocal replays
         replays += 1
-        replayed += len(events)
         return real_live_after(bottom, events)
-
-    def counting_apply(live, ev, i):
-        nonlocal applied
-        applied += 1
-        return real_apply(live, ev, i)
 
     def counting_transpose(split, merge, live_before, fresh):
         nonlocal bubbles
@@ -561,7 +561,6 @@ def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
         return real_transpose(split, merge, live_before, fresh)
 
     monkeypatch.setattr(reduction, "live_after", counting_live_after)
-    monkeypatch.setattr(reduction, "_apply", counting_apply)
     monkeypatch.setattr(reduction, "_transpose", counting_transpose)
     rng = random.Random(2024_11)
     steps = rewrites = 0
@@ -576,7 +575,6 @@ def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
         rewrites += sum(s.rewrites for s in trace.steps)
     assert steps and bubbles and rewrites > 10 * bubbles
     assert replays <= 2 * steps + bubbles
-    assert applied == replayed
 
 
 def test_harmonize_sweeps_each_graph_once(monkeypatch):

@@ -190,3 +190,11 @@ def test_rank_and_relation_errors(table):
         late = [table.rational(1), table.rational(2), table.symbol("lam"), table.symbol("mu"), table.symbol("nu")]
         with pytest.raises(TableMismatchError):
             fn(late + [other.symbol("lam")])
+
+
+@pytest.mark.parametrize("name", ["a b", "", "1x", "lam#", "x-y"])
+def test_symbol_name_outside_the_file_grammar_rejected(name):
+    # ``parse`` reads a symbol name as [A-Za-z_]\w*; any other would
+    # serialize to text that does not parse back.
+    with pytest.raises(ValueError, match="does not match"):
+        SymbolDecl(name, Fraction(1), Fraction(2))

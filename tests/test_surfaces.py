@@ -31,6 +31,27 @@ def test_make_torus_ranks():
     assert class_report(make_torus(1 + 0 * lam, lam)).rank == 2
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_torus(1, 0, name="my model"), "model name 'my model'"),
+        (lambda: make_torus(1, 0, name=""), "model name ''"),
+        (lambda: make_torus(1, 0, summand_id="a b"), "summand id 'a b'"),
+        (
+            lambda: connect_sum(
+                make_torus(1, 0, summand_id="a"), make_torus(2, 0, summand_id="c"), "A", SMALL, SMALL, ("a", "c"), "u#1"
+            ),
+            "tube id 'u#1'",
+        ),
+    ],
+)
+def test_model_ids_the_text_format_cannot_carry_rejected(build, message):
+    # graph ``validate``'s rule: the text format splits lines at whitespace
+    # and drops what follows "#", so such an id would not parse back.
+    with pytest.raises(ValueError, match=f"^{message} is empty or holds whitespace or '#'$"):
+        build()
+
+
 def test_make_torus_rejects_zero_form():
     with pytest.raises(ValueError):
         make_torus(0, 0)
