@@ -1,14 +1,19 @@
-"""Size sweep of the reduction and scalar layers: time ``sort_events`` and
-``harmonize`` at doubling vertex counts, and ``qrank`` and
+"""Size sweep of the graph, reduction and scalar layers: time ``parse``,
+``validate``, ``complexity``, ``is_calabi``, ``sort_events``, ``reglue``
+and ``harmonize`` at doubling vertex counts, and ``qrank`` and
 ``integer_relation`` at doubling value counts, and check every answer.
 
     python3 benchmarks/sweep.py [SIZE ...]
 
 SIZE is a vertex count out of the recorded ones, 100, 200, 400 and 800
 (all of them by default).  The input at V vertices is
-``tests/graphgen.random_valid_graph(random.Random(1), n_pairs=V // 2)``;
-``sort_events`` sorts its cut at the complexity witness, and ``harmonize``
-reduces the graph itself (every recorded input is non-Calabi).  The
+``tests/graphgen.random_valid_graph(random.Random(1), n_pairs=V // 2)``.
+``parse`` reads its canonical text; ``validate``, ``complexity`` and
+``is_calabi`` run in that order on each parsed graph, as a ``decide``
+would, so each builds what it needs itself.  ``sort_events`` sorts the
+cut at the complexity witness, ``reglue`` reglues the sorted cut, and
+``harmonize`` reduces the graph itself (every recorded input is
+non-Calabi).  The
 scalar rows always cover all recorded value counts, 48, 96, 192 and 384:
 at N values the inputs are N random values over the three-symbol table of
 ``tests/modelgen.example_table`` (rank 4, the table's full width) and N
@@ -17,8 +22,10 @@ random positive multiples of one value (rank 1, so no early stop in
 best of 3 calls, with ``time.perf_counter``; each scalar call gets fresh
 copies of its values.
 
-Prints one JSON object.  Exits nonzero on a wrong answer: a cut its
-construction check rejects, a sorted word with a split below a merge, a
+Prints one JSON object.  Exits nonzero on a wrong answer: a text that
+does not parse back to the graph and to itself (``serialize(parse(text))
+== text`` and the parsed graph equal to the one built from objects), a
+cut its construction check rejects, a sorted word with a split below a merge, a
 reglued or harmonized graph that fails ``validate``, a harmonize result
 that is not Calabi or not contiguous, a rewrite or step count that
 differs from the recorded one, or a rank or relation that differs from
@@ -98,8 +105,28 @@ def harmonize_outcome(g):
     return trace, result
 
 
+def decide_stages(text: str) -> tuple[dict, object]:
+    """The best of ``REPEAT`` times of each stage of a decide on ``text``,
+    each round on a freshly parsed graph, and the last parsed graph."""
+    best = [float("inf")] * 4
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        g = fg.parse(text)
+        times = [time.perf_counter() - start]
+        for stage in (fg.validate, fg.complexity, fg.is_calabi):
+            start = time.perf_counter()
+            stage(g)
+            times.append(time.perf_counter() - start)
+        best = [min(pair) for pair in zip(best, times)]
+    return dict(zip(("parse_s", "validate_s", "complexity_s", "is_calabi_s"), best)), g
+
+
 def sweep_one(size: int) -> dict:
     g = random_valid_graph(random.Random(1), n_pairs=size // 2)
+    text = fg.serialize(g)
+    stage_s, parsed = decide_stages(text)
+    if parsed != g or fg.serialize(parsed) != text:
+        fail(size, "the parsed graph differs from the object-built one or from its text")
     if not fg.validate(g).ok or fg.is_calabi(g).verdict:
         fail(size, "input is not a valid non-Calabi graph")
     k, witness = fg.complexity(g)
@@ -111,7 +138,8 @@ def sweep_one(size: int) -> dict:
     kinds = [ev.kind == fg.SPLIT for ev in sorted_cut.events]
     if kinds != sorted(kinds):
         fail(size, "sorted word has a split below a merge")
-    if not fg.validate(fg.reglue(sorted_cut)).ok:
+    reglue_s, reglued = best_of(lambda: fg.reglue(sorted_cut))
+    if not fg.validate(reglued).ok:
         fail(size, "reglued sorted cut is invalid")
 
     harmonize_s, (trace, result) = best_of(lambda: harmonize_outcome(g))
@@ -131,7 +159,9 @@ def sweep_one(size: int) -> dict:
     return {
         "vertices": size,
         "complexity": k,
+        **{name: round(t, 5) for name, t in stage_s.items()},
         "sort_events_s": round(sort_s, 4),
+        "reglue_s": round(reglue_s, 5),
         "harmonize_s": round(harmonize_s, 4),
         "harmonize_stuck": result is None,
         **got,

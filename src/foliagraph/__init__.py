@@ -18,7 +18,6 @@ from .graph import (
     Vertex,
     builtin,
     complexity,
-    crossing_count,
     euler_genus,
     is_calabi,
     validate,

@@ -27,18 +27,18 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .graph import (
+    ARITY,
     IN_SLOTS,
     MERGE,
     OUT_SLOTS,
     SPLIT,
-    Edge,
-    End,
     Foliation,
     FoliationGraph,
     FreeCircle,
-    Vertex,
+    _tables,
 )
 from .scalars import SYMBOL_NAME, ExactScalar, SymbolDecl, SymbolTable
 from .surfaces import SMALL, TUBE_KINDS, Disk, Summand, SurfaceModel, Tube, ribbon
@@ -56,25 +56,30 @@ class ParseError(ValueError):
 
 
 class _Lines:
+    """A file's lines that hold more than whitespace and a comment, as
+    (line number, text without the comment), read once, in order, by
+    iterating."""
+
     def __init__(self, text: str, filename: str):
         self.filename = filename
         self.rows: list[tuple[int, str]] = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].rstrip()
-            if body.strip():
-                self.rows.append((i, body))
-        self.pos = 0
+        # Lines end at "\n" only, as in an editor: str.splitlines also
+        # breaks at form feeds and other separators, which would end a
+        # comment early and shift every later line number.  The "\r" of a
+        # CRLF line end is trailing whitespace, like a form feed mid-line.
+        for i, raw in enumerate(text.split("\n"), start=1):
+            if "#" in raw:
+                raw = raw[: raw.index("#")]
+            if raw and not raw.isspace():
+                self.rows.append((i, raw))
+        self._rest = iter(self.rows)
 
-    def peek(self) -> tuple[int, str] | None:
-        return self.rows[self.pos] if self.pos < len(self.rows) else None
+    def __iter__(self):
+        return self._rest
 
-    def take(self) -> tuple[int, str]:
-        row = self.peek()
-        if row is None:
-            last = self.rows[-1][0] if self.rows else 1
-            raise ParseError(last, 1, "unexpected end of file", self.filename)
-        self.pos += 1
-        return row
+    def end_of_file(self):
+        last = self.rows[-1][0] if self.rows else 1
+        raise ParseError(last, 1, "unexpected end of file", self.filename)
 
 
 def _fail(lines: _Lines, lineno: int, col: int, message: str):
@@ -93,14 +98,20 @@ def _col(text: str, word: int) -> int:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
-def _rational(token: str) -> Fraction:
+def _ratio(token: str) -> tuple[int, int]:
+    """The rational ``token`` as an integer numerator and a positive
+    denominator, not reduced."""
     m = _RATIONAL.fullmatch(token)
     if m is None or m[2] is not None and int(m[2]) == 0:
         raise ValueError(f"expected a rational number, got {token!r}")
     whole, den, frac = m.groups()
     if frac is not None:  # whole.frac = int(whole + frac) / 10**len(frac)
-        return Fraction(int(whole + frac), 10 ** len(frac))
-    return Fraction(int(whole), int(den or 1))
+        return int(whole + frac), 10 ** len(frac)
+    return int(whole), int(den or 1)
+
+
+def _rational(token: str) -> Fraction:
+    return Fraction(*_ratio(token))
 
 
 _TERM = re.compile(
@@ -141,44 +152,54 @@ def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
     name = words[1]
     if len(words) == 5 and words[2] == "freecircle" and words[4] == "end":
         # ASCII digits only: str.isdigit also accepts '²', which int() rejects.
-        w = int(words[3]) if words[3].isascii() and words[3].isdigit() else -1
+        try:
+            w = int(words[3]) if words[3].isascii() and words[3].isdigit() else -1
+        except ValueError as exc:  # more digits than int() converts
+            _fail(lines, lineno, _col(header, 3), str(exc))
         if w < 1:
             _fail(lines, lineno, _col(header, 3), "freecircle winding must be a natural >= 1")
         return FreeCircle(name, w)
     if len(words) != 2:
         _fail(lines, lineno, _col(header, 2), "expected 'graph <name>' or 'graph <name> freecircle <w> end'")
 
-    vertices: list[Vertex] = []
-    edges: list[Edge] = []
-    while True:
-        lno, text = lines.take()
+    # The graph's rows in file order; _tables sorts them into id order.
+    vertices: list[tuple[str, str, int, int]] = []
+    edges: list[tuple[str, str, str, str, str, int]] = []
+    for lno, text in lines:
         ws = text.split()
         if ws[0] == "end":
-            return FoliationGraph(name, tuple(vertices), tuple(edges))
+            return FoliationGraph._make(*_tables(name, vertices, edges))
         if ws[0] == "vertex":
-            if len(ws) != 4 or ws[2] not in (MERGE, SPLIT):
+            if len(ws) != 4 or ws[2] not in ARITY:
                 _fail(lines, lno, _col(text, 0), "expected 'vertex <id> MERGE|SPLIT <angle>'")
             try:
-                angle = _rational(ws[3])
+                num, den = _ratio(ws[3])
             except ValueError as exc:
                 _fail(lines, lno, _col(text, 3), str(exc))
-            if not 0 <= angle < 1:
+            if not 0 <= num < den:
                 _fail(lines, lno, _col(text, 3), f"angle {ws[3]} outside [0, 1) turns")
-            vertices.append(Vertex(ws[1], ws[2], angle))
+            g = gcd(num, den)
+            vertices.append((ws[1], MERGE if ws[2] == MERGE else SPLIT, num // g, den // g))
         elif ws[0] == "edge":
             if len(ws) != 7 or ws[3] != "->" or ws[5] != "winding":
                 _fail(lines, lno, _col(text, 0), "expected 'edge <id> <v>.<out> -> <v>.<in> winding <nat>'")
             # (vertex, slot) split at the last ".", so a vertex id may hold dots.
-            tail, head = End(*ws[2].rpartition(".")[::2]), End(*ws[4].rpartition(".")[::2])
-            if not tail.vertex or tail.slot not in OUT_SLOTS[SPLIT]:
+            tail, _, tail_slot = ws[2].rpartition(".")
+            head, _, head_slot = ws[4].rpartition(".")
+            if not tail or tail_slot not in OUT_SLOTS[SPLIT]:
                 _fail(lines, lno, _col(text, 2), f"tail {ws[2]!r} must be <vertex>.out0 or .out1")
-            if not head.vertex or head.slot not in IN_SLOTS[MERGE]:
+            if not head or head_slot not in IN_SLOTS[MERGE]:
                 _fail(lines, lno, _col(text, 4), f"head {ws[4]!r} must be <vertex>.in0 or .in1")
             if not (ws[6].isascii() and ws[6].isdigit()):
                 _fail(lines, lno, _col(text, 6), "winding must be a natural number")
-            edges.append(Edge(ws[1], tail, head, int(ws[6])))
+            try:
+                winding = int(ws[6])
+            except ValueError as exc:  # more digits than int() converts
+                _fail(lines, lno, _col(text, 6), str(exc))
+            edges.append((ws[1], tail, tail_slot, head, head_slot, winding))
         else:
             _fail(lines, lno, _col(text, 0), f"unexpected directive {ws[0]!r} in graph block")
+    lines.end_of_file()
 
 
 _DISK_RE = re.compile(r"^(small|ribbon\((\d+)\))$")
@@ -199,8 +220,7 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
     summands: list[Summand] = []
     known: set[str] = set()
     tubes: list[Tube] = []
-    while True:
-        lno, text = lines.take()
+    for lno, text in lines:
         ws = text.split()
         if ws[0] == "end":
             try:
@@ -240,6 +260,7 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
             tubes.append(Tube(ws[1], ws[2], ws[3], ws[5], *disks))
         else:
             _fail(lines, lno, _col(text, 0), f"unexpected directive {ws[0]!r} in surface block")
+    lines.end_of_file()
 
 
 def parse(data: bytes | str, filename: str = "<input>") -> ParsedFile:
@@ -252,13 +273,12 @@ def parse(data: bytes | str, filename: str = "<input>") -> ParsedFile:
     else:
         text = data
     lines = _Lines(text, filename)
-    if lines.peek() is None:
+    if not lines.rows:
         raise ParseError(1, 1, "empty file", filename)
 
     decls: list[SymbolDecl] = []
     result: ParsedFile | None = None
-    while lines.peek() is not None:
-        lineno, text_line = lines.take()
+    for lineno, text_line in lines:
         words = text_line.split()
         if words[0] == "scalar":
             m = re.match(
@@ -312,14 +332,13 @@ def serialize(obj: ParsedFile) -> str:
 def serialize_graph(g: Foliation) -> str:
     if isinstance(g, FreeCircle):
         return f"graph {g.name} freecircle {g.winding} end\n"
+    ids, slots = g._ids, g._slots
     out = [f"graph {g.name}"]
-    for v in g.vertices:
-        out.append(f"  vertex {v.id} {v.kind} {v.angle}")
-    for e in g.edges:
-        out.append(
-            f"  edge {e.id} {e.tail.vertex}.{e.tail.slot} -> "
-            f"{e.head.vertex}.{e.head.slot} winding {e.winding}"
-        )
+    out += [f"  vertex {v} {kind} {angle}" for v, kind, angle in zip(ids, g._kinds, g._angle)]
+    out += [
+        f"  edge {e} {ids[t]}.{slots[ts]} -> {ids[h]}.{slots[hs]} winding {w}"
+        for e, t, ts, h, hs, w in zip(g._eids, g._tail, g._tail_slot, g._head, g._head_slot, g._winding)
+    ]
     out.append("end")
     return "\n".join(out) + "\n"
 

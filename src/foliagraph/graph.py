@@ -11,17 +11,25 @@ property of the form becomes strong connectivity of the directed graph.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from fractions import Fraction
+from operator import attrgetter, eq, itemgetter
 
 MERGE = "MERGE"
 SPLIT = "SPLIT"
 
 IN_SLOTS = {MERGE: ("in0", "in1"), SPLIT: ("in0",)}
 OUT_SLOTS = {MERGE: ("out0",), SPLIT: ("out0", "out1")}
+
+# Slot indices.  Each kind's in-slots are a prefix of SLOTS[:2] and its
+# out-slots a prefix of SLOTS[2:], so slot s of vertex v is port 4 * v + s,
+# and a kind's ports are 4 * v + (0 .. ins - 1, 2 .. 2 + outs - 1).
+SLOTS = IN_SLOTS[MERGE] + OUT_SLOTS[SPLIT]
+ARITY = {kind: (len(IN_SLOTS[kind]), len(OUT_SLOTS[kind])) for kind in IN_SLOTS}
+_SLOT_INDEX = {slot: s for s, slot in enumerate(SLOTS)}
+_PORTS = {kind: tuple(_SLOT_INDEX[s] for s in IN_SLOTS[kind] + OUT_SLOTS[kind]) for kind in ARITY}
 
 
 @dataclass(frozen=True)
@@ -45,51 +53,177 @@ class Edge:
     winding: int
 
 
-@dataclass(frozen=True)
+# The tables of a FoliationGraph, in the order ``_make`` takes them.
+_TABLES = (
+    "name", "_ids", "_kinds", "_num", "_den", "_flo",
+    "_eids", "_tail", "_tail_slot", "_head", "_head_slot", "_winding", "_slots",
+)
+
+
+def _tables(name: str, vertices: list[tuple], edges: list[tuple]) -> tuple:
+    """The tables of a graph, in ``_TABLES`` order, from rows in any order:
+    (id, kind, angle numerator, angle denominator), as ``_lowest_terms``
+    gives them, per vertex, and (id, tail vertex id, tail slot name, head
+    vertex id, head slot name, winding) per edge.
+
+    Rows go into id order (a stable sort, so equal ids keep their given
+    order).  An end names the last vertex with its id.  Ids that no vertex
+    carries, and slot names outside SLOTS, which only an invalid graph
+    has, are numbered after the vertices and after SLOTS, in order of
+    first use, so the tables keep every name they were given.
+    """
+    ids, kinds, num, den = _columns(sorted(vertices, key=itemgetter(0)), 4)
+    eids, tails, tail_slots, heads, head_slots, windings = _columns(sorted(edges, key=itemgetter(0)), 6)
+    slots = list(SLOTS)
+
+    def numbered(names: list, table: list, index: dict) -> list[int]:
+        found = [index.get(x) for x in names]
+        if None in found:
+            for x in names:
+                if x not in index:
+                    index[x] = len(table)
+                    table.append(x)
+            found = [index[x] for x in names]
+        return found
+
+    vindex = {vid: v for v, vid in enumerate(ids)}
+    sindex = dict(_SLOT_INDEX)
+    tail, head = numbered(tails, ids, vindex), numbered(heads, ids, vindex)
+    tail_slot, head_slot = numbered(tail_slots, slots, sindex), numbered(head_slots, slots, sindex)
+    # Angles outside [0, 1), which only an invalid graph has and whose
+    # quotient may not fit in a float, all take 1.0: ``_order`` sorts the
+    # floats and breaks their ties by the exact angles.
+    flo = [n / d if 0 <= n < d else 1.0 for n, d in zip(num, den)]
+    return (
+        name, ids, kinds, num, den, flo, eids, tail, tail_slot, head, head_slot, windings,
+        SLOTS if len(slots) == len(SLOTS) else tuple(slots),
+    )
+
+
+def _lowest_terms(angle) -> tuple:
+    """``angle`` in lowest terms, as (numerator, denominator); an infinite
+    or nan float, which only an invalid graph has, as (angle, 1)."""
+    try:
+        a = Fraction(angle)
+    except (OverflowError, ValueError):
+        return angle, 1
+    return a.numerator, a.denominator
+
+
+def _columns(rows: list[tuple], width: int) -> list[list]:
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class FoliationGraph:
+    """A foliation graph, held as flat tables indexed by position in id
+    order.  ``FoliationGraph(name, vertices, edges)`` converts the objects
+    once; ``parse`` and ``reglue`` fill the tables directly.  ``vertices``
+    and ``edges`` are built from the tables on first read.  Equality,
+    hash and repr are those of the dataclass of (name, vertices, edges),
+    with vertices and edges in id order.
+
+    Per vertex: ``_ids``, ``_kinds``, the angle as ``_num``/``_den`` in
+    lowest terms and ``_flo``, its nearest float (1.0 outside [0, 1)).
+    Per edge: ``_eids``, each end as a vertex index (``_tail``,
+    ``_head``) and an index into ``_slots`` (``_tail_slot``,
+    ``_head_slot``), and ``_winding``.
+    ``_ids`` and ``_slots`` go on past the vertices and SLOTS with the
+    names an invalid graph's ends use but no vertex or slot carries.
+    Every index below, the angles as ``Fraction``s among them, is built
+    on first use from these; the graph is frozen, so none goes stale.
+    """
+
     name: str
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        # Canonical id order makes equality structural and serialization
-        # order-independent; every index below inherits it.
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=lambda v: v.id)))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
+    def __init__(self, name: str, vertices, edges):
+        vertices = sorted(vertices, key=attrgetter("id"))
+        self.__dict__.update(zip(_TABLES, _tables(
+            name,
+            [(v.id, v.kind, *_lowest_terms(v.angle)) for v in vertices],
+            [(e.id, e.tail.vertex, e.tail.slot, e.head.vertex, e.head.slot, e.winding) for e in edges],
+        )))
+        # The angles as given, so that ``vertices`` returns them unchanged.
+        self.__dict__["_angle"] = [v.angle for v in vertices]
 
-    # Indices and derived values, built on first use; the dataclass is
-    # frozen, so they never go stale.  cached_property keeps them out of
-    # the compared fields.
-
-    @cached_property
-    def _vertex_by_id(self) -> dict[str, Vertex]:
-        return {v.id: v for v in self.vertices}
-
-    @cached_property
-    def _succ(self) -> dict[str, list[Edge]]:
-        succ: dict[str, list[Edge]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            succ.setdefault(e.tail.vertex, []).append(e)
-        return succ
+    @classmethod
+    def _make(cls, *tables) -> FoliationGraph:
+        """A graph from its tables, given in ``_TABLES`` order."""
+        g = object.__new__(cls)
+        g.__dict__.update(zip(_TABLES, tables))
+        return g
 
     @cached_property
-    def _pred(self) -> dict[str, list[Edge]]:
-        pred: dict[str, list[Edge]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            pred.setdefault(e.head.vertex, []).append(e)
-        return pred
+    def _angle(self) -> list[Fraction]:
+        return list(map(Fraction, self._num, self._den))
+
+    def _angle_of(self, v: int) -> Fraction:
+        """The angle of vertex ``v``, without building every other one."""
+        return Fraction(self._num[v], self._den[v])
 
     @cached_property
-    def _order(self) -> tuple[Vertex, ...]:
-        """Vertices by increasing angle: the circular order of the critical
-        values.  Gap ``k`` of this order holds the regular levels just below
-        ``_order[k]``; gap 0 also holds those above the highest one.
-        ``reglue`` seeds it, since it builds its vertices in angle order."""
-        return tuple(sorted(self.vertices, key=lambda v: v.angle))
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(map(Vertex, self._ids, self._kinds, self._angle))
 
     @cached_property
-    def _rank(self) -> dict[str, int]:
-        return {v.id: k for k, v in enumerate(self._order)}
+    def edges(self) -> tuple[Edge, ...]:
+        ids, slots = self._ids, self._slots
+        return tuple(
+            Edge(e, End(ids[t], slots[ts]), End(ids[h], slots[hs]), w)
+            for e, t, ts, h, hs, w in zip(
+                self._eids, self._tail, self._tail_slot, self._head, self._head_slot, self._winding
+            )
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Equal tables hold equal names in equal places: the same test as
+        # comparing (name, vertices, edges).
+        return all(self.__dict__[t] == other.__dict__[t] for t in _TABLES)
+
+    def __hash__(self):
+        return hash((self.name, self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(name={self.name!r}, vertices={self.vertices!r}, edges={self.edges!r})"
+
+    @cached_property
+    def _succ(self) -> tuple[list[int], list[int]]:
+        """Each vertex's out-edges, as ``_incident`` lists them."""
+        return _incident(len(self._ids), self._tail)
+
+    @cached_property
+    def _pred(self) -> tuple[list[int], list[int]]:
+        """Each vertex's in-edges, as ``_incident`` lists them."""
+        return _incident(len(self._ids), self._head)
+
+    @cached_property
+    def _order(self) -> list[int]:
+        """Vertex indices by increasing angle: the circular order of the
+        critical values.  Gap ``k`` of this order holds the regular levels
+        just below the ``k``-th; gap 0 also holds those above the highest
+        one.  Sorting by float is exact but where floats tie: a correctly
+        rounded float never reverses two angles.  Ties, which only angles
+        within a rounding step of each other or outside [0, 1) make, are
+        sorted again by the exact angles.  ``reglue`` seeds it, since it
+        builds its vertices in angle order."""
+        flo = self._flo
+        order = sorted(range(len(flo)), key=flo.__getitem__)
+        if len(set(flo)) < len(flo):
+            angle = self._angle
+            order.sort(key=lambda v: (flo[v], angle[v]))
+        return order
+
+    @cached_property
+    def _rank(self) -> list[int]:
+        """Each vertex's position in ``_order``."""
+        rank = [0] * len(self._order)
+        for k, v in enumerate(self._order):
+            rank[v] = k
+        return rank
 
     @cached_property
     def _complexity(self) -> tuple[int, Fraction]:
@@ -99,38 +233,56 @@ class FoliationGraph:
         but for the last, which wraps, so the witness is the midpoint of
         the first minimizing gap or of the last one."""
         start = sum(self._crossings(0))
-        counts = list(accumulate((1 if v.kind == SPLIT else -1 for v in self._order), initial=start))[1:]
+        kinds = self._kinds
+        counts = list(accumulate((1 if kinds[v] == SPLIT else -1 for v in self._order), initial=start))[1:]
         best = min(counts)
         return best, min(self._midpoint(k) for k in (counts.index(best), len(counts) - 1) if counts[k] == best)
 
     def _midpoint(self, k: int) -> Fraction:
         """The circular midpoint of the gap above the critical value of rank ``k``."""
-        lo = self._order[k].angle
-        hi = self._order[k + 1].angle if k + 1 < len(self._order) else self._order[0].angle + 1
+        order = self._order
+        lo = self._angle_of(order[k])
+        hi = self._angle_of(order[k + 1]) if k + 1 < len(order) else self._angle_of(order[0]) + 1
         return _turn((lo + hi) / 2)
 
     def _gap(self, a: Fraction, noun: str) -> tuple[Fraction, int]:
         """The angle ``a`` turned into [0, 1) and the gap holding it; a
         critical value raises ValueError, naming it as ``noun``."""
         a = _turn(Fraction(a))
-        k = bisect_left(self._order, a, key=lambda v: v.angle)
-        if k < len(self._order) and self._order[k].angle == a:
+        p, q, num, den, order = a.numerator, a.denominator, self._num, self._den, self._order
+        # With positive denominators, n/d < p/q exactly when n * q < p * d.
+        k = bisect_left(order, 0, key=lambda v: num[v] * q - p * den[v])
+        if k < len(order) and num[order[k]] * q == p * den[order[k]]:
             raise ValueError(f"{noun} {a} is a critical value")
-        return a, k if k < len(self._order) else 0
+        return a, k if k < len(order) else 0
 
     def _crossings(self, gap: int) -> list[int]:
         """How many times each edge, in edge order, crosses a level in
         ``gap``: ``winding`` times, once more if the gap lies on its arc
         from tail up to head."""
         n, rank = len(self._order), self._rank
-        ends = ((e.winding, rank[e.tail.vertex], rank[e.head.vertex]) for e in self.edges)
-        return [w + (0 < (gap - t) % n <= (h - t) % n) for w, t, h in ends]
+        return [
+            w + (0 < (gap - rank[t]) % n <= (rank[h] - rank[t]) % n)
+            for w, t, h in zip(self._winding, self._tail, self._head)
+        ]
 
     def merge_count(self) -> int:
-        return sum(1 for v in self.vertices if v.kind == MERGE)
+        return self._kinds.count(MERGE)
 
     def split_count(self) -> int:
-        return sum(1 for v in self.vertices if v.kind == SPLIT)
+        return self._kinds.count(SPLIT)
+
+
+def _incident(n: int, ends: list[int]) -> tuple[list[int], list[int]]:
+    """For each of ``n`` vertices, the edges whose end in ``ends`` it is, in
+    edge order, in two flat lists (edges, start): vertex v's are
+    ``edges[start[v]:start[v + 1]]``.  Two lists per graph, not one per
+    vertex, keep the collector's work per graph small."""
+    edges = sorted(range(len(ends)), key=ends.__getitem__)
+    start = [0] * (n + 1)
+    for v in ends:
+        start[v + 1] += 1
+    return edges, list(accumulate(start))
 
 
 @dataclass(frozen=True)
@@ -170,12 +322,12 @@ class CalabiCertificate:
     obstruction: Obstruction | None = None
 
 
-def _token_faults(named: list[tuple[str, str]]) -> list[str]:
-    """One message per ``(noun, ident)`` whose ident the text formats cannot
-    carry: they split lines at whitespace and drop what follows "#"."""
+def _token_faults(noun: str, idents: list[str]) -> list[str]:
+    """One message per ident the text formats cannot carry, named as
+    ``noun``: they split lines at whitespace and drop what follows "#"."""
     return [
         f"{noun} {ident!r} is empty or holds whitespace or '#'"
-        for noun, ident in named
+        for ident in idents
         if ident.split() != [ident] or "#" in ident
     ]
 
@@ -186,91 +338,96 @@ def _turn(x: Fraction) -> Fraction:
 
 def validate(g: Foliation) -> ValidationReport:
     """Check every structural invariant, reporting all failures."""
-    named = [("graph name", g.name)]
-    if isinstance(g, FoliationGraph):
-        named += [("vertex id", v.id) for v in g.vertices] + [("edge id", e.id) for e in g.edges]
-    bad = _token_faults(named)
+    bad = _token_faults("graph name", [g.name])
     if isinstance(g, FreeCircle):
         if g.winding < 1:
             bad.append("free circle winding must be >= 1")
         return ValidationReport(not bad, tuple(bad))
 
-    if len(g._vertex_by_id) != len(g.vertices):
+    ids, kinds, num, den, eids = g._ids, g._kinds, g._num, g._den, g._eids
+    nv = len(kinds)
+    bad += _token_faults("vertex id", ids[:nv]) + _token_faults("edge id", eids)
+    if len(set(ids[:nv])) != nv:
         bad.append("duplicate vertex ids")
-    eids = [e.id for e in g.edges]
     if len(set(eids)) != len(eids):
         bad.append("duplicate edge ids")
-    if not g.vertices:
+    if not nv:
         bad.append("graph has no vertices (use a free circle record instead)")
         return ValidationReport(False, tuple(bad))
 
-    for v in g.vertices:
-        if v.kind not in (MERGE, SPLIT):
-            bad.append(f"vertex {v.id}: unknown kind {v.kind}")
-        if not 0 <= v.angle < 1:
-            bad.append(f"vertex {v.id}: angle {v.angle} outside [0, 1)")
+    for v, (vid, kind) in enumerate(zip(ids, kinds)):
+        if kind not in ARITY:
+            bad.append(f"vertex {vid}: unknown kind {kind}")
+        if not 0 <= num[v] < den[v]:
+            bad.append(f"vertex {vid}: angle {g._angle[v]} outside [0, 1)")
 
-    # Slot discipline: every slot of every vertex used by exactly one
-    # edge end (an edge may occupy two slots of one vertex).
-    usage: Counter[tuple[str, str]] = Counter()
-    dangling = False
-    for e in g.edges:
-        for end, direction in ((e.tail, "out"), (e.head, "in")):
-            v = g._vertex_by_id.get(end.vertex)
-            if v is None:
-                bad.append(f"edge {e.id}: unknown vertex {end.vertex}")
-                dangling = True
-                continue
-            legal = OUT_SLOTS if direction == "out" else IN_SLOTS
-            if end.slot not in legal.get(v.kind, ()):
-                bad.append(
-                    f"edge {e.id}: slot {end.vertex}.{end.slot} not an "
-                    f"{direction}-slot of a {v.kind} vertex"
-                )
-            else:
-                usage[(end.vertex, end.slot)] += 1
-        if e.winding < 0:
-            bad.append(f"edge {e.id}: negative winding")
-        if e.tail.vertex == e.head.vertex and e.winding < 1:
-            bad.append(f"edge {e.id}: loop needs winding >= 1")
-    for v in g.vertices:
-        if v.kind not in (MERGE, SPLIT):
-            continue
-        for slot in IN_SLOTS[v.kind] + OUT_SLOTS[v.kind]:
-            n = usage.get((v.id, slot), 0)
-            if n == 0:
-                bad.append(f"vertex {v.id}: slot {slot} unused")
-            elif n > 1:
-                bad.append(f"vertex {v.id}: slot {slot} reused ({n} edge ends)")
+    bad += _end_faults(g)
 
-    angles = [v.angle for v in g.vertices]
-    if len(set(angles)) != len(angles):
+    # Sorted, equal angles are adjacent.
+    angles = [(num[v], den[v]) for v in g._order]
+    if any(map(eq, angles, angles[1:])):
         bad.append("vertex angles not pairwise distinct (critical values must differ)")
 
     if g.merge_count() != g.split_count():
         bad.append(
             f"#MERGE = {g.merge_count()} differs from #SPLIT = {g.split_count()}"
         )
-    if 2 * len(g.edges) != 3 * len(g.vertices):
-        bad.append(f"2E = {2 * len(g.edges)} differs from 3V = {3 * len(g.vertices)}")
+    if 2 * len(eids) != 3 * nv:
+        bad.append(f"2E = {2 * len(eids)} differs from 3V = {3 * nv}")
 
-    if not dangling and not _connected(g):
+    # An end naming no vertex (numbered past the vertices) skips the search.
+    if len(ids) == nv and not _connected(g):
         bad.append("underlying graph not connected")
 
     return ValidationReport(not bad, tuple(bad))
 
 
+def _end_faults(g: FoliationGraph) -> list[str]:
+    """The messages of ``validate``'s end checks, edge by edge and then
+    vertex by vertex: every slot of every vertex used by exactly one edge
+    end (an edge may occupy two slots of one vertex), and windings.  Uses
+    are counted per port; an end names the last vertex with its id, so
+    vertices that share an id share that vertex's slots."""
+    ids, kinds, slots, nv = g._ids, g._kinds, g._slots, len(g._kinds)
+    bad = []
+    use = [0] * (4 * nv)
+    for eid, t, ts, h, hs, w in zip(g._eids, g._tail, g._tail_slot, g._head, g._head_slot, g._winding):
+        for v, s, legal, direction in ((t, ts, OUT_SLOTS, "out"), (h, hs, IN_SLOTS, "in")):
+            if v >= nv:
+                bad.append(f"edge {eid}: unknown vertex {ids[v]}")
+            elif slots[s] not in legal.get(kinds[v], ()):
+                bad.append(f"edge {eid}: slot {ids[v]}.{slots[s]} not an {direction}-slot of a {kinds[v]} vertex")
+            else:
+                use[4 * v + s] += 1
+        if w < 0:
+            bad.append(f"edge {eid}: negative winding")
+        if t == h and w < 1:
+            bad.append(f"edge {eid}: loop needs winding >= 1")
+    last = {vid: v for v, vid in enumerate(ids[:nv])}
+    for vid, kind in zip(ids, kinds):
+        for s in _PORTS.get(kind, ()):
+            n = use[4 * last[vid] + s]
+            if n == 0:
+                bad.append(f"vertex {vid}: slot {SLOTS[s]} unused")
+            elif n > 1:
+                bad.append(f"vertex {vid}: slot {SLOTS[s]} reused ({n} edge ends)")
+    return bad
+
+
 def _connected(g: FoliationGraph) -> bool:
-    """Whether the underlying undirected graph (no dangling edges) is connected."""
-    seen = {g.vertices[0].id}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for w in [e.head.vertex for e in g._succ[v]] + [e.tail.vertex for e in g._pred[v]]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(g.vertices)
+    """Whether the underlying undirected graph is connected: union-find
+    over the edges, with path halving."""
+    root = list(range(len(g._ids)))
+    parts = len(root)
+    for t, h in zip(g._tail, g._head):
+        while root[t] != t:
+            root[t] = t = root[root[t]]
+        while root[h] != h:
+            root[h] = h = root[root[h]]
+        if t != h:
+            root[t] = h
+            parts -= 1
+    return parts == 1
 
 
 def builtin(name: str) -> Foliation:
@@ -311,14 +468,6 @@ def builtin(name: str) -> Foliation:
     raise ValueError(f"unknown builtin graph {name!r}")
 
 
-def crossing_count(g: Foliation, a: Fraction) -> int:
-    """Cardinality of the height preimage of the regular angle ``a``."""
-    if isinstance(g, FreeCircle):
-        return g.winding
-    _, gap = g._gap(a, "angle")
-    return sum(g._crossings(gap))
-
-
 def complexity(g: Foliation) -> tuple[int, Fraction]:
     """Minimum crossing count over regular levels, with the smallest
     minimizing sample angle as witness.  One sweep per graph: the result
@@ -329,20 +478,22 @@ def complexity(g: Foliation) -> tuple[int, Fraction]:
     return g._complexity
 
 
-def _bfs_tree(g: FoliationGraph, start: str, reverse: bool = False) -> dict[str, Edge | None]:
-    """Breadth-first tree over out-edges (in-edges if ``reverse``), in
-    edge-id order: each reached vertex, in visiting order, mapped to the
-    edge it was reached along (None for ``start``)."""
-    adjacent = g._pred if reverse else g._succ
-    tree: dict[str, Edge | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        for e in adjacent[queue.popleft()]:
-            w = e.tail.vertex if reverse else e.head.vertex
-            if w not in tree:
-                tree[w] = e
-                queue.append(w)
-    return tree
+def _bfs(g: FoliationGraph, start: int, reverse: bool = False) -> tuple[list[int], list[int | None]]:
+    """Breadth-first search over out-edges (in-edges if ``reverse``), in
+    edge order: the vertices reached, in visiting order, and for each
+    vertex the edge it was reached along (-1 for ``start``, None if
+    unreached)."""
+    (edges, at), far = (g._pred, g._tail) if reverse else (g._succ, g._head)
+    via: list[int | None] = [None] * len(g._ids)
+    via[start] = -1
+    reached = [start]
+    for v in reached:
+        for e in edges[at[v] : at[v + 1]]:
+            w = far[e]
+            if via[w] is None:
+                via[w] = e
+                reached.append(w)
+    return reached, via
 
 
 def is_calabi(g: Foliation) -> CalabiCertificate:
@@ -357,47 +508,54 @@ def is_calabi(g: Foliation) -> CalabiCertificate:
     the smallest-id vertex that does not reach everything, with the
     smallest-id vertex outside its positive out-set.
     """
-    if isinstance(g, FreeCircle) or not g.vertices:
+    if isinstance(g, FreeCircle) or not g._kinds:
         return CalabiCertificate(True)
+    nv = len(g._kinds)
     down, up = _root_trees(g)
-    if len(up) == len(g.vertices):
+    if len(up[0]) == nv:
         return CalabiCertificate(True, cycles=_root_walks(g, down, up))
-    if len(down) == len(g.vertices):
+    if len(down[0]) == nv:
         # Everything is reachable from the root, so exactly the vertices
         # that cannot reach the root fail to reach everything.
-        source = next(v.id for v in g.vertices if v.id not in up)
-        reach = _bfs_tree(g, source)
+        source = up[1].index(None)
+        reached, via = _bfs(g, source)
     else:
-        source, reach = g.vertices[0].id, down
-    target = next(v.id for v in g.vertices if v.id not in reach)
-    return CalabiCertificate(False, obstruction=Obstruction(source, target, tuple(sorted(reach))))
+        source, (reached, via) = 0, down
+    ids = g._ids
+    out_set = tuple(ids[v] for v in sorted(reached))
+    return CalabiCertificate(False, obstruction=Obstruction(ids[source], ids[via.index(None)], out_set))
 
 
-def _root_trees(g: FoliationGraph) -> tuple[dict[str, Edge | None], dict[str, Edge | None]]:
-    """The forward search tree from the root, the smallest vertex id, and
-    the reverse one if the forward tree spans the graph (else empty): the
-    graph is strongly connected iff the reverse tree spans it too."""
-    root = g.vertices[0].id
-    down = _bfs_tree(g, root)
-    up = _bfs_tree(g, root, reverse=True) if len(down) == len(g.vertices) else {}
+def _root_trees(g: FoliationGraph) -> tuple[tuple[list, list], tuple[list, list]]:
+    """The forward search from the root, vertex 0 (the smallest id), and
+    the reverse one if the forward search spans the graph (else one that
+    reaches nothing): the graph is strongly connected iff the reverse
+    search spans it too."""
+    down = _bfs(g, 0)
+    up = _bfs(g, 0, reverse=True) if len(down[0]) == len(g._kinds) else ([], [])
     return down, up
 
 
 def _calabi_verdict(g: Foliation) -> bool:
     """``is_calabi(g).verdict`` without building the certificate."""
-    return isinstance(g, FreeCircle) or not g.vertices or len(_root_trees(g)[1]) == len(g.vertices)
+    return isinstance(g, FreeCircle) or not g._kinds or len(_root_trees(g)[1][0]) == len(g._kinds)
 
 
-def _root_walks(g: FoliationGraph, down: dict, up: dict) -> tuple[tuple[str, ...], ...]:
-    into = {}  # tree path root -> v, in BFS order so parents come first
-    for v, e in down.items():
-        into[v] = () if e is None else into[e.tail.vertex] + (e.id,)
-    back = {}  # tree path v -> root
-    for v, e in up.items():
-        back[v] = () if e is None else (e.id,) + back[e.head.vertex]
+def _root_walks(g: FoliationGraph, down: tuple[list, list], up: tuple[list, list]) -> tuple[tuple[str, ...], ...]:
+    eids, tail, head = g._eids, g._tail, g._head
+    into: list[tuple[str, ...]] = [()] * len(g._ids)  # tree path root -> v, built parents first
+    reached, via = down
+    for v in reached[1:]:
+        e = via[v]
+        into[v] = into[tail[e]] + (eids[e],)
+    back: list[tuple[str, ...]] = [()] * len(g._ids)  # tree path v -> root
+    reached, via = up
+    for v in reached[1:]:
+        e = via[v]
+        back[v] = (eids[e],) + back[head[e]]
     walks = []
-    for e in g.edges:
-        walk = into[e.tail.vertex] + (e.id,) + back[e.head.vertex]
+    for e, t, h in zip(eids, tail, head):
+        walk = into[t] + (e,) + back[h]
         k = walk.index(min(walk))
         walks.append(walk[k:] + walk[:k])
     return tuple(dict.fromkeys(walks))
@@ -407,7 +565,7 @@ def euler_genus(g: Foliation) -> tuple[int, int]:
     """Euler characteristic and genus of the modeled surface."""
     if isinstance(g, FreeCircle):
         return 0, 1
-    nv, ne = len(g.vertices), len(g.edges)
+    nv, ne = len(g._kinds), len(g._eids)
     genus = (nv + 2) // 2
     betti = ne - nv + 1
     if genus != betti or (nv + 2) % 2:

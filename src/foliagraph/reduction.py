@@ -6,10 +6,10 @@ events acting on strands (edge segments crossing the cut) between two
 aligned boundaries: each top strand continues into the bottom strand at
 the same position.  An event is a vertex in the graph layer's slot
 vocabulary: ``Event(kind, inputs, outputs)`` holds one strand per slot
-of ``IN_SLOTS[kind]`` and ``OUT_SLOTS[kind]``, so ``cut`` reads it off a
-vertex and ``reglue`` writes it back by zipping with the same tables.
-Sorting the word by adjacent
-transpositions is the combinatorial shadow of rearranging the Morse
+of ``IN_SLOTS[kind]`` and ``OUT_SLOTS[kind]``, in slot order, so ``cut``
+reads it off a vertex's ports and ``reglue`` writes it back into the
+graph's tables, both by the graph layer's slot indices (``SLOTS``).
+Sorting the word by adjacent transpositions is the combinatorial shadow of rearranging the Morse
 function to be self-indexing; regluing the sorted word yields a graph
 with strictly smaller complexity and the same number of merges and
 splits.  Iterating reaches a Calabi graph.
@@ -21,19 +21,17 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd
 from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .graph import (
-    IN_SLOTS,
+    ARITY,
     MERGE,
-    OUT_SLOTS,
+    SLOTS,
     SPLIT,
-    Edge,
-    End,
     Foliation,
     FoliationGraph,
     FreeCircle,
-    Vertex,
     _calabi_verdict,
     _connected,
     complexity,
@@ -108,10 +106,6 @@ class CutGraph:
             raise ValueError("boundary strand counts differ")
 
 
-# The number of in- and out-slots of each kind.
-_ARITY = {kind: (len(IN_SLOTS[kind]), len(OUT_SLOTS[kind])) for kind in IN_SLOTS}
-
-
 def live_after(bottom: tuple[int, ...], events: Sequence[Event]) -> set[int]:
     """The strands live after the word ``events`` runs from ``bottom``,
     replayed with one mutable set in O(n + k).
@@ -125,7 +119,7 @@ def live_after(bottom: tuple[int, ...], events: Sequence[Event]) -> set[int]:
     if len(live) != len(bottom):
         raise ValueError("duplicate bottom strands")
     for i, (kind, consumed, produced) in enumerate(events):
-        arity = _ARITY.get(kind)
+        arity = ARITY.get(kind)
         if arity != (len(consumed), len(produced)):
             if arity is None:
                 raise ValueError(f"event {i}: unknown kind {kind!r}")
@@ -156,20 +150,23 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
         raise ValueError("cannot cut a vertex-free graph")
     _, gap = g._gap(a, "cut angle")
 
-    strand: dict[str, dict[str, int]] = {v.id: {} for v in g.vertices}  # vertex id -> slot -> segment
+    at = [0] * (4 * len(g._kinds))  # port 4 * vertex + slot -> segment
     bottom: list[int] = []
     top: list[int] = []
     k = 0  # the next strand id; an edge's segments are consecutive
-    for e, n in zip(g.edges, g._crossings(gap)):
-        strand[e.tail.vertex][e.tail.slot], strand[e.head.vertex][e.head.slot] = k, k + n
+    for t, ts, h, hs, n in zip(g._tail, g._tail_slot, g._head, g._head_slot, g._crossings(gap)):
+        at[4 * t + ts], at[4 * h + hs] = k, k + n
         bottom.extend(range(k + 1, k + n + 1))
         top.extend(range(k, k + n))
         k += n + 1
 
     events = []
+    kinds = g._kinds
     for v in g._order[gap:] + g._order[:gap]:
-        at = strand[v.id].__getitem__
-        events.append(Event(v.kind, tuple(map(at, IN_SLOTS[v.kind])), tuple(map(at, OUT_SLOTS[v.kind]))))
+        kind = kinds[v]
+        ins, outs = ARITY[kind]
+        p = 4 * v  # its in-slots are ports p, p + 1 and its out-slots p + 2, p + 3
+        events.append(Event(kind, tuple(at[p : p + ins]), tuple(at[p + 2 : p + 2 + outs])))
     return CutGraph(tuple(bottom), tuple(top), tuple(events), g.name)
 
 
@@ -314,30 +311,29 @@ def reglue(c: CutGraph) -> Foliation:
     # glue hands it on to the bottom segment at the same position.
     b = len(c.bottom)
     live = {s: k for k, s in enumerate(c.bottom)}  # strand -> its current segment
-    born: list[tuple[int, str]] = []  # (event, out-slot) of segment b + m
-    dies: dict[int, tuple[int, str]] = {}  # segment -> (event, in-slot)
-    for i, (kind, ins, outs) in enumerate(c.events):
-        for s, slot in zip(ins, IN_SLOTS[kind]):
-            dies[live.pop(s)] = (i, slot)
-        for s, slot in zip(outs, OUT_SLOTS[kind]):
+    # Event i's slot s is port 4 * i + s, as in the graph layer: in-slots
+    # from 4 * i, out-slots from 4 * i + 2.
+    born: list[int] = []  # the out-port of segment b + m
+    dies: dict[int, int] = {}  # segment -> the in-port it ends at
+    for i, (_, ins, outs) in enumerate(c.events):
+        for port, s in enumerate(ins, start=4 * i):
+            dies[live.pop(s)] = port
+        for port, s in enumerate(outs, start=4 * i + 2):
             live[s] = b + len(born)
-            born.append((i, slot))
+            born.append(port)
     wraps = {live[t]: k for k, t in enumerate(c.top)}
 
-    ids = [f"v{i}" for i in range(n)]
-    vertices = tuple(Vertex(ids[i], ev.kind, Fraction(i + 1, n + 1)) for i, ev in enumerate(c.events))
-
-    edges = []
+    heads, windings = [], []  # per edge m, from born[m]: its head's in-port and winding
     passed = [False] * b  # bottom segments some edge runs through
-    for m, (i, slot) in enumerate(born):
+    for m, port in enumerate(born):
         seg, passes = b + m, 0
         while seg not in dies:
             seg = wraps[seg]
             passed[seg] = True
             passes += 1
-        j, in_slot = dies[seg]
-        winding = passes - 1 if j < i else passes
-        edges.append(Edge(f"e{m}", End(ids[i], slot), End(ids[j], in_slot), winding))
+        head = dies[seg]
+        heads.append(head)
+        windings.append(passes - 1 if head >> 2 < port >> 2 else passes)
 
     orphans = sorted(s for s, seen in zip(c.bottom, passed) if not seen)
     if orphans:
@@ -345,9 +341,33 @@ def reglue(c: CutGraph) -> Foliation:
             f"glue orbit through strands {orphans} avoids every vertex"
         )
 
-    g = FoliationGraph(name, vertices, tuple(edges))
+    # The tables go in id order, where "v10" sorts before "v2": event i
+    # is the vertex at position at[i], and the edges go in the order eo.
+    ids = [f"v{i}" for i in range(n)]
+    vo = sorted(range(n), key=ids.__getitem__)
+    at = [0] * n
+    for p, i in enumerate(vo):
+        at[i] = p
+    eids = [f"e{m}" for m in range(len(born))]
+    eo = sorted(range(len(born)), key=eids.__getitem__)
+    tails, heads = [born[m] for m in eo], [heads[m] for m in eo]
+    g = FoliationGraph._make(
+        name,
+        [ids[i] for i in vo],
+        [c.events[i].kind for i in vo],
+        [(i + 1) // gcd(i + 1, n + 1) for i in vo],
+        [(n + 1) // gcd(i + 1, n + 1) for i in vo],
+        [(i + 1) / (n + 1) for i in vo],
+        [eids[m] for m in eo],
+        [at[p >> 2] for p in tails],
+        [p & 3 for p in tails],
+        [at[p >> 2] for p in heads],
+        [p & 3 for p in heads],
+        [windings[m] for m in eo],
+        SLOTS,
+    )
     # Word order is angle order: seed the circular order instead of sorting.
-    g.__dict__["_order"] = vertices
+    g.__dict__["_order"] = at
     # The checked cut guarantees every invariant of validate but connectivity.
     if not _connected(g):
         raise RegluingError("reglued graph is disconnected")
@@ -378,7 +398,7 @@ def reduce_once(g: FoliationGraph) -> FoliationGraph:
     """One reduction pass on a non-Calabi graph: cut at the complexity
     witness, sort, reglue.  Complexity strictly decreases and the numbers
     of merges and splits are preserved."""
-    if isinstance(g, FreeCircle) or not g.vertices:
+    if isinstance(g, FreeCircle) or not g._kinds:
         raise ValueError("reduction needs a graph with vertices")
     if _calabi_verdict(g):
         raise ValueError("graph is already Calabi; nothing to reduce")

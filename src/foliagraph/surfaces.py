@@ -85,8 +85,11 @@ class SurfaceModel:
     tubes: tuple[Tube, ...]
 
     def __post_init__(self):
-        named = [("model name", self.name)] + [("summand id", s.id) for s in self.summands]
-        faults = _token_faults(named + [("tube id", t.id) for t in self.tubes])
+        faults = (
+            _token_faults("model name", [self.name])
+            + _token_faults("summand id", [s.id for s in self.summands])
+            + _token_faults("tube id", [t.id for t in self.tubes])
+        )
         if faults:
             raise ValueError(faults[0])
         if not self.summands:

@@ -95,8 +95,11 @@ def random_valid_graph(rng: random.Random, n_pairs: int | None = None, max_pairs
 
 def regular_levels(g: FoliationGraph) -> list[Fraction]:
     """One regular sample angle per interval between consecutive critical
-    values, in increasing order: the circular midpoints."""
-    return sorted(g._midpoint(k) for k in range(len(g._order)))
+    values, in increasing order: the circular midpoints, from the vertex
+    angles alone."""
+    angles = sorted(v.angle for v in g.vertices)
+    wrap = (angles[-1] + angles[0] + 1) / 2
+    return sorted([(a + b) / 2 for a, b in zip(angles, angles[1:])] + [wrap % 1])
 
 
 def random_non_calabi_graph(rng: random.Random, max_pairs: int = 6) -> FoliationGraph:
@@ -294,6 +297,34 @@ def oracle_crossing_count(g: FoliationGraph, a: Fraction) -> int:
         t, h = angle[e.tail.vertex], angle[e.head.vertex]
         count += e.winding + (0 < turn(a - t) < turn(h - t))
     return count
+
+
+def oracle_end_faults(g: FoliationGraph) -> list[str]:
+    """The slot and winding messages of ``validate``, by counting each
+    (vertex id, slot) pair's edge ends on the objects."""
+    kind = {v.id: v.kind for v in g.vertices}
+    legal = {"out": {MERGE: ("out0",), SPLIT: ("out0", "out1")}, "in": {MERGE: ("in0", "in1"), SPLIT: ("in0",)}}
+    bad, uses = [], {}
+    for e in g.edges:
+        for end, direction in ((e.tail, "out"), (e.head, "in")):
+            if end.vertex not in kind:
+                bad.append(f"edge {e.id}: unknown vertex {end.vertex}")
+            elif end.slot not in legal[direction].get(kind[end.vertex], ()):
+                bad.append(
+                    f"edge {e.id}: slot {end.vertex}.{end.slot} not an {direction}-slot of a {kind[end.vertex]} vertex"
+                )
+            else:
+                uses[(end.vertex, end.slot)] = uses.get((end.vertex, end.slot), 0) + 1
+        if e.winding < 0:
+            bad.append(f"edge {e.id}: negative winding")
+        if e.tail.vertex == e.head.vertex and e.winding < 1:
+            bad.append(f"edge {e.id}: loop needs winding >= 1")
+    for v in g.vertices:
+        for slot in legal["in"].get(v.kind, ()) + legal["out"].get(v.kind, ()):
+            n = uses.get((v.id, slot), 0)
+            if n != 1:
+                bad.append(f"vertex {v.id}: slot {slot} " + ("unused" if n == 0 else f"reused ({n} edge ends)"))
+    return bad
 
 
 def oracle_strongly_connected(g: FoliationGraph) -> bool:

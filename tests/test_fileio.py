@@ -15,7 +15,11 @@ from foliagraph import (
     SurfaceModel,
     Vertex,
     builtin,
+    StuckError,
     builtin_example,
+    complexity,
+    harmonize,
+    is_calabi,
     parse,
     serialize,
     serialize_graph,
@@ -89,6 +93,8 @@ def test_graph_roundtrip_ids_with_dots_and_dashes():
 )
 def test_validate_rejects_ids_the_text_format_cannot_carry(g, violation):
     assert validate(g).violations == (violation,)
+    if isinstance(g, FoliationGraph):
+        assert validate(FoliationGraph(g.name, g.vertices, g.edges)).violations == (violation,)
     with pytest.raises(ParseError):
         parse(serialize(g))
 
@@ -185,6 +191,19 @@ def test_diagnostic_points_at_the_offending_word(text, where):
         ),
         (b"graph \xff\nend\n", "calabi", "1:1: not valid UTF-8: "),
         (b"scalar lam irrational approx [1, 2]\n", "surface-classify", "1:1: file declares no graph or surface"),
+        # Numbers with more digits than int() converts.
+        pytest.param(
+            b"graph c freecircle " + b"7" * 5000 + b" end\n",
+            "validate",
+            "1:20: Exceeds the limit",
+            id="freecircle-5000-digits",
+        ),
+        pytest.param(
+            THETA_FIXTURE.replace("s.in0 winding 0", "s.in0 winding " + "7" * 5000).encode(),
+            "complexity",
+            "5:35: Exceeds the limit",
+            id="winding-5000-digits",
+        ),
     ],
 )
 def test_cli_exits_2_with_file_line_col(capsys, tmp_path, data, command, where):
@@ -194,6 +213,108 @@ def test_cli_exits_2_with_file_line_col(capsys, tmp_path, data, command, where):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"{path}:{where}")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (THETA_FIXTURE.replace("s.in0 winding 0", "s.in0 winding " + "1" * 5000), "f:5:35: "),
+        ("graph c freecircle " + "1" * 5000 + " end\n", "f:1:20: "),
+        (THETA_FIXTURE.replace("MERGE 3/4", "MERGE 3/" + "4" * 5000), "f:3:18: "),
+    ],
+    ids=["winding", "freecircle", "angle"],
+)
+def test_numbers_too_long_for_int_are_located(text, where):
+    # int() refuses more than sys.get_int_max_str_digits() digits; the
+    # parser reports that at the number, like any other bad number.
+    with pytest.raises(ParseError) as exc:
+        parse(text, "f")
+    assert str(exc.value).startswith(where) and "digits" in exc.value.message
+
+
+# Every break str.splitlines knows besides "\n" and "\r\n".
+OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_comments_run_to_the_end_of_the_line():
+    # A comment ends at "\n" only, so line numbers are an editor's: the
+    # fault here is the winding "x" on line 6.  Mid-line, the other breaks
+    # separate words like any whitespace.
+    text = (
+        "graph g # note\x0cpage\n"
+        f"  vertex m MERGE 3/4 # {OTHER_BREAKS} end\n"
+        "  vertex\x0cs SPLIT 1/4\n"
+        "  edge e0 m.out0 -> s.in0 winding 0\n"
+        "  edge e1 s.out0 -> m.in0 winding 0\n"
+        "  edge e2 s.out1 -> m.in1 winding x\n"
+        "end\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse(text, "f")
+    assert str(exc.value) == "f:6:35: winding must be a natural number"
+    assert parse(text.replace("winding x", "winding 0")) == _theta(name="g")
+
+
+def test_crlf_files_parse_as_their_lf_form():
+    assert parse(THETA_FIXTURE.replace("\n", "\r\n")) == builtin("theta")
+    for n in (1, 2, 3, 4):
+        text = serialize_surface(builtin_example(n))
+        assert serialize_surface(parse(text.replace("\n", "\r\n"))) == text
+    with pytest.raises(ParseError) as exc:
+        parse(THETA_FIXTURE.replace("\n", "\r\n").replace("m.in1 winding 0", "m.in1 winding -1"), "f")
+    assert str(exc.value) == "f:7:35: winding must be a natural number"
+
+
+def test_surface_comments_run_to_the_end_of_the_line():
+    text = (
+        "surface s # a\x0cb\n"
+        f"  summand t periods (1, 0) # {OTHER_BREAKS}\n"
+        "  summand u periods (0, 1)\r\n"
+        "  tube v t u kind A disks small big\r\n"
+        "end\r\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse(text, "f")
+    assert str(exc.value) == "f:4:33: expected 'small' or 'ribbon(<w>)', got 'big'"
+    m = parse(text.replace("big", "small"))
+    assert [s.id for s in m.summands] == ["t", "u"] and [t.id for t in m.tubes] == ["v"]
+
+
+def _routes_agree(g: FoliationGraph) -> None:
+    """The parsed graph (tables filled from the text) and the one built
+    from ``g``'s objects are ``g``, with its hash, repr and text."""
+    text = serialize(g)
+    for h in (parse(text), FoliationGraph(g.name, g.vertices, g.edges)):
+        assert h == g and hash(h) == hash(g) and repr(h) == repr(g) and serialize(h) == text
+
+
+def test_parsed_and_object_built_graphs_agree():
+    rng = random.Random(16)
+    graphs = [builtin("theta"), builtin("dumbbell")]
+    graphs += [random_valid_graph(rng, max_pairs=rng.choice((1, 3, 6, 12))) for _ in range(60)]
+    reglued = []
+    for g in graphs:
+        if not is_calabi(g).verdict:
+            try:
+                _, trace = harmonize(g)
+            except StuckError as exc:
+                trace = exc.trace
+            reglued += [step.graph_after for step in trace.steps]
+    assert len(reglued) > 20
+    for g in graphs + reglued:
+        _routes_agree(g)
+
+
+def test_objects_are_built_only_when_read():
+    g = parse(serialize(random_valid_graph(random.Random(3), n_pairs=8)))
+    validate(g), complexity(g), is_calabi(g), serialize(g), g == parse(serialize(g))
+    try:
+        h, trace = harmonize(g)
+    except StuckError as exc:
+        trace = exc.trace
+    for graph in [g] + [step.graph_after for step in trace.steps]:
+        assert "vertices" not in graph.__dict__ and "edges" not in graph.__dict__
+    assert g.vertices[0].id == "m0" and "vertices" in g.__dict__
 
 
 def test_angle_out_of_range():

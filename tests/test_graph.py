@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,9 +16,11 @@ from foliagraph import (
     Vertex,
     builtin,
     complexity,
-    crossing_count,
     euler_genus,
+    ParseError,
     is_calabi,
+    parse,
+    serialize,
     validate,
 )
 
@@ -25,6 +28,7 @@ from graphgen import (
     exhaustive_valid_graphs,
     oracle_all_pairs_positive_path,
     oracle_crossing_count,
+    oracle_end_faults,
     oracle_every_edge_on_cycle,
     oracle_strongly_connected,
     random_valid_graph,
@@ -59,6 +63,19 @@ def _graph(vertices, edges):
     return FoliationGraph("t", tuple(vertices), tuple(edges))
 
 
+def _report(g, text_carries=True):
+    """``validate(g).violations``, asserted the same for the graph rebuilt
+    from ``g.vertices`` and ``g.edges`` and, when the text format carries
+    ``g`` (it has no kind but MERGE and SPLIT), for the parsed graph."""
+    violations = validate(g).violations
+    routes = [FoliationGraph(g.name, g.vertices, g.edges)]
+    if text_carries:
+        routes.append(parse(serialize(g)))
+    for h in routes:
+        assert h == g and repr(h) == repr(g) and validate(h).violations == violations
+    return violations
+
+
 def test_validate_reports_all_failures():
     # Two edges into one slot, a parity failure and 2E != 3V at once.
     g = _graph(
@@ -68,9 +85,7 @@ def test_validate_reports_all_failures():
             Edge("e1", End("b", "out0"), End("b", "in0"), 1),
         ],
     )
-    report = validate(g)
-    assert not report.ok
-    text = " ".join(report.violations)
+    text = " ".join(_report(g))
     assert "reused" in text
     assert "#MERGE" in text
     assert "2E" in text
@@ -82,13 +97,13 @@ def test_validate_duplicate_angles():
         [Vertex("s", SPLIT, Fraction(1, 4)), Vertex("m", MERGE, Fraction(1, 4))],
         th.edges,
     )
-    assert any("distinct" in v for v in validate(g).violations)
+    assert any("distinct" in v for v in _report(g))
 
 
 def test_validate_loop_winding():
     db = builtin("dumbbell")
     bad = _graph(db.vertices, [e if e.id != "e2" else Edge("e2", e.tail, e.head, 0) for e in db.edges])
-    assert any("loop" in v for v in validate(bad).violations)
+    assert any("loop" in v for v in _report(bad))
 
 
 def test_validate_disconnected():
@@ -103,7 +118,7 @@ def test_validate_disconnected():
         Edge("f1", End("s2", "out0"), End("m2", "in0"), 0),
         Edge("f2", End("s2", "out1"), End("m2", "in1"), 0),
     ]
-    assert any("connected" in v for v in validate(_graph(verts, edges)).violations)
+    assert any("connected" in v for v in _report(_graph(verts, edges)))
 
 
 def test_validate_rarely_reached_branches():
@@ -114,12 +129,12 @@ def test_validate_rarely_reached_branches():
     s, m = by_id["s"], by_id["m"]
     dangling = _graph(th.vertices, [Edge("e0", End("z", "out0"), e0.head, 0), e1, e2])
     # An unknown vertex skips the connectivity search.
-    assert validate(dangling).violations == (
+    assert _report(dangling) == (
         "edge e0: unknown vertex z",
         "vertex m: slot out0 unused",
     )
     twin_vertex = _graph(list(th.vertices) + [Vertex("s", MERGE, Fraction(1, 2))], th.edges)
-    assert validate(twin_vertex).violations == (
+    assert _report(twin_vertex) == (
         "duplicate vertex ids",
         "edge e2: slot s.out1 not an out-slot of a MERGE vertex",
         "vertex s: slot out1 unused",
@@ -129,14 +144,14 @@ def test_validate_rarely_reached_branches():
         "underlying graph not connected",
     )
     twin_edge = _graph(th.vertices, list(th.edges) + [e1])
-    assert validate(twin_edge).violations == (
+    assert _report(twin_edge) == (
         "duplicate edge ids",
         "vertex m: slot in0 reused (2 edge ends)",
         "vertex s: slot out0 reused (2 edge ends)",
         "2E = 8 differs from 3V = 6",
     )
     saddle = _graph([s, Vertex("m", "SADDLE", m.angle)], th.edges)
-    assert validate(saddle).violations == (
+    assert _report(saddle, text_carries=False) == (
         "vertex m: unknown kind SADDLE",
         "edge e0: slot m.out0 not an out-slot of a SADDLE vertex",
         "edge e1: slot m.in0 not an in-slot of a SADDLE vertex",
@@ -159,7 +174,7 @@ def test_validate_rarely_reached_branches():
             Edge("f2", End("s2", "out1"), End("m2", "in1"), 0),
         ],
     )
-    assert validate(phrase).violations == (
+    assert _report(phrase, text_carries=False) == (
         "vertex s: unknown kind SPLIT unknown vertex",
         "edge e0: slot s.in0 not an in-slot of a SPLIT unknown vertex vertex",
         "edge e1: slot s.out0 not an out-slot of a SPLIT unknown vertex vertex",
@@ -169,13 +184,129 @@ def test_validate_rarely_reached_branches():
     )
 
 
+def _level_count(g, a):
+    """The crossings of the level ``a`` as ``complexity`` and ``cut`` count
+    them: per edge, at the gap of the angle order holding ``a``."""
+    _, gap = g._gap(a, "angle")
+    return sum(g._crossings(gap))
+
+
+def _malformed(rng, g):
+    """``g`` with a few random faults: slots, ends naming unknown vertices,
+    windings, kinds, angles, ids, and added or dropped rows."""
+    vertices, edges = list(g.vertices), list(g.edges)
+    slots = ("in0", "in1", "out0", "out1", "out2", "x")
+    for _ in range(rng.randint(1, 3)):
+        r = rng.randrange(8)
+        if r == 0 and edges:
+            i = rng.randrange(len(edges))
+            edges[i] = Edge(edges[i].id, End(edges[i].tail.vertex, rng.choice(slots)), edges[i].head, edges[i].winding)
+        elif r == 1 and edges:
+            i = rng.randrange(len(edges))
+            head = End(rng.choice([v.id for v in vertices] + ["zz"]), rng.choice(slots))
+            edges[i] = Edge(edges[i].id, edges[i].tail, head, edges[i].winding)
+        elif r == 2 and edges:
+            i = rng.randrange(len(edges))
+            edges[i] = Edge(edges[i].id, edges[i].tail, edges[i].head, rng.choice((-1, 0, 1)))
+        elif r == 3:
+            i = rng.randrange(len(vertices))
+            vertices[i] = Vertex(vertices[i].id, rng.choice((MERGE, SPLIT, "SADDLE")), vertices[i].angle)
+        elif r == 4:
+            i = rng.randrange(len(vertices))
+            angle = rng.choice((Fraction(0), Fraction(1), Fraction(-1, 3), vertices[0].angle, 1 - Fraction(1, 10**30)))
+            vertices[i] = Vertex(vertices[i].id, vertices[i].kind, angle)
+        elif r == 5:
+            v = rng.choice(vertices)
+            angle = Fraction(rng.randrange(97), 97)
+            vertices.append(Vertex(rng.choice((v.id, "n")), rng.choice((MERGE, SPLIT)), angle))
+        elif r == 6 and edges:
+            e = rng.choice(edges)
+            edges.append(Edge(rng.choice((e.id, "f")), e.tail, e.head, e.winding))
+        elif edges:
+            edges.pop(rng.randrange(len(edges)))
+    return FoliationGraph(g.name, vertices, edges)
+
+
+def test_validate_reports_end_faults_as_the_objects_count_them():
+    # validate counts slot uses per port of the tables; its slot and
+    # winding messages must be those of counting (vertex id, slot) pairs
+    # on the objects, also where vertex ids repeat and so share their
+    # slots.  Both construction routes report the same faults where the
+    # text carries the graph.
+    rng = random.Random(1616)
+    faulty = parsed = shared = 0
+    for _ in range(1500):
+        g = _malformed(rng, random_valid_graph(rng, max_pairs=rng.choice((1, 2, 4))))
+        faults = oracle_end_faults(g)
+        violations = validate(g).violations
+        assert [m for m in violations if m.startswith("edge ") or ": slot " in m] == faults
+        faulty += bool(faults)
+        shared += len({v.id for v in g.vertices}) < len(g.vertices)
+        if all(v.kind in (MERGE, SPLIT) and 0 <= v.angle < 1 for v in g.vertices):
+            try:
+                h = parse(serialize(g))
+            except ParseError:  # a slot name the text format rejects
+                continue
+            assert h == g and validate(h).violations == violations
+            parsed += 1
+    assert 500 < faulty < 1500 and parsed > 300 and shared > 100
+
+
+def test_equality_compares_what_the_objects_compare():
+    # Equality reads the tables; it must agree with comparing (name,
+    # vertices, edges), and equal graphs hash alike, also when the tables
+    # carry names no vertex or slot has.
+    rng = random.Random(1617)
+    equal = 0
+    for _ in range(600):
+        g = random_valid_graph(rng, max_pairs=rng.choice((1, 2, 3)))
+        a, b = _malformed(random.Random(rng.random()), g), _malformed(random.Random(rng.random()), g)
+        for h in (a, b, FoliationGraph(a.name, a.vertices, a.edges)):
+            same = (a.name, a.vertices, a.edges) == (h.name, h.vertices, h.edges)
+            assert (a == h) == same and (a != h) != same
+            if same:
+                assert hash(a) == hash(h)
+        equal += a == b
+    assert 0 < equal < 300
+
+
+def test_validate_reports_angles_outside_the_circle():
+    # The range test is exact, also for angles a float cannot hold, and
+    # building a graph with such an angle, or an infinite or nan float,
+    # leaves the report to validate.
+    th = builtin("theta")
+    tiny, huge = Fraction(1, 10**400), Fraction(10**400)
+    for angles, violations in (
+        ((Fraction(1), Fraction(1, 4)), ("vertex m: angle 1 outside [0, 1)",)),
+        ((Fraction(1, 2), -tiny), (f"vertex s: angle {-tiny} outside [0, 1)",)),
+        (
+            (Fraction(5, 4), Fraction(-1, 3)),
+            ("vertex m: angle 5/4 outside [0, 1)", "vertex s: angle -1/3 outside [0, 1)"),
+        ),
+        ((1 - tiny, Fraction(0)), ()),
+        ((huge, Fraction(1, 4)), (f"vertex m: angle {huge} outside [0, 1)",)),
+        ((Fraction(1, 2), -huge), (f"vertex s: angle {-huge} outside [0, 1)",)),
+        (
+            (math.inf, math.inf),
+            (
+                "vertex m: angle inf outside [0, 1)",
+                "vertex s: angle inf outside [0, 1)",
+                "vertex angles not pairwise distinct (critical values must differ)",
+            ),
+        ),
+        ((math.nan, -math.inf), ("vertex m: angle nan outside [0, 1)", "vertex s: angle -inf outside [0, 1)")),
+    ):
+        g = _graph([Vertex("m", MERGE, angles[0]), Vertex("s", SPLIT, angles[1])], th.edges)
+        assert validate(g).violations == violations
+
+
 def test_crossing_counts():
     db, th = builtin("dumbbell"), builtin("theta")
-    assert crossing_count(db, Fraction(0)) == 2
-    assert crossing_count(db, Fraction(1, 2)) == 3
-    assert crossing_count(th, Fraction(0)) == 1
+    assert _level_count(db, Fraction(0)) == oracle_crossing_count(db, Fraction(0)) == 2
+    assert _level_count(db, Fraction(1, 2)) == oracle_crossing_count(db, Fraction(1, 2)) == 3
+    assert _level_count(th, Fraction(0)) == oracle_crossing_count(th, Fraction(0)) == 1
     with pytest.raises(ValueError):
-        crossing_count(th, Fraction(1, 4))
+        _level_count(th, Fraction(1, 4))
 
 
 def test_crossing_count_matches_angle_arithmetic_oracle():
@@ -190,7 +321,7 @@ def test_crossing_count_matches_angle_arithmetic_oracle():
         levels += [Fraction(rng.randrange(-2000, 3000), 997) for _ in range(20)]
         for a in levels:
             if a - (a.numerator // a.denominator) not in angles:
-                assert crossing_count(g, a) == oracle_crossing_count(g, a), (g, a)
+                assert _level_count(g, a) == oracle_crossing_count(g, a), (g, a)
         loops += sum(e.tail.vertex == e.head.vertex for e in g.edges)
     assert loops
 
@@ -231,7 +362,22 @@ def test_complexity_witness_breaks_wraparound_tie(angles, witness):
     g = _two_thetas(angles)
     assert validate(g).ok
     assert complexity(g) == (1, witness)
-    assert complexity(g) == min((crossing_count(g, a), a) for a in regular_levels(g))
+    assert complexity(g) == min((oracle_crossing_count(g, a), a) for a in regular_levels(g))
+
+
+def test_angles_closer_than_a_float_keep_their_exact_order():
+    # Floats that tie fall back to the exact angles, in the sort, in the
+    # distinctness check and in the gaps a level falls into.
+    eps = Fraction(1, 10**30)
+    a, b = Fraction(1, 3), Fraction(2, 3)
+    for angles in ((a, a + eps, b, b + eps), (a + eps, a, b + eps, b), (a, b, a + eps, b + eps)):
+        g = _two_thetas(angles)
+        assert float(a) == float(a + eps)
+        assert validate(g).ok and parse(serialize(g)) == g
+        assert complexity(g) == min((oracle_crossing_count(g, x), x) for x in regular_levels(g))
+        assert [g.vertices[v].angle for v in g._order] == sorted(angles)
+    twins = _two_thetas((a, a, b, b + eps))
+    assert validate(twins).violations == ("vertex angles not pairwise distinct (critical values must differ)",)
 
 
 def test_complexity_is_computed_once_per_graph():
@@ -283,17 +429,21 @@ def test_lemma_equivalence_random(seed):
 
 
 def test_oracles_do_not_read_the_graph_indices():
-    # The oracles judge the indices that ``is_calabi`` and ``validate``
-    # read, so they must build their own maps from ``vertices`` and
-    # ``edges``: corrupting the cached successor lists and vertex map of
-    # a graph changes no oracle's answer.
+    # The oracles judge the tables and indices that ``is_calabi``,
+    # ``complexity`` and ``validate`` read, so they must build their own
+    # maps from ``vertices`` and ``edges``: once those are built, scrambling
+    # every table and emptying the adjacency lists of a graph changes no
+    # oracle's answer.
     rng = random.Random(41)
     for _ in range(40):
         g = random_valid_graph(rng, max_pairs=rng.choice((2, 4, 6)))
         clean = FoliationGraph(g.name, g.vertices, g.edges)
         levels = regular_levels(clean)
-        g.__dict__["_succ"] = {v.id: [] for v in g.vertices}
-        g.__dict__["_vertex_by_id"] = {v.id: g.vertices[0] for v in g.vertices}
+        assert g.vertices and g.edges
+        tables = ("_ids", "_kinds", "_num", "_den", "_flo", "_angle", "_eids", "_tail", "_head", "_winding")
+        for table in tables + ("_order", "_rank"):
+            g.__dict__[table] = getattr(g, table)[::-1]
+        g.__dict__["_succ"] = g.__dict__["_pred"] = ([], [0] * (len(g._ids) + 1))
         for oracle in (oracle_strongly_connected, oracle_every_edge_on_cycle, oracle_all_pairs_positive_path):
             assert oracle(g) == oracle(clean)
         assert [oracle_crossing_count(g, a) for a in levels] == [oracle_crossing_count(clean, a) for a in levels]
@@ -304,7 +454,7 @@ def _crossing_profile_steps(g):
     import bisect
 
     levels = regular_levels(g)
-    counts = [crossing_count(g, a) for a in levels]
+    counts = [oracle_crossing_count(g, a) for a in levels]
     steps = []
     for v in g.vertices:
         i = bisect.bisect_left(levels, v.angle)
@@ -321,12 +471,12 @@ def test_complexity_is_minimum_over_levels(seed):
     rng = random.Random(seed)
     g = random_valid_graph(rng, max_pairs=4)
     value, witness = complexity(g)
-    assert crossing_count(g, witness) == value
+    assert oracle_crossing_count(g, witness) == value
     angles = {v.angle for v in g.vertices}
     for _ in range(30):
         a = Fraction(rng.randrange(0, 1009), 1009)
         if a not in angles:
-            assert crossing_count(g, a) >= value
+            assert oracle_crossing_count(g, a) >= value
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,7 +530,7 @@ def test_complexity_matches_level_by_level_reference():
     wound = wrapping = 0
     for _ in range(200):
         g = random_valid_graph(rng, max_pairs=rng.choice((1, 3, 6, 10)))
-        assert complexity(g) == min((crossing_count(g, a), a) for a in regular_levels(g))
+        assert complexity(g) == min((oracle_crossing_count(g, a), a) for a in regular_levels(g))
         wound += sum(e.winding > 0 for e in g.edges)
         angle = {v.id: v.angle for v in g.vertices}
         wrapping += sum(angle[e.head.vertex] < angle[e.tail.vertex] for e in g.edges)

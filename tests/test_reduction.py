@@ -331,10 +331,15 @@ def test_reglued_graph_keeps_angle_order():
                     g2 = reglue(c2)
                 except RegluingError:
                     continue
-                by_angle = tuple(sorted(g2.vertices, key=lambda v: v.angle))
-                assert g2._order == by_angle
-                assert g2._rank == {v.id: k for k, v in enumerate(by_angle)}
-                id_order_differs += g2.vertices != by_angle
+                # The handed-over order is the angles' order, and the one a
+                # fresh graph sorts.
+                by_angle = sorted(g2.vertices, key=lambda v: v.angle)
+                assert [g2.vertices[v] for v in g2._order] == by_angle
+                assert [by_angle[k] for k in g2._rank] == list(g2.vertices)
+                fresh = FoliationGraph(g2.name, g2.vertices, g2.edges)
+                assert g2 == fresh
+                assert g2._order == fresh._order and g2._rank == fresh._rank
+                id_order_differs += g2._order != sorted(g2._order)
     # Ids v10, v11, ... sort before v2, so the id order is no stand-in.
     assert id_order_differs
 
