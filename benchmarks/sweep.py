@@ -1,7 +1,9 @@
-"""Size sweep of the graph, reduction and scalar layers: time ``parse``,
-``validate``, ``complexity``, ``is_calabi``, ``sort_events``, ``reglue``
-and ``harmonize`` at doubling vertex counts, and ``qrank`` and
-``integer_relation`` at doubling value counts, and check every answer.
+"""Size sweep of the graph, reduction, scalar and surface layers: time
+``parse``, ``validate``, ``complexity``, ``is_calabi``, ``sort_events``,
+``reglue`` and ``harmonize`` at doubling vertex counts, ``qrank`` and
+``integer_relation`` at doubling value counts, and ``parse``,
+``classify_leaves``, ``consistency_check`` and ``serialize`` of surface
+models at doubling summand counts, and check every answer.
 
     python3 benchmarks/sweep.py [SIZE ...]
 
@@ -20,7 +22,14 @@ at N values the inputs are N random values over the three-symbol table of
 random positive multiples of one value (rank 1, so no early stop in
 ``qrank``), both drawn from ``random.Random(N)``.  Each timing is the
 best of 3 calls, with ``time.perf_counter``; each scalar call gets fresh
-copies of its values.
+copies of its values.  The surface rows always cover all recorded
+summand counts, 24, 48, 96 and 192: at g summands the inputs are the
+canonical texts of ``tests/modelgen.random_model(random.Random(g),
+n_summands=g)``, a generic model and then a rank-one one, drawn in that
+order.  ``parse`` reads the text, and ``classify_leaves``,
+``consistency_check`` (which adds the class report and the cup vanisher)
+and ``serialize`` run in that order on each parsed model, as
+``surface-check`` would.
 
 Prints one JSON object.  Exits nonzero on a wrong answer: a text that
 does not parse back to the graph and to itself (``serialize(parse(text))
@@ -28,8 +37,10 @@ does not parse back to the graph and to itself (``serialize(parse(text))
 cut its construction check rejects, a sorted word with a split below a merge, a
 reglued or harmonized graph that fails ``validate``, a harmonize result
 that is not Calabi or not contiguous, a rewrite or step count that
-differs from the recorded one, or a rank or relation that differs from
-the recorded one.  Timings gate nothing.
+differs from the recorded one, a rank or relation that differs from
+the recorded one, a surface text that does not parse back to the model
+and to itself, a failed consistency check, or a period rank that differs
+from the recorded one.  Timings gate nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import foliagraph as fg  # noqa: E402
 from graphgen import random_valid_graph  # noqa: E402
-from modelgen import example_table  # noqa: E402
+from modelgen import example_table, random_model  # noqa: E402
 
 REPEAT = 3
 # Per size: rewrites of the witness cut's sort, and harmonize's completed
@@ -82,6 +93,14 @@ RECORDED_SCALARS = {
     },
 }
 
+# Per summand count and input: the rank of the model's periods.
+RECORDED_SURFACES = {
+    24: {"generic": 4, "rank_one": 1},
+    48: {"generic": 4, "rank_one": 1},
+    96: {"generic": 4, "rank_one": 1},
+    192: {"generic": 4, "rank_one": 1},
+}
+
 
 def fail(size: int, what: str, unit: str = "vertices") -> None:
     raise SystemExit(f"sweep: wrong answer at {size} {unit}: {what}")
@@ -105,26 +124,27 @@ def harmonize_outcome(g):
     return trace, result
 
 
-def decide_stages(text: str) -> tuple[dict, object]:
-    """The best of ``REPEAT`` times of each stage of a decide on ``text``,
-    each round on a freshly parsed graph, and the last parsed graph."""
-    best = [float("inf")] * 4
+def staged(text: str, stages: dict) -> tuple[dict, object]:
+    """The best of ``REPEAT`` times of ``parse`` of ``text`` and of each
+    of ``stages`` (name -> function) after it, in order, each round on a
+    freshly parsed object; and the last parsed object."""
+    best = [float("inf")] * (len(stages) + 1)
     for _ in range(REPEAT):
         start = time.perf_counter()
-        g = fg.parse(text)
+        obj = fg.parse(text)
         times = [time.perf_counter() - start]
-        for stage in (fg.validate, fg.complexity, fg.is_calabi):
+        for stage in stages.values():
             start = time.perf_counter()
-            stage(g)
+            stage(obj)
             times.append(time.perf_counter() - start)
         best = [min(pair) for pair in zip(best, times)]
-    return dict(zip(("parse_s", "validate_s", "complexity_s", "is_calabi_s"), best)), g
+    return dict(zip(["parse_s", *stages], best)), obj
 
 
 def sweep_one(size: int) -> dict:
     g = random_valid_graph(random.Random(1), n_pairs=size // 2)
     text = fg.serialize(g)
-    stage_s, parsed = decide_stages(text)
+    stage_s, parsed = staged(text, {"validate_s": fg.validate, "complexity_s": fg.complexity, "is_calabi_s": fg.is_calabi})
     if parsed != g or fg.serialize(parsed) != text:
         fail(size, "the parsed graph differs from the object-built one or from its text")
     if not fg.validate(g).ok or fg.is_calabi(g).verdict:
@@ -208,6 +228,31 @@ def sweep_scalars(n: int) -> dict:
     return row
 
 
+def sweep_surfaces(n: int) -> dict:
+    rng = random.Random(n)
+    row = {"summands": n}
+    for name in ("generic", "rank_one"):
+        model = random_model(rng, n_summands=n, rank_one=name == "rank_one")
+        text = fg.serialize(model)
+        stage_s, parsed = staged(
+            text,
+            {
+                "classify_leaves_s": fg.classify_leaves,
+                "consistency_check_s": fg.consistency_check,
+                "serialize_s": fg.serialize,
+            },
+        )
+        if parsed != model or fg.serialize(parsed) != text:
+            fail(n, f"{name}: the parsed model differs from the object-built one or from its text", "summands")
+        if not fg.consistency_check(parsed).ok:
+            fail(n, f"{name}: consistency check failed", "summands")
+        rank = fg.class_report(parsed).rank
+        if rank != RECORDED_SURFACES[n][name]:
+            fail(n, f"{name}: rank {rank} differs from the recorded", "summands")
+        row[name] = {"rank": rank, **{stage: round(t, 6) for stage, t in stage_s.items()}}
+    return row
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("sizes", nargs="*", type=int, help=f"vertex counts out of {sorted(RECORDED)}")
@@ -217,7 +262,19 @@ def main() -> None:
         ap.error(f"no recorded counts for {sorted(unknown)} vertices")
     rows = [sweep_one(size) for size in args.sizes or sorted(RECORDED)]
     scalar_rows = [sweep_scalars(n) for n in sorted(RECORDED_SCALARS)]
-    print(json.dumps({"python": platform.python_version(), "repeat": REPEAT, "rows": rows, "scalar_rows": scalar_rows}, indent=1))
+    surface_rows = [sweep_surfaces(n) for n in sorted(RECORDED_SURFACES)]
+    print(
+        json.dumps(
+            {
+                "python": platform.python_version(),
+                "repeat": REPEAT,
+                "rows": rows,
+                "scalar_rows": scalar_rows,
+                "surface_rows": surface_rows,
+            },
+            indent=1,
+        )
+    )
 
 
 if __name__ == "__main__":

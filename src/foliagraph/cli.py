@@ -16,6 +16,7 @@ import sys
 from .fileio import ParseError, parse_path, serialize_graph, serialize_surface, to_dot
 from .graph import (
     Foliation,
+    _natural,
     builtin,
     complexity,
     euler_genus,
@@ -44,10 +45,14 @@ def _fail_parse(message: str) -> int:
 
 
 def _load(source: str) -> Foliation | SurfaceModel:
-    if source.startswith("builtin:"):
-        return builtin(source[len("builtin:") :])
-    if source.startswith("example:"):
-        return builtin_example(int(source[len("example:") :]))
+    try:
+        if source.startswith("builtin:"):
+            return builtin(source[len("builtin:") :])
+        if source.startswith("example:"):
+            return builtin_example(_natural(source[len("example:") :]))
+    except ValueError as exc:
+        # Both prefixes are 8 characters long: column 9 starts the name.
+        raise ParseError(1, 9, str(exc), source) from exc
     return parse_path(source)
 
 
@@ -232,7 +237,7 @@ def _cmd_surface_check(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    m = builtin_example(args.number)
+    m = builtin_example(int(args.number))
     sys.stdout.write(serialize_surface(m))
     return OK
 
@@ -274,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("surface-classify", _cmd_surface_classify, "leaf and cohomology-class analysis")
     add("surface-check", _cmd_surface_check, "evaluate the consistency implications")
     p = sub.add_parser("example", help="print one of the four built-in surface models")
-    p.add_argument("number", type=int, choices=(1, 2, 3, 4))
+    p.add_argument("number", choices=("1", "2", "3", "4"))
     p.set_defaults(fn=_cmd_example)
     p = add("dot", _cmd_dot, "export a graph in DOT format")
     p.add_argument("-o", "--output", help="write DOT to this file")

@@ -40,7 +40,7 @@ from .graph import (
     FreeCircle,
     _tables,
 )
-from .scalars import SYMBOL_NAME, ExactScalar, SymbolDecl, SymbolTable
+from .scalars import SYMBOL_NAME, ExactScalar, SymbolDecl, SymbolTable, _reduced
 from .surfaces import SMALL, TUBE_KINDS, Disk, Summand, SurfaceModel, Tube, ribbon
 
 ParsedFile = FoliationGraph | FreeCircle | SurfaceModel
@@ -102,47 +102,69 @@ def _ratio(token: str) -> tuple[int, int]:
     """The rational ``token`` as an integer numerator and a positive
     denominator, not reduced."""
     m = _RATIONAL.fullmatch(token)
-    if m is None or m[2] is not None and int(m[2]) == 0:
+    if m is None:
         raise ValueError(f"expected a rational number, got {token!r}")
-    whole, den, frac = m.groups()
+    return _ratio_parts(*m.groups())
+
+
+def _ratio_parts(whole: str, den: str | None, frac: str | None) -> tuple[int, int]:
+    """``_ratio`` of the rational whose ``_RATIONAL`` groups are given."""
+    if den is not None:
+        d = int(den)
+        if d == 0:
+            raise ValueError(f"expected a rational number, got {whole + '/' + den!r}")
+        return int(whole), d
     if frac is not None:  # whole.frac = int(whole + frac) / 10**len(frac)
         return int(whole + frac), 10 ** len(frac)
-    return int(whole), int(den or 1)
+    return int(whole), 1
 
 
 def _rational(token: str) -> Fraction:
     return Fraction(*_ratio(token))
 
 
-_TERM = re.compile(
-    rf"(?:(?P<coeff>{_RATIONAL.pattern})\s*\*\s*)?(?P<sym>{SYMBOL_NAME})$|(?P<num>{_RATIONAL.pattern})$"
-)
+# A value splits at its signs into terms; a term is a coefficient times a
+# symbol, a symbol, or a rational.  Groups: the coefficient's three
+# ``_RATIONAL`` groups, the symbol, the rational's three.
+_SIGNS = re.compile(r"\s*([+-])\s*")
+_TERM = re.compile(rf"(?:{_RATIONAL.pattern}\s*\*\s*)?({SYMBOL_NAME})|{_RATIONAL.pattern}")
 
 
 def parse_value(expr: str, table: SymbolTable) -> ExactScalar:
-    """Parse ``q0 + q1*name1 - ...`` over the given table, term by term."""
+    """Parse ``q0 + q1*name1 - ...`` over the given table, term by term:
+    each term's integer numerator goes into the integer row over one
+    running common denominator, which grows only when a term's
+    denominator does not divide it."""
     text = expr.strip()
     if not text:
         raise ValueError("empty value")
-    # Normalize into signed terms.
-    chunks = re.split(r"\s*([+-])\s*", text)
+    chunks = _SIGNS.split(text)
     if chunks[0] == "":
         chunks = chunks[1:]
     else:
         chunks = ["+"] + chunks
-    vector = [Fraction(0)] * (len(table.names) + 1)
+    coordinate = table._coordinate
+    ints = [0] * (len(table.names) + 1)
+    den = 1
     for sign, term in zip(chunks[::2], chunks[1::2]):
-        m = _TERM.match(term.strip())
+        m = _TERM.fullmatch(term)
         if not m:
             raise ValueError(f"malformed term {term!r}")
-        name = m.group("sym")
-        i = 0 if name is None else table._coordinate.get(name)
-        if i is None:
-            raise ValueError(f"unknown scalar {name!r}")
-        number = m.group("num") or m.group("coeff")
-        c = _rational(number) if number else Fraction(1)
-        vector[i] += -c if sign == "-" else c
-    return ExactScalar(table, tuple(vector))
+        whole, d, frac, name, *number = m.groups()
+        if name is None:
+            i = 0
+            whole, d, frac = number
+        else:
+            i = coordinate.get(name)
+            if i is None:
+                raise ValueError(f"unknown scalar {name!r}")
+        n, q = (1, 1) if whole is None else _ratio_parts(whole, d, frac)
+        if den % q:
+            grow = q // gcd(den, q)
+            ints = [x * grow for x in ints]
+            den *= grow
+        ints[i] += (n if sign == "+" else -n) * (den // q)
+    return _reduced(table, den, ints)
 
 
 def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
@@ -334,7 +356,10 @@ def serialize_graph(g: Foliation) -> str:
         return f"graph {g.name} freecircle {g.winding} end\n"
     ids, slots = g._ids, g._slots
     out = [f"graph {g.name}"]
-    out += [f"  vertex {v} {kind} {angle}" for v, kind, angle in zip(ids, g._kinds, g._angle)]
+    out += [
+        f"  vertex {v} {kind} {n}/{d}" if d != 1 else f"  vertex {v} {kind} {n}"
+        for v, kind, n, d in zip(ids, g._kinds, g._num, g._den)
+    ]
     out += [
         f"  edge {e} {ids[t]}.{slots[ts]} -> {ids[h]}.{slots[hs]} winding {w}"
         for e, t, ts, h, hs, w in zip(g._eids, g._tail, g._tail_slot, g._head, g._head_slot, g._winding)

@@ -430,6 +430,14 @@ def _connected(g: FoliationGraph) -> bool:
     return parts == 1
 
 
+def _natural(text: str) -> int:
+    """``text`` as a natural number, read as the file grammar reads one:
+    ASCII digits only, where int() also takes '٣', '1_0' and spaces."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a natural number, got {text!r}")
+    return int(text)
+
+
 def builtin(name: str) -> Foliation:
     """Built-in graphs: ``theta``, ``dumbbell``, ``free-circle(w)``.
 
@@ -461,7 +469,7 @@ def builtin(name: str) -> Foliation:
             ),
         )
     if name.startswith("free-circle(") and name.endswith(")"):
-        w = int(name[len("free-circle(") : -1])
+        w = _natural(name[len("free-circle(") : -1])
         if w < 1:
             raise ValueError("free circle winding must be >= 1")
         return FreeCircle(name, w)

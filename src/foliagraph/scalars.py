@@ -11,7 +11,7 @@ coefficients.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -67,11 +67,12 @@ class SymbolTable:
         return dict(sorted(zip(self.names, range(1, len(self.names) + 1))))
 
     def rational(self, q: Rational) -> "ExactScalar":
-        return ExactScalar(self, (Fraction(q),) + (Fraction(0),) * len(self.names))
+        q = Fraction(q)
+        return _row(self, q.denominator, (q.numerator,) + (0,) * len(self.names))
 
     def symbol(self, name: str) -> "ExactScalar":
         i = self._coordinate[name]
-        return ExactScalar(self, tuple(Fraction(int(k == i)) for k in range(len(self.names) + 1)))
+        return _row(self, 1, tuple(int(k == i) for k in range(len(self.names) + 1)))
 
 
 def _coerce_tables(a: SymbolTable, b: SymbolTable) -> SymbolTable:
@@ -85,20 +86,58 @@ def _coerce_tables(a: SymbolTable, b: SymbolTable) -> SymbolTable:
     raise TableMismatchError("operands use different symbol tables")
 
 
-@dataclass(frozen=True)
 class ExactScalar:
     """A rational plus a rational combination of declared symbols.
 
-    ``vector`` holds the coordinates over the basis ``(1,) + table.names``,
-    zeros included, so dataclass equality is exact coefficient-wise
-    equality.  Values are immutable; all arithmetic returns new scalars.
+    Stored as its integer row: the coordinates over the basis
+    ``(1,) + table.names``, zeros included, are ``ints[i] / den``, with
+    ``den > 0`` and ``gcd(den, *ints) == 1``.  That form is canonical, as
+    ``den`` is the lcm of the coordinates' reduced denominators, so equal
+    rows are equal values; and it is the row ``qrank`` and
+    ``integer_relation`` eliminate, since scaling by a positive integer
+    changes no span and no dependency.  ``ExactScalar(table, vector)``
+    takes the coordinates as ints or ``Fraction``s, and ``vector`` gives
+    them back as ``Fraction``s, built on each read.  Values are immutable;
+    all arithmetic returns new scalars.
     """
 
-    table: SymbolTable
-    vector: tuple[Fraction, ...]
+    __slots__ = ("table", "den", "ints")
+
+    def __init__(self, table: SymbolTable, vector: Sequence[Rational]):
+        if len(vector) != len(table.names) + 1:
+            raise ValueError(f"a value over {len(table.names)} symbols needs {len(table.names) + 1} coordinates")
+        if not all(isinstance(x, (int, Fraction)) for x in vector):
+            raise TypeError("coordinates must be ints or Fractions")
+        den = lcm(*(x.denominator for x in vector))
+        _fill(self, table, den, tuple(x.numerator * (den // x.denominator) for x in vector))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ExactScalar, (self.table, self.vector)
+
+    @property
+    def vector(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.ints)
+
+    def __eq__(self, other):
+        if other.__class__ is not ExactScalar:
+            return NotImplemented
+        return (self.table, self.den, self.ints) == (other.table, other.den, other.ints)
+
+    def __hash__(self):
+        return hash((self.table, self.den, self.ints))
+
+    def __repr__(self):
+        return f"ExactScalar(table={self.table!r}, vector={self.vector!r})"
 
     def is_zero(self) -> bool:
-        return not any(self.vector)
+        return not any(self.ints)
 
     def rebind(self, table: SymbolTable) -> "ExactScalar":
         """The same value viewed over ``table``: its own table, or any
@@ -107,31 +146,23 @@ class ExactScalar:
             return self
         if self.table.decls:
             raise TableMismatchError("operands use different symbol tables")
-        return ExactScalar(table, self.vector + (Fraction(0),) * len(table.names))
-
-    @cached_property
-    def _integer_row(self) -> tuple[int, tuple[int, ...]]:
-        """``(scale, ints)``: the lcm of the vector's denominators and the
-        vector times it, all integers.  Scaling by a positive integer
-        changes no span and no dependency."""
-        scale = lcm(*(x.denominator for x in self.vector))
-        return scale, tuple(x.numerator * (scale // x.denominator) for x in self.vector)
+        return _row(table, self.den, self.ints + (0,) * len(table.names))
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> "ExactScalar":
         if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.table, (self.vector[0] + other,) + self.vector[1:])
+            return _sum(self, other.denominator, (other.numerator,) + (0,) * len(self.table.names))
         if not isinstance(other, ExactScalar):
             return NotImplemented
         table = _coerce_tables(self.table, other.table)
-        a, b = self.rebind(table).vector, other.rebind(table).vector
-        return ExactScalar(table, tuple(x + y for x, y in zip(a, b)))
+        other = other.rebind(table)
+        return _sum(self.rebind(table), other.den, other.ints)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(self.table, tuple(-x for x in self.vector))
+        return _row(self.table, self.den, tuple(-x for x in self.ints))
 
     def __sub__(self, other) -> "ExactScalar":
         if not isinstance(other, (int, Fraction, ExactScalar)):
@@ -146,7 +177,8 @@ class ExactScalar:
             raise TypeError("symbol products are outside this arithmetic")
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return ExactScalar(self.table, tuple(x * other for x in self.vector))
+        n = other.numerator
+        return _reduced(self.table, self.den * other.denominator, [x * n for x in self.ints])
 
     __rmul__ = __mul__
 
@@ -156,17 +188,57 @@ class ExactScalar:
         return NotImplemented
 
     def __str__(self) -> str:
+        den, ints = self.den, self.ints
         parts = []
-        if self.vector[0] or not any(self.vector[1:]):
-            parts.append(str(self.vector[0]))
+        if ints[0] or not any(ints[1:]):
+            parts.append(_ratio_text(ints[0], den))
         for name, i in self.table._coordinate.items():
-            c = self.vector[i]
-            term = name if abs(c) == 1 else f"{abs(c)}*{name}"
-            if c and parts:
-                parts.append(f"{'-' if c < 0 else '+'} {term}")
-            elif c:
-                parts.append(term if c > 0 else f"-{term}")
+            n = ints[i]
+            if not n:
+                continue
+            term = name if abs(n) == den else f"{_ratio_text(abs(n), den)}*{name}"
+            if parts:
+                parts.append(f"{'-' if n < 0 else '+'} {term}")
+            else:
+                parts.append(term if n > 0 else f"-{term}")
         return " ".join(parts)
+
+
+def _fill(s: ExactScalar, table: SymbolTable, den: int, ints: tuple[int, ...]) -> ExactScalar:
+    object.__setattr__(s, "table", table)
+    object.__setattr__(s, "den", den)
+    object.__setattr__(s, "ints", ints)
+    return s
+
+
+def _row(table: SymbolTable, den: int, ints: tuple[int, ...]) -> ExactScalar:
+    """The scalar with the canonical row ``(den, ints)``, unchecked."""
+    return _fill(object.__new__(ExactScalar), table, den, ints)
+
+
+def _reduced(table: SymbolTable, den: int, ints: list[int]) -> ExactScalar:
+    """The scalar ``ints / den`` for any ``den > 0``: the row divided
+    through by ``gcd(den, *ints)``."""
+    g = gcd(den, *ints)
+    if g > 1:
+        den //= g
+        ints = [x // g for x in ints]
+    return _row(table, den, tuple(ints))
+
+
+def _sum(a: ExactScalar, den: int, ints: Sequence[int]) -> ExactScalar:
+    """``a`` plus the row ``ints / den`` over ``a``'s table."""
+    if den == a.den:
+        return _reduced(a.table, den, [x + y for x, y in zip(a.ints, ints)])
+    g = gcd(den, a.den)
+    sa, sb = den // g, a.den // g
+    return _reduced(a.table, a.den * sa, [x * sa + y * sb for x, y in zip(a.ints, ints)])
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """``n / den`` as ``str(Fraction(n, den))`` writes it."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _shared_table(values: Sequence[ExactScalar]) -> SymbolTable:
@@ -212,7 +284,7 @@ def qrank(values: Sequence[ExactScalar]) -> int:
     table = _shared_table(values)
     width = len(table.names) + 1
     rank = 0
-    for reduced in _echelon((v.rebind(table)._integer_row[1] for v in values), width):
+    for reduced in _echelon((v.rebind(table).ints for v in values), width):
         if reduced is None:
             rank += 1
             if rank == width:
@@ -239,11 +311,13 @@ def integer_relation(values: Sequence[ExactScalar]) -> tuple[int, ...] | None:
     # At most ``width`` values are independent, so the first dependent one
     # comes at index ``width`` or before; each row carries a unit vector
     # of that length to record its combination of the values.
-    scaled = [v.rebind(table)._integer_row for v in values[: width + 1]]
-    rows = (ints + tuple(int(i == j) for j in range(len(scaled))) for i, (_, ints) in enumerate(scaled))
+    scaled = [v.rebind(table) for v in values[: width + 1]]
+    rows = (v.ints + tuple(int(i == j) for j in range(len(scaled))) for i, v in enumerate(scaled))
     for reduced in _echelon(rows, width):
         if reduced is not None:
-            rel = [a * scale for a, (scale, _) in zip(reduced[width:], scaled)]
+            # Row i is value i times its den, so the relation on the
+            # values scales each entry by that den.
+            rel = [a * v.den for a, v in zip(reduced[width:], scaled)]
             g = gcd(*rel)
             if next(a for a in rel if a) < 0:
                 g = -g

@@ -39,12 +39,17 @@ def _random_disk(rng: random.Random):
     return SMALL if rng.random() < 0.6 else ribbon(rng.randint(1, 3))
 
 
-def random_model(rng: random.Random, max_summands: int = 3) -> SurfaceModel:
-    """A random tree of torus summands; about a third are rank-one models
-    (all periods proportional to one value) so every implication fires."""
+def random_model(
+    rng: random.Random, max_summands: int = 3, n_summands: int | None = None, rank_one: bool | None = None
+) -> SurfaceModel:
+    """A random tree of torus summands: ``n_summands`` of them, or from 1
+    to ``max_summands`` if that is None.  It is a rank-one model (all
+    periods proportional to one value) as ``rank_one`` says, or, if that
+    is None, about a third of the time, so every implication fires."""
     table = example_table()
-    n = rng.randint(1, max_summands)
-    rank_one = rng.random() < 0.35
+    n = rng.randint(1, max_summands) if n_summands is None else n_summands
+    if rank_one is None:
+        rank_one = rng.random() < 0.35
     base = None
     if rank_one:
         while base is None or base.is_zero():

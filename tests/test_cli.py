@@ -1,6 +1,8 @@
 import os
 import random
 
+import pytest
+
 from foliagraph import builtin, builtin_example, harmonize, parse, serialize_graph, serialize_surface, to_dot
 from foliagraph.cli import main
 
@@ -128,6 +130,37 @@ def test_empty_surface_diagnosed_at_end(capsys, tmp_path):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "calabi", "no/such/file.graph")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, source, number",
+    [
+        ("validate", "builtin:free-circle(x)", "x"),
+        # int() takes each of these; the file grammar takes ASCII digits only.
+        ("validate", "builtin:free-circle(\u0663)", "\u0663"),
+        ("validate", "builtin:free-circle(1_0)", "1_0"),
+        ("validate", "builtin:free-circle( 3)", " 3"),
+        ("surface-check", "example:\u0663", "\u0663"),
+        ("surface-check", "example:3 ", "3 "),
+        ("surface-check", "example:", ""),
+    ],
+)
+def test_builtin_numbers_are_ascii_naturals(capsys, command, source, number):
+    code, out, err = run(capsys, command, source)
+    assert code == 2 and out == ""
+    assert err == f"{source}:1:9: expected a natural number, got {number!r}\n"
+
+
+def test_builtin_diagnostics_name_the_source(capsys):
+    code, _, err = run(capsys, "validate", "builtin:free-circle(0)")
+    assert code == 2 and err == "builtin:free-circle(0):1:9: free circle winding must be >= 1\n"
+    code, _, err = run(capsys, "surface-check", "example:5")
+    assert code == 2 and err == "example:5:1:9: examples are numbered 1 to 4\n"
+    code, _, err = run(capsys, "validate", "builtin:free-circle(" + "7" * 5000 + ")")
+    assert code == 2 and err.startswith("builtin:free-circle(7777") and ":1:9: Exceeds the limit" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["example", "\u0663"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_surface_check_examples(capsys):

@@ -305,6 +305,21 @@ def test_parsed_and_object_built_graphs_agree():
         _routes_agree(g)
 
 
+def test_angles_print_in_lowest_terms_whatever_their_type():
+    # serialize writes an angle from the graph's exact tables: a float or
+    # int angle given to FoliationGraph prints as the Fraction it equals,
+    # so the text parses back to an equal graph.
+    g = FoliationGraph(
+        "t",
+        (Vertex("m", MERGE, 0.75), Vertex("s", SPLIT, 0), Vertex("x", SPLIT, 0.1)),
+        _theta("t").edges,
+    )
+    text = serialize(g)
+    assert "vertex m MERGE 3/4\n" in text and "vertex s SPLIT 0\n" in text
+    assert "vertex x SPLIT 3602879701896397/36028797018963968\n" in text  # the float nearest 1/10
+    assert parse(text) == g and serialize(parse(text)) == text
+
+
 def test_objects_are_built_only_when_read():
     g = parse(serialize(random_valid_graph(random.Random(3), n_pairs=8)))
     validate(g), complexity(g), is_calabi(g), serialize(g), g == parse(serialize(g))

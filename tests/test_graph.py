@@ -57,6 +57,9 @@ def test_free_circle():
         builtin("free-circle(0)")
     with pytest.raises(ValueError):
         builtin("trefoil")
+    for digits in ("x", "\u0663", "1_0", " 3", "+3"):
+        with pytest.raises(ValueError, match="expected a natural number"):
+            builtin(f"free-circle({digits})")
 
 
 def _graph(vertices, edges):

@@ -1,4 +1,7 @@
+import copy
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +79,91 @@ def test_str_parses_back(data):
     t = example_table()
     s = data.draw(scalars(t))
     assert parse_value(str(s), t) == s
+
+
+def oracle_text(table: SymbolTable, vector: tuple[Fraction, ...]) -> str:
+    """The text of a value, written term by term from its Fraction
+    coordinates: the rational if nonzero or alone, then each nonzero
+    symbol coefficient in name order, a unit coefficient left out."""
+    parts = [str(vector[0])] if vector[0] or not any(vector[1:]) else []
+    for name in sorted(table.names):
+        c = vector[table.names.index(name) + 1]
+        if c:
+            term = name if abs(c) == 1 else f"{abs(c)}*{name}"
+            sign = "-" if c < 0 else "+"
+            parts.append(f"{sign} {term}" if parts else term if c > 0 else f"-{term}")
+    return " ".join(parts)
+
+
+def check_against_oracle(s: ExactScalar, table: SymbolTable, vector: tuple[Fraction, ...]) -> None:
+    """``s`` is the value with coordinates ``vector`` over ``table``: its
+    row is canonical and the lcm-scaled vector, and its view and text are
+    the oracle's."""
+    assert s.table == table and s.vector == vector
+    assert all(type(x) is Fraction for x in s.vector)
+    den = lcm(*(x.denominator for x in vector))
+    assert s.den == den and s.ints == tuple(int(x * den) for x in vector)
+    assert s.den > 0 and gcd(s.den, *s.ints) == 1
+    assert str(s) == oracle_text(table, vector)
+    assert parse_value(str(s), table) == s
+    assert s.is_zero() == (not any(vector))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scalar_agrees_with_the_fraction_vector_oracle(data):
+    t, free = example_table(), SymbolTable()
+    coords = st.lists(rationals, min_size=4, max_size=4)
+    va, vb = data.draw(coords), data.draw(coords)
+    a, b = ExactScalar(t, tuple(va)), ExactScalar(t, tuple(vb))
+    q = data.draw(rationals)
+    n = data.draw(st.integers(-5, 5))
+    # The symbol-free table embeds as zero symbol coordinates.
+    r = ExactScalar(free, (va[0],))
+    check_against_oracle(r, free, (va[0],))
+    check_against_oracle(r.rebind(t), t, (va[0], 0, 0, 0))
+    cases = [
+        (a, va),
+        (a + b, [x + y for x, y in zip(va, vb)]),
+        (a - b, [x - y for x, y in zip(va, vb)]),
+        (a + r, [va[0] + va[0]] + va[1:]),
+        (r - a, [va[0] - x if k == 0 else -x for k, x in enumerate(va)]),
+        (-a, [-x for x in va]),
+        (a + q, [va[0] + q] + va[1:]),
+        (q - a, [q - va[0]] + [-x for x in va[1:]]),
+        (a * q, [x * q for x in va]),
+        (n * a, [n * x for x in va]),
+        (t.rational(q), [q, 0, 0, 0]),
+        (t.symbol("mu") * q, [0, 0, q, 0]),
+    ]
+    if q:
+        cases.append((a / q, [x / q for x in va]))
+    for s, vector in cases:
+        check_against_oracle(s, t, tuple(Fraction(x) for x in vector))
+    # Equality is equality of vectors, and hash agrees with it.
+    for x, y in ((a, b), (a, 2 * a), (a, a / 2), (a + b, b + a), (a * q + a * q, a * (2 * q)), (a, r), (r.rebind(t), r)):
+        assert (x == y) == (x.table == y.table and x.vector == y.vector)
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+def test_scalars_are_immutable(table):
+    s = table.rational(Fraction(1, 2)) + table.symbol("lam")
+    for field in ("table", "den", "ints", "vector", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(s, field, None)
+    with pytest.raises(FrozenInstanceError):
+        del s.den
+    assert copy.copy(s) == copy.deepcopy(s) == s
+    assert repr(s) == f"ExactScalar(table={table!r}, vector={s.vector!r})"
+
+
+def test_constructor_takes_one_int_or_fraction_per_coordinate(table):
+    assert ExactScalar(table, (1, Fraction(1, 2), 0, -3)) == 1 + table.symbol("lam") / 2 - 3 * table.symbol("nu")
+    with pytest.raises(ValueError, match="needs 4 coordinates"):
+        ExactScalar(table, (1, 2))
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        ExactScalar(table, (0.5, 0, 0, 0))
 
 
 def test_unknown_symbol_rejected(table):
