@@ -15,7 +15,10 @@ SIZE is a vertex count out of the recorded ones, 100, 200, 400 and 800
 would, so each builds what it needs itself.  ``sort_events`` sorts the
 cut at the complexity witness, ``reglue`` reglues the sorted cut, and
 ``harmonize`` reduces the graph itself (every recorded input is
-non-Calabi).  The
+non-Calabi).  ``is_calabi_calabi_s`` times ``is_calabi`` on a freshly
+parsed Calabi input: the first Calabi graph among the draws of that same
+generator (draw 6, 18, 4 and 6 at 100, 200, 400 and 800 vertices; draw 1
+is the input above).  The
 scalar rows always cover all recorded value counts, 48, 96, 192 and 384:
 at N values the inputs are N random values over the three-symbol table of
 ``tests/modelgen.example_table`` (rank 4, the table's full width) and N
@@ -37,7 +40,9 @@ does not parse back to the graph and to itself (``serialize(parse(text))
 cut its construction check rejects, a sorted word with a split below a merge, a
 reglued or harmonized graph that fails ``validate``, a harmonize result
 that is not Calabi or not contiguous, a rewrite or step count that
-differs from the recorded one, a rank or relation that differs from
+differs from the recorded one, a Calabi input's draw, certificate
+cycle count or total walk length that differs from the recorded one, a
+rank or relation that differs from
 the recorded one, a surface text that does not parse back to the model
 and to itself, a failed consistency check, or a period rank that differs
 from the recorded one.  Timings gate nothing.
@@ -64,12 +69,17 @@ from modelgen import example_table, random_model  # noqa: E402
 REPEAT = 3
 # Per size: rewrites of the witness cut's sort, and harmonize's completed
 # steps with their rewrites in total, or the steps completed before it
-# got stuck (rewrites None).
+# got stuck (rewrites None); and the Calabi input's draw, its
+# certificate's cycle count and the total length of its walks.
 RECORDED = {
-    100: {"sort_rewrites": 1562, "harmonize_steps": 4, "harmonize_rewrites": None},
-    200: {"sort_rewrites": 5774, "harmonize_steps": 3, "harmonize_rewrites": 25774},
-    400: {"sort_rewrites": 23399, "harmonize_steps": 1, "harmonize_rewrites": 23399},
-    800: {"sort_rewrites": 84801, "harmonize_steps": 2, "harmonize_rewrites": 244801},
+    100: {"sort_rewrites": 1562, "harmonize_steps": 4, "harmonize_rewrites": None,
+          "calabi_draw": 6, "calabi_cycles": 51, "calabi_walk_edges": 1238},
+    200: {"sort_rewrites": 5774, "harmonize_steps": 3, "harmonize_rewrites": 25774,
+          "calabi_draw": 18, "calabi_cycles": 101, "calabi_walk_edges": 3720},
+    400: {"sort_rewrites": 23399, "harmonize_steps": 1, "harmonize_rewrites": 23399,
+          "calabi_draw": 4, "calabi_cycles": 201, "calabi_walk_edges": 7738},
+    800: {"sort_rewrites": 84801, "harmonize_steps": 2, "harmonize_rewrites": 244801,
+          "calabi_draw": 6, "calabi_cycles": 401, "calabi_walk_edges": 14732},
 }
 
 # Per value count and input: the rank, and the relation's nonzero entries
@@ -142,13 +152,23 @@ def staged(text: str, stages: dict) -> tuple[dict, object]:
 
 
 def sweep_one(size: int) -> dict:
-    g = random_valid_graph(random.Random(1), n_pairs=size // 2)
+    rng = random.Random(1)
+    g = random_valid_graph(rng, n_pairs=size // 2)
     text = fg.serialize(g)
     stage_s, parsed = staged(text, {"validate_s": fg.validate, "complexity_s": fg.complexity, "is_calabi_s": fg.is_calabi})
     if parsed != g or fg.serialize(parsed) != text:
         fail(size, "the parsed graph differs from the object-built one or from its text")
     if not fg.validate(g).ok or fg.is_calabi(g).verdict:
         fail(size, "input is not a valid non-Calabi graph")
+
+    draw, calabi = 1, g
+    while not fg.is_calabi(calabi).verdict:
+        draw, calabi = draw + 1, random_valid_graph(rng, n_pairs=size // 2)
+    calabi_text = fg.serialize(calabi)
+    calabi_s, parsed = staged(calabi_text, {"is_calabi_calabi_s": fg.is_calabi})
+    if parsed != calabi or fg.serialize(parsed) != calabi_text:
+        fail(size, "the parsed Calabi graph differs from the object-built one or from its text")
+    cycles = fg.is_calabi(parsed).cycles
     k, witness = fg.complexity(g)
     try:
         c = fg.cut(g, witness)
@@ -173,6 +193,9 @@ def sweep_one(size: int) -> dict:
         "sort_rewrites": rewrites,
         "harmonize_steps": len(trace.steps),
         "harmonize_rewrites": None if result is None else sum(s.rewrites for s in trace.steps),
+        "calabi_draw": draw,
+        "calabi_cycles": len(cycles),
+        "calabi_walk_edges": sum(map(len, cycles)),
     }
     if got != RECORDED[size]:
         fail(size, f"counts {got} differ from the recorded {RECORDED[size]}")
@@ -180,6 +203,7 @@ def sweep_one(size: int) -> dict:
         "vertices": size,
         "complexity": k,
         **{name: round(t, 5) for name, t in stage_s.items()},
+        "is_calabi_calabi_s": round(calabi_s["is_calabi_calabi_s"], 5),
         "sort_events_s": round(sort_s, 4),
         "reglue_s": round(reglue_s, 5),
         "harmonize_s": round(harmonize_s, 4),

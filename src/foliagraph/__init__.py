@@ -33,7 +33,6 @@ from .reduction import (
     contiguous,
     cut,
     harmonize,
-    reduce_once,
     reglue,
     sort_events,
 )

@@ -30,6 +30,8 @@ SLOTS = IN_SLOTS[MERGE] + OUT_SLOTS[SPLIT]
 ARITY = {kind: (len(IN_SLOTS[kind]), len(OUT_SLOTS[kind])) for kind in IN_SLOTS}
 _SLOT_INDEX = {slot: s for s, slot in enumerate(SLOTS)}
 _PORTS = {kind: tuple(_SLOT_INDEX[s] for s in IN_SLOTS[kind] + OUT_SLOTS[kind]) for kind in ARITY}
+_IN_PORTS = {kind: frozenset(_SLOT_INDEX[s] for s in slots) for kind, slots in IN_SLOTS.items()}
+_OUT_PORTS = {kind: frozenset(_SLOT_INDEX[s] for s in slots) for kind, slots in OUT_SLOTS.items()}
 
 
 @dataclass(frozen=True)
@@ -159,10 +161,6 @@ class FoliationGraph:
     def _angle(self) -> list[Fraction]:
         return list(map(Fraction, self._num, self._den))
 
-    def _angle_of(self, v: int) -> Fraction:
-        """The angle of vertex ``v``, without building every other one."""
-        return Fraction(self._num[v], self._den[v])
-
     @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
         return tuple(map(Vertex, self._ids, self._kinds, self._angle))
@@ -239,11 +237,14 @@ class FoliationGraph:
         return best, min(self._midpoint(k) for k in (counts.index(best), len(counts) - 1) if counts[k] == best)
 
     def _midpoint(self, k: int) -> Fraction:
-        """The circular midpoint of the gap above the critical value of rank ``k``."""
-        order = self._order
-        lo = self._angle_of(order[k])
-        hi = self._angle_of(order[k + 1]) if k + 1 < len(order) else self._angle_of(order[0]) + 1
-        return _turn((lo + hi) / 2)
+        """The circular midpoint of the gap above the critical value of rank
+        ``k``, turned into [0, 1): with angles a/b below and c/d above (plus
+        one turn if the gap wraps), (a * d + c * b) / (2 * b * d) mod 1."""
+        order, num, den = self._order, self._num, self._den
+        lo, hi = order[k], order[(k + 1) % len(order)]
+        b, d = den[lo], den[hi]
+        n = num[lo] * d + num[hi] * b + (b * d if k + 1 == len(order) else 0)
+        return Fraction(n % (2 * b * d), 2 * b * d)
 
     def _gap(self, a: Fraction, noun: str) -> tuple[Fraction, int]:
         """The angle ``a`` turned into [0, 1) and the gap holding it; a
@@ -392,25 +393,29 @@ def _end_faults(g: FoliationGraph) -> list[str]:
     bad = []
     use = [0] * (4 * nv)
     for eid, t, ts, h, hs, w in zip(g._eids, g._tail, g._tail_slot, g._head, g._head_slot, g._winding):
-        for v, s, legal, direction in ((t, ts, OUT_SLOTS, "out"), (h, hs, IN_SLOTS, "in")):
-            if v >= nv:
-                bad.append(f"edge {eid}: unknown vertex {ids[v]}")
-            elif slots[s] not in legal.get(kinds[v], ()):
-                bad.append(f"edge {eid}: slot {ids[v]}.{slots[s]} not an {direction}-slot of a {kinds[v]} vertex")
-            else:
-                use[4 * v + s] += 1
+        if t >= nv:
+            bad.append(f"edge {eid}: unknown vertex {ids[t]}")
+        elif ts in _OUT_PORTS.get(kinds[t], ()):
+            use[4 * t + ts] += 1
+        else:
+            bad.append(f"edge {eid}: slot {ids[t]}.{slots[ts]} not an out-slot of a {kinds[t]} vertex")
+        if h >= nv:
+            bad.append(f"edge {eid}: unknown vertex {ids[h]}")
+        elif hs in _IN_PORTS.get(kinds[h], ()):
+            use[4 * h + hs] += 1
+        else:
+            bad.append(f"edge {eid}: slot {ids[h]}.{slots[hs]} not an in-slot of a {kinds[h]} vertex")
         if w < 0:
             bad.append(f"edge {eid}: negative winding")
         if t == h and w < 1:
             bad.append(f"edge {eid}: loop needs winding >= 1")
     last = {vid: v for v, vid in enumerate(ids[:nv])}
     for vid, kind in zip(ids, kinds):
+        port = 4 * last[vid]
         for s in _PORTS.get(kind, ()):
-            n = use[4 * last[vid] + s]
-            if n == 0:
-                bad.append(f"vertex {vid}: slot {SLOTS[s]} unused")
-            elif n > 1:
-                bad.append(f"vertex {vid}: slot {SLOTS[s]} reused ({n} edge ends)")
+            n = use[port + s]
+            if n != 1:
+                bad.append(f"vertex {vid}: slot {SLOTS[s]} " + ("unused" if n == 0 else f"reused ({n} edge ends)"))
     return bad
 
 
@@ -510,11 +515,14 @@ def is_calabi(g: Foliation) -> CalabiCertificate:
     For a connected oriented graph this coincides with strong
     connectivity, decided by a forward and a reverse breadth-first search
     from the root, the smallest vertex id.  The certificate is either a
-    family of closed positive walks through the root, at most one per
-    edge (tree path root->tail, the edge, tree path head->root, each
-    rotated to start at its smallest edge id), covering every edge; or
+    family of closed positive walks through the root, one per edge (tree
+    path root->tail, the edge, tree path head->root, each rotated to start
+    at its smallest edge id) with repeats dropped, covering every edge; or
     the smallest-id vertex that does not reach everything, with the
-    smallest-id vertex outside its positive out-set.
+    smallest-id vertex outside its positive out-set.  There are exactly
+    E - V + 1 walks, the genus, each built once: each non-root vertex has
+    exactly one reverse-tree out-edge, and it repeats the walk of the
+    forward-tree edge into that vertex.
     """
     if isinstance(g, FreeCircle) or not g._kinds:
         return CalabiCertificate(True)
@@ -550,23 +558,39 @@ def _calabi_verdict(g: Foliation) -> bool:
 
 
 def _root_walks(g: FoliationGraph, down: tuple[list, list], up: tuple[list, list]) -> tuple[tuple[str, ...], ...]:
+    """The distinct walks ``into[t] + (e,) + back[h]`` of the edges
+    e = t -> h, each rotated to start at its smallest edge id, in the order
+    of their first edges.  A walk is keyed by its last edge, read from the
+    root, that is not its tail's reverse-tree edge, and built at the first
+    edge with a new key: each non-root vertex has exactly one reverse-tree
+    out-edge, and it repeats the walk of the forward-tree edge into its
+    tail (``up_via[t] == e`` gives ``back[t] == (e,) + back[h]``).  That
+    leaves E - V + 1 keys, whose walks differ: the root is the tail of only
+    a walk's first edge."""
     eids, tail, head = g._eids, g._tail, g._head
     into: list[tuple[str, ...]] = [()] * len(g._ids)  # tree path root -> v, built parents first
-    reached, via = down
+    key = [0] * len(g._ids)  # the key of the walk into[v] + back[v]
+    reached, down_via = down
+    up_via = up[1]
     for v in reached[1:]:
-        e = via[v]
-        into[v] = into[tail[e]] + (eids[e],)
+        e = down_via[v]
+        t = tail[e]
+        into[v] = into[t] + (eids[e],)
+        key[v] = key[t] if up_via[t] == e else e
     back: list[tuple[str, ...]] = [()] * len(g._ids)  # tree path v -> root
-    reached, via = up
-    for v in reached[1:]:
-        e = via[v]
+    for v in up[0][1:]:
+        e = up_via[v]
         back[v] = (eids[e],) + back[head[e]]
     walks = []
-    for e, t, h in zip(eids, tail, head):
-        walk = into[t] + (e,) + back[h]
-        k = walk.index(min(walk))
-        walks.append(walk[k:] + walk[:k])
-    return tuple(dict.fromkeys(walks))
+    built = bytearray(len(eids))
+    for e, (t, h) in enumerate(zip(tail, head)):
+        k = key[t] if up_via[t] == e else e
+        if not built[k]:
+            built[k] = 1
+            walk = into[t] + (eids[e],) + back[h]
+            i = walk.index(min(walk))
+            walks.append(walk[i:] + walk[:i])
+    return tuple(walks)
 
 
 def euler_genus(g: Foliation) -> tuple[int, int]:

@@ -394,17 +394,6 @@ class ReductionTrace:
     steps: tuple[ReductionStep, ...] = ()
 
 
-def reduce_once(g: FoliationGraph) -> FoliationGraph:
-    """One reduction pass on a non-Calabi graph: cut at the complexity
-    witness, sort, reglue.  Complexity strictly decreases and the numbers
-    of merges and splits are preserved."""
-    if isinstance(g, FreeCircle) or not g._kinds:
-        raise ValueError("reduction needs a graph with vertices")
-    if _calabi_verdict(g):
-        raise ValueError("graph is already Calabi; nothing to reduce")
-    return _reduce_step(g, ()).graph_after
-
-
 def _reduce_step(g: FoliationGraph, done: Sequence[ReductionStep]) -> ReductionStep:
     """Reduce a graph already known not to be Calabi, after the steps
     ``done``; a stuck step raises StuckError carrying them as its trace."""

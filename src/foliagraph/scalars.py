@@ -293,6 +293,20 @@ def qrank(values: Sequence[ExactScalar]) -> int:
     return rank
 
 
+def _rank_one(values: Sequence[ExactScalar]) -> bool:
+    """``qrank(values) == 1`` by cross-multiplication: over the shared
+    table, some row is nonzero, and every row r has ``r[i] * b[j] == r[j] *
+    b[i]`` for all i, with b the first nonzero row and j its first nonzero
+    entry."""
+    table = _shared_table(values)
+    rows = [v.rebind(table).ints for v in values]
+    base = next((r for r in rows if any(r)), None)
+    if base is None:
+        return False
+    j = next(i for i, x in enumerate(base) if x)
+    return all(r[i] * base[j] == r[j] * x for r in rows for i, x in enumerate(base))
+
+
 def integer_relation(values: Sequence[ExactScalar]) -> tuple[int, ...] | None:
     """A nonzero integer vector a with sum(a[i]*values[i]) == 0, if one exists.
 

@@ -24,6 +24,7 @@ from .scalars import (
     SymbolDecl,
     SymbolTable,
     _coerce_tables,
+    _rank_one,
     integer_relation,
     qrank,
 )
@@ -64,7 +65,7 @@ class Summand:
     @cached_property
     def compact(self) -> bool:
         """Commensurable periods: the torus form has all leaves compact."""
-        return qrank([self.p, self.q]) == 1
+        return _rank_one([self.p, self.q])
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ class SurfaceModel:
                 and rs.compact
                 and (
                     (t.left_disk.is_small and t.right_disk.is_small)
-                    or qrank([ls.p, ls.q, rs.p, rs.q]) == 1
+                    or _rank_one([ls.p, ls.q, rs.p, rs.q])
                 )
             )
             if joined_compact:

@@ -327,6 +327,57 @@ def oracle_end_faults(g: FoliationGraph) -> list[str]:
     return bad
 
 
+def oracle_root_walks(g: FoliationGraph) -> tuple[tuple[str, ...], ...]:
+    """The Calabi certificate's walks by their first construction: per
+    edge, in edge order, the forward breadth-first tree path from the root
+    (the smallest vertex id) to its tail, the edge, and the reverse tree
+    path from its head back to the root, rotated to start at its smallest
+    edge id; repeats dropped with ``dict.fromkeys``.  The searches visit
+    out- and in-edges in edge order, read from ``g.vertices`` and
+    ``g.edges``."""
+    ids = sorted(v.id for v in g.vertices)
+    out: dict[str, list[Edge]] = {v: [] for v in ids}
+    inc: dict[str, list[Edge]] = {v: [] for v in ids}
+    for e in g.edges:
+        out[e.tail.vertex].append(e)
+        inc[e.head.vertex].append(e)
+
+    def tree(adjacent: dict[str, list[Edge]], far) -> dict[str, Edge | None]:
+        via: dict[str, Edge | None] = {ids[0]: None}
+        queue = [ids[0]]
+        for v in queue:
+            for e in adjacent[v]:
+                w = far(e).vertex
+                if w not in via:
+                    via[w] = e
+                    queue.append(w)
+        return via
+
+    down = tree(out, lambda e: e.head)
+    up = tree(inc, lambda e: e.tail)
+
+    def into(v: str) -> list[str]:
+        path = []
+        while down[v] is not None:
+            path.append(down[v].id)
+            v = down[v].tail.vertex
+        return path[::-1]
+
+    def back(v: str) -> list[str]:
+        path = []
+        while up[v] is not None:
+            path.append(up[v].id)
+            v = up[v].head.vertex
+        return path
+
+    walks = []
+    for e in g.edges:
+        walk = tuple(into(e.tail.vertex) + [e.id] + back(e.head.vertex))
+        k = walk.index(min(walk))
+        walks.append(walk[k:] + walk[:k])
+    return tuple(dict.fromkeys(walks))
+
+
 def oracle_strongly_connected(g: FoliationGraph) -> bool:
     ids = [v.id for v in g.vertices]
     return all(enum_reachable(g, x) == set(ids) for x in ids)

@@ -30,6 +30,7 @@ from graphgen import (
     oracle_crossing_count,
     oracle_end_faults,
     oracle_every_edge_on_cycle,
+    oracle_root_walks,
     oracle_strongly_connected,
     random_valid_graph,
     regular_levels,
@@ -526,6 +527,41 @@ def test_certificates_check_independently():
         _check_certificate(g, cert)
         seen[cert.verdict] += 1
     assert sum(seen.values()) >= 200
+
+
+def test_certificate_walks_equal_the_one_walk_per_edge_oracle():
+    # Same walks in the same order as building one walk per edge and
+    # dropping repeats, and exactly E - V + 1 of them: the genus.  Every
+    # Calabi graph of up to 6 vertices, and 300 random ones of up to 64,
+    # each also with its vertex ids and its edge ids shuffled: the
+    # generators give the root's out-edge the smallest edge id, so only
+    # shuffled ids make a walk start anywhere else.  Each shuffle is seeded
+    # by the graph's text, so it does not depend on the graphs' order.
+    def shuffled(g):
+        rng = random.Random(serialize(g))
+        vids, eids = [v.id for v in g.vertices], [e.id for e in g.edges]
+        v_to = dict(zip(vids, rng.sample(vids, len(vids))))
+        e_to = dict(zip(eids, rng.sample(eids, len(eids))))
+        return FoliationGraph(
+            g.name,
+            [Vertex(v_to[v.id], v.kind, v.angle) for v in g.vertices],
+            [Edge(e_to[e.id], End(v_to[e.tail.vertex], e.tail.slot), End(v_to[e.head.vertex], e.head.slot), e.winding) for e in g.edges],
+        )
+
+    def check(g):
+        if not is_calabi(g).verdict:
+            return False
+        for h in (g, shuffled(g)):
+            cycles = is_calabi(h).cycles
+            assert cycles == oracle_root_walks(h), serialize(h)
+            assert len(cycles) == len(h.edges) - len(h.vertices) + 1 == euler_genus(h)[1]
+        return True
+
+    assert sum(check(g) for n_verts in (2, 4, 6) for g in exhaustive_valid_graphs(n_verts)) == 39
+    rng = random.Random(2026_18)
+    checked = 0
+    while checked < 300:
+        checked += check(random_valid_graph(rng, n_pairs=rng.randint(1, 32)))
 
 
 def test_complexity_matches_level_by_level_reference():

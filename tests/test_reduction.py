@@ -22,7 +22,6 @@ from foliagraph import (
     cut,
     harmonize,
     is_calabi,
-    reduce_once,
     reglue,
     serialize,
     sort_events,
@@ -211,15 +210,11 @@ def test_reglue_rejects_orphan_glue_orbit():
     assert str(exc.value) == "glue orbit through strands [9] avoids every vertex"
 
 
-def test_reduce_once_dumbbell():
-    g = reduce_once(builtin("dumbbell"))
+def test_first_step_dumbbell():
+    _, trace = harmonize(builtin("dumbbell"))
+    g = trace.steps[0].graph_after
     assert is_theta(g)
     assert complexity(g)[0] == 1
-
-
-def test_reduce_once_rejects_calabi_input():
-    with pytest.raises(ValueError):
-        reduce_once(builtin("theta"))
 
 
 def test_stuck_error_carries_the_completed_steps_and_its_cause():
@@ -233,7 +228,7 @@ def test_stuck_error_carries_the_completed_steps_and_its_cause():
     assert isinstance(stuck.cause, NotSortableError)
     assert stuck.__cause__ is stuck.cause
     with pytest.raises(StuckError) as exc:
-        reduce_once(stuck.trace.steps[0].graph_after)
+        harmonize(stuck.trace.steps[0].graph_after)
     assert exc.value.trace == ReductionTrace()
     assert str(exc.value) == str(stuck)
 
@@ -397,15 +392,18 @@ def test_sort_fails_exactly_when_strands_are_at_most_merges():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**9))
-def test_reduce_once_contract(seed):
+def test_first_step_contract(seed):
     rng = random.Random(seed)
     g = random_non_calabi_graph(rng, max_pairs=5)
     before, _ = complexity(g)
     try:
-        g2 = reduce_once(g)
-    except StuckError:
-        assert before <= g.merge_count()
-        return
+        _, trace = harmonize(g)
+    except StuckError as exc:
+        if not exc.trace.steps:
+            assert before <= g.merge_count()
+            return
+        trace = exc.trace
+    g2 = trace.steps[0].graph_after
     assert validate(g2).ok
     assert complexity(g2)[0] < before
     assert contiguous(g, g2)

@@ -1,4 +1,5 @@
 import copy
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
@@ -16,6 +17,7 @@ from foliagraph import (
     qrank,
 )
 from foliagraph.fileio import parse_value
+from foliagraph.scalars import _rank_one
 
 from modelgen import example_table
 from oracles import oracle_rank, rref_rank, rref_relation
@@ -267,6 +269,35 @@ def test_rank_and_relation_equal_the_rref_reference(values):
     vectors = [v.rebind(table).vector for v in values]
     assert qrank(values) == rref_rank(vectors)
     assert integer_relation(values) == rref_relation(vectors)
+
+
+def test_rank_one_test_equals_qrank_on_seeded_rows():
+    # The two- and four-value rank-one test of the surface layer against
+    # the echelon: rows over the example table, the symbol-free one and a
+    # mix of both, with zero rows, and lists of multiples of one row.
+    t, free = example_table(), SymbolTable()
+    rng = random.Random(2026_18)
+
+    def coords(width):
+        # About one value in four is zero.
+        zero = rng.random() < 0.25
+        return tuple(Fraction(0 if zero else rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(width))
+
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.choice((2, 4))
+        kind = rng.choice(("table", "free", "mixed", "multiples"))
+        if kind == "multiples":
+            tab = rng.choice((t, free))
+            base = ExactScalar(tab, coords(len(tab.names) + 1))
+            values = [base * Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+        else:
+            tables = {"table": [t], "free": [free], "mixed": [t, free]}[kind]
+            values = [ExactScalar(tab, coords(len(tab.names) + 1)) for tab in (rng.choice(tables) for _ in range(n))]
+        got = _rank_one(values)
+        assert got == (qrank(values) == 1), values
+        seen[got] += 1
+    assert min(seen.values()) >= 500
 
 
 def test_rank_and_relation_errors(table):

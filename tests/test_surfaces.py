@@ -229,17 +229,21 @@ def test_three_summand_chain():
 
 
 def test_consistency_check_tests_each_summand_once(monkeypatch):
-    # One qrank for the class rank, one per summand's compactness (shared
-    # by the leaf flags and the splitness) and at most one per tube.
+    # One qrank for the class rank, one rank-one test per summand's
+    # compactness (shared by the leaf flags and the splitness) and at most
+    # one per tube.
     calls = 0
-    real_qrank = surfaces.qrank
 
-    def counting_qrank(values):
-        nonlocal calls
-        calls += 1
-        return real_qrank(values)
+    def counting(real):
+        def wrapper(values):
+            nonlocal calls
+            calls += 1
+            return real(values)
 
-    monkeypatch.setattr(surfaces, "qrank", counting_qrank)
+        return wrapper
+
+    for name in ("qrank", "_rank_one"):
+        monkeypatch.setattr(surfaces, name, counting(getattr(surfaces, name)))
     rng = random.Random(2024_13)
     for _ in range(100):
         m = random_model(rng, max_summands=8)
