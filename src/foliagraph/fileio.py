@@ -224,7 +224,7 @@ def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
     lines.end_of_file()
 
 
-_DISK_RE = re.compile(r"^(small|ribbon\((\d+)\))$")
+_DISK_RE = re.compile(r"^(small|ribbon\(([0-9]+)\))$")
 
 
 def _parse_disk(token: str) -> Disk:

@@ -10,6 +10,7 @@ property of the form becomes strong connectivity of the directed graph.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,7 +58,7 @@ class Edge:
 
 # The tables of a FoliationGraph, in the order ``_make`` takes them.
 _TABLES = (
-    "name", "_ids", "_kinds", "_num", "_den", "_flo",
+    "name", "_ids", "_kinds", "_num", "_den",
     "_eids", "_tail", "_tail_slot", "_head", "_head_slot", "_winding", "_slots",
 )
 
@@ -92,12 +93,8 @@ def _tables(name: str, vertices: list[tuple], edges: list[tuple]) -> tuple:
     sindex = dict(_SLOT_INDEX)
     tail, head = numbered(tails, ids, vindex), numbered(heads, ids, vindex)
     tail_slot, head_slot = numbered(tail_slots, slots, sindex), numbered(head_slots, slots, sindex)
-    # Angles outside [0, 1), which only an invalid graph has and whose
-    # quotient may not fit in a float, all take 1.0: ``_order`` sorts the
-    # floats and breaks their ties by the exact angles.
-    flo = [n / d if 0 <= n < d else 1.0 for n, d in zip(num, den)]
     return (
-        name, ids, kinds, num, den, flo, eids, tail, tail_slot, head, head_slot, windings,
+        name, ids, kinds, num, den, eids, tail, tail_slot, head, head_slot, windings,
         SLOTS if len(slots) == len(SLOTS) else tuple(slots),
     )
 
@@ -116,7 +113,9 @@ def _columns(rows: list[tuple], width: int) -> list[list]:
     return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+# The dataclass keeps the table ``__eq__`` below, which the class defines,
+# and generates the hash and repr of (name, vertices, edges).
+@dataclass(frozen=True, init=False)
 class FoliationGraph:
     """A foliation graph, held as flat tables indexed by position in id
     order.  ``FoliationGraph(name, vertices, edges)`` converts the objects
@@ -125,8 +124,8 @@ class FoliationGraph:
     hash and repr are those of the dataclass of (name, vertices, edges),
     with vertices and edges in id order.
 
-    Per vertex: ``_ids``, ``_kinds``, the angle as ``_num``/``_den`` in
-    lowest terms and ``_flo``, its nearest float (1.0 outside [0, 1)).
+    Per vertex: ``_ids``, ``_kinds`` and the angle as ``_num``/``_den`` in
+    lowest terms; ``_order`` computes each angle's nearest float to sort.
     Per edge: ``_eids``, each end as a vertex index (``_tail``,
     ``_head``) and an index into ``_slots`` (``_tail_slot``,
     ``_head_slot``), and ``_winding``.
@@ -182,12 +181,6 @@ class FoliationGraph:
         # comparing (name, vertices, edges).
         return all(self.__dict__[t] == other.__dict__[t] for t in _TABLES)
 
-    def __hash__(self):
-        return hash((self.name, self.vertices, self.edges))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(name={self.name!r}, vertices={self.vertices!r}, edges={self.edges!r})"
-
     @cached_property
     def _succ(self) -> tuple[list[int], list[int]]:
         """Each vertex's out-edges, as ``_incident`` lists them."""
@@ -206,9 +199,11 @@ class FoliationGraph:
         one.  Sorting by float is exact but where floats tie: a correctly
         rounded float never reverses two angles.  Ties, which only angles
         within a rounding step of each other or outside [0, 1) make, are
-        sorted again by the exact angles.  ``reglue`` seeds it, since it
-        builds its vertices in angle order."""
-        flo = self._flo
+        sorted again by the exact angles.  Angles outside [0, 1), which
+        only an invalid graph has and whose quotient may not fit in a float,
+        all take 1.0.  ``reglue`` seeds it, since it builds its vertices in
+        angle order."""
+        flo = [n / d if 0 <= n < d else 1.0 for n, d in zip(self._num, self._den)]
         order = sorted(range(len(flo)), key=flo.__getitem__)
         if len(set(flo)) < len(flo):
             angle = self._angle
@@ -323,13 +318,17 @@ class CalabiCertificate:
     obstruction: Obstruction | None = None
 
 
+_TOKEN_BREAK = re.compile(r"[\s#]")
+
+
 def _token_faults(noun: str, idents: list[str]) -> list[str]:
     """One message per ident the text formats cannot carry, named as
-    ``noun``: they split lines at whitespace and drop what follows "#"."""
+    ``noun``: they split lines at whitespace, as ``str.split`` does, and
+    drop what follows "#"."""
     return [
         f"{noun} {ident!r} is empty or holds whitespace or '#'"
         for ident in idents
-        if ident.split() != [ident] or "#" in ident
+        if not ident or _TOKEN_BREAK.search(ident)
     ]
 
 

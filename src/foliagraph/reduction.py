@@ -357,7 +357,6 @@ def reglue(c: CutGraph) -> Foliation:
         [c.events[i].kind for i in vo],
         [(i + 1) // gcd(i + 1, n + 1) for i in vo],
         [(n + 1) // gcd(i + 1, n + 1) for i in vo],
-        [(i + 1) / (n + 1) for i in vo],
         [eids[m] for m in eo],
         [at[p >> 2] for p in tails],
         [p & 3 for p in tails],
@@ -394,22 +393,6 @@ class ReductionTrace:
     steps: tuple[ReductionStep, ...] = ()
 
 
-def _reduce_step(g: FoliationGraph, done: Sequence[ReductionStep]) -> ReductionStep:
-    """Reduce a graph already known not to be Calabi, after the steps
-    ``done``; a stuck step raises StuckError carrying them as its trace."""
-    before, witness = complexity(g)
-    c = cut(g, witness)
-    try:
-        sorted_cut, rewrites = sort_events(c)
-        g2 = reglue(sorted_cut)
-    except (NotSortableError, RegluingError) as exc:
-        raise StuckError(f"reduction of {g.name} stuck: {exc}", exc, ReductionTrace(tuple(done))) from exc
-    after, _ = complexity(g2)
-    if after >= before:
-        raise AssertionError("reduction did not decrease complexity")
-    return ReductionStep(witness, before, after, rewrites, sorted_cut.events, g, g2)
-
-
 def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     """Reduce until the Calabi condition holds.
 
@@ -421,9 +404,18 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     steps: list[ReductionStep] = []
     current = g
     while not _calabi_verdict(current):
-        step = _reduce_step(current, steps)
-        steps.append(step)
-        current = step.graph_after
+        before, witness = complexity(current)
+        c = cut(current, witness)
+        try:
+            sorted_cut, rewrites = sort_events(c)
+            after_graph = reglue(sorted_cut)
+        except (NotSortableError, RegluingError) as exc:
+            raise StuckError(f"reduction of {current.name} stuck: {exc}", exc, ReductionTrace(tuple(steps))) from exc
+        after, _ = complexity(after_graph)
+        if after >= before:
+            raise AssertionError("reduction did not decrease complexity")
+        steps.append(ReductionStep(witness, before, after, rewrites, sorted_cut.events, current, after_graph))
+        current = after_graph
     return current, ReductionTrace(tuple(steps))
 
 

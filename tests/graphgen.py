@@ -243,7 +243,8 @@ def exhaustive_valid_graphs(n_verts: int) -> list[FoliationGraph]:
     n_pairs = n_verts // 2
     if n_pairs not in _CLASS_CACHE:
         classes = {}
-        for key in _multigraph_keys(n_pairs):
+        # Sorted, so that each class's representative is the same in every run.
+        for key in sorted(_multigraph_keys(n_pairs)):
             classes.setdefault(_canonical_class(key, n_pairs), key)
         graphs = []
         for idx, key in enumerate(sorted(classes.values())):

@@ -107,6 +107,9 @@ def test_validate_graph_file(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 2
     assert "distinct" in out
+    code, out, _ = run(capsys, "validate", str(path), "--machine")
+    assert code == 2
+    assert out == "valid=false\nviolation=vertex angles not pairwise distinct (critical values must differ)\n"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

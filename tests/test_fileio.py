@@ -170,6 +170,59 @@ def test_bad_token_position():
         (THETA_FIXTURE.replace("e0 m.out0", "e0 m.out2"), "f:5:11: tail 'm.out2' must be <vertex>.out0 or .out1"),
         (THETA_FIXTURE.replace("e1 s.out0", "e1 .out0"), "f:6:11: tail '.out0' must be <vertex>.out0 or .out1"),
         (THETA_FIXTURE.replace("e1 s.out0", "e1 m.in0"), "f:6:11: tail 'm.in0' must be <vertex>.out0 or .out1"),
+        # Every other diagnostic of the two formats, where the code puts it.
+        ("graph g\n  vertex a MERGE 1/2\n  face x\nend\n", "f:3:3: unexpected directive 'face' in graph block"),
+        ("surface s t\nend\n", "f:1:1: expected 'surface <name>'"),
+        ("surface s\n  summand t periods 1, 0\nend\n", "f:2:3: expected 'summand <id> periods (<p>, <q>)'"),
+        ("surface s\n  summand t periods (1, 0, 2)\nend\n", "f:2:22: periods need exactly two values"),
+        ("surface s\n  summand t periods (0, 0)\nend\n", "f:2:22: periods (0, 0) define no form"),
+        (
+            "surface s\n  summand t periods (1, 0)\n  tube v t t kind A\nend\n",
+            "f:3:3: expected 'tube <id> <sid> <sid> kind A|B|C disks <disk> <disk>'",
+        ),
+        (
+            "surface s\n  summand t periods (1, 0)\n  tube v t t kind D disks small small\nend\n",
+            "f:3:19: tube kind must be A, B or C, got 'D'",
+        ),
+        ("surface s\n  vertex a MERGE 1/2\nend\n", "f:2:3: unexpected directive 'vertex' in surface block"),
+        ("surface s\n  summand t periods (1, 0)\n", "f:2:1: unexpected end of file"),
+        ("scalar lam irrational [1, 2]\n", "f:1:1: expected 'scalar <name> irrational approx [<lo>, <hi>]'"),
+        ("scalar lam irrational approx [2, 1]\n", "f:1:31: interval needs lo < hi"),
+        (
+            "scalar lam irrational approx [1, 2]\nscalar lam irrational approx [3, 4]\n",
+            "f:2:8: scalar 'lam' declared twice",
+        ),
+        (
+            "surface s\n  summand t periods (1, 0)\nend\nscalar lam irrational approx [1, 2]\n",
+            "f:4:1: scalar declarations must precede the surface block",
+        ),
+        (THETA_FIXTURE + "graph c freecircle 1 end\n", "f:9:1: only one graph or surface per file"),
+        ("graph c freecircle 1 end\nsurface s\nend\n", "f:2:1: only one graph or surface per file"),
+        # SurfaceModel's own checks, reported at the block's "end".
+        (
+            "surface s\n  summand t periods (1, 0)\n  summand t periods (0, 1)\nend\n",
+            "f:4:1: duplicate summand ids",
+        ),
+        (
+            "surface s\n  summand t periods (1, 0)\n  summand u periods (0, 1)\n  summand w periods (1, 1)\n"
+            "  tube v t u kind A disks small small\n  tube v u w kind A disks small small\nend\n",
+            "f:7:1: duplicate tube ids",
+        ),
+        (
+            "surface s\n  summand t periods (1, 0)\n  summand u periods (0, 1)\nend\n",
+            "f:4:1: summand/tube incidence is not connected",
+        ),
+        (
+            "surface s\n  summand t periods (1, 0)\n  summand u periods (0, 1)\n"
+            "  tube v t u kind A disks small ribbon(0)\nend\n",
+            "f:4:33: ribbon winding must be >= 1",
+        ),
+        # A ribbon winding is ASCII digits, like every other number.
+        (
+            "surface s\n  summand t periods (1, 0)\n  summand u periods (0, 1)\n"
+            "  tube v t u kind A disks small ribbon(٣)\nend\n",
+            "f:4:33: expected 'small' or 'ribbon(<w>)', got 'ribbon(٣)'",
+        ),
     ],
 )
 def test_diagnostic_points_at_the_offending_word(text, where):

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -186,6 +189,10 @@ def test_validate_rarely_reached_branches():
         "#MERGE = 2 differs from #SPLIT = 1",
         "underlying graph not connected",
     )
+    # A graph record without vertices, which the text carries, and a free
+    # circle without a winding, which it does not.
+    assert _report(_graph([], [])) == ("graph has no vertices (use a free circle record instead)",)
+    assert validate(FreeCircle("c", 0)).violations == ("free circle winding must be >= 1",)
 
 
 def _level_count(g, a):
@@ -422,6 +429,30 @@ def test_lemma_equivalence_exhaustive_small():
             assert strong == oracle_all_pairs_positive_path(g)
 
 
+def test_exhaustive_graphs_do_not_depend_on_the_hash_seed():
+    # Each isomorphism class keeps the first key found for it; which key is
+    # first must not follow set order, which PYTHONHASHSEED changes.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    script = (
+        "from foliagraph import serialize\n"
+        "from graphgen import exhaustive_valid_graphs\n"
+        "print(''.join(serialize(g) for n in (4, 6) for g in exhaustive_valid_graphs(n)))\n"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert runs[0] == runs[1] and runs[0].count("graph ") == 17 + 199
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_lemma_equivalence_random(seed):
@@ -444,7 +475,7 @@ def test_oracles_do_not_read_the_graph_indices():
         clean = FoliationGraph(g.name, g.vertices, g.edges)
         levels = regular_levels(clean)
         assert g.vertices and g.edges
-        tables = ("_ids", "_kinds", "_num", "_den", "_flo", "_angle", "_eids", "_tail", "_head", "_winding")
+        tables = ("_ids", "_kinds", "_num", "_den", "_angle", "_eids", "_tail", "_head", "_winding")
         for table in tables + ("_order", "_rank"):
             g.__dict__[table] = getattr(g, table)[::-1]
         g.__dict__["_succ"] = g.__dict__["_pred"] = ([], [0] * (len(g._ids) + 1))

@@ -581,8 +581,8 @@ def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
 
 
 def test_harmonize_sweeps_each_graph_once(monkeypatch):
-    # ``_reduce_step`` needs the complexity of the graph it produced, and
-    # the next step needs it again for its witness: one sweep serves both.
+    # Each ``harmonize`` step needs the complexity of the graph it produced,
+    # and the next step needs it again for its witness: one sweep serves both.
     sweep = FoliationGraph.__dict__["_complexity"]
     real_sweep = sweep.func
     calls = 0
