@@ -1,6 +1,6 @@
 """Size sweep of the graph, reduction, scalar and surface layers: time
-``parse``, ``validate``, ``complexity``, ``is_calabi``, ``sort_events``,
-``reglue`` and ``harmonize`` at doubling vertex counts, ``qrank`` and
+``parse``, ``validate``, ``complexity``, ``is_calabi``, ``cut``,
+``sort_events``, ``reglue`` and ``harmonize`` at doubling vertex counts, ``qrank`` and
 ``integer_relation`` at doubling value counts, and ``parse``,
 ``classify_leaves``, ``consistency_check`` and ``serialize`` of surface
 models at doubling summand counts, and check every answer.
@@ -12,8 +12,9 @@ SIZE is a vertex count out of the recorded ones, 100, 200, 400 and 800
 ``tests/graphgen.random_valid_graph(random.Random(1), n_pairs=V // 2)``.
 ``parse`` reads its canonical text; ``validate``, ``complexity`` and
 ``is_calabi`` run in that order on each parsed graph, as a ``decide``
-would, so each builds what it needs itself.  ``sort_events`` sorts the
-cut at the complexity witness, ``reglue`` reglues the sorted cut, and
+would, so each builds what it needs itself.  ``cut`` cuts the graph at
+the complexity witness, after ``complexity`` has built its angle order,
+``sort_events`` sorts that cut, ``reglue`` reglues the sorted cut, and
 ``harmonize`` reduces the graph itself (every recorded input is
 non-Calabi).  ``is_calabi_calabi_s`` times ``is_calabi`` on a freshly
 parsed Calabi input: the first Calabi graph among the draws of that same
@@ -37,7 +38,8 @@ and ``serialize`` run in that order on each parsed model, as
 Prints one JSON object.  Exits nonzero on a wrong answer: a text that
 does not parse back to the graph and to itself (``serialize(parse(text))
 == text`` and the parsed graph equal to the one built from objects), a
-cut its construction check rejects, a sorted word with a split below a merge, a
+cut its construction check rejects or whose strand count differs from
+the recorded one, a sorted word with a split below a merge, a
 reglued or harmonized graph that fails ``validate``, a harmonize result
 that is not Calabi or not contiguous, a rewrite or step count that
 differs from the recorded one, a Calabi input's draw, certificate
@@ -67,18 +69,19 @@ from graphgen import random_valid_graph  # noqa: E402
 from modelgen import example_table, random_model  # noqa: E402
 
 REPEAT = 3
-# Per size: rewrites of the witness cut's sort, and harmonize's completed
-# steps with their rewrites in total, or the steps completed before it
-# got stuck (rewrites None); and the Calabi input's draw, its
-# certificate's cycle count and the total length of its walks.
+# Per size: the witness cut's strand count and the rewrites of its sort,
+# and harmonize's completed steps with their rewrites in total, or the
+# steps completed before it got stuck (rewrites None); and the Calabi
+# input's draw, its certificate's cycle count and the total length of
+# its walks.
 RECORDED = {
-    100: {"sort_rewrites": 1562, "harmonize_steps": 4, "harmonize_rewrites": None,
+    100: {"cut_strands": 204, "sort_rewrites": 1562, "harmonize_steps": 4, "harmonize_rewrites": None,
           "calabi_draw": 6, "calabi_cycles": 51, "calabi_walk_edges": 1238},
-    200: {"sort_rewrites": 5774, "harmonize_steps": 3, "harmonize_rewrites": 25774,
+    200: {"cut_strands": 474, "sort_rewrites": 5774, "harmonize_steps": 3, "harmonize_rewrites": 25774,
           "calabi_draw": 18, "calabi_cycles": 101, "calabi_walk_edges": 3720},
-    400: {"sort_rewrites": 23399, "harmonize_steps": 1, "harmonize_rewrites": 23399,
+    400: {"cut_strands": 911, "sort_rewrites": 23399, "harmonize_steps": 1, "harmonize_rewrites": 23399,
           "calabi_draw": 4, "calabi_cycles": 201, "calabi_walk_edges": 7738},
-    800: {"sort_rewrites": 84801, "harmonize_steps": 2, "harmonize_rewrites": 244801,
+    800: {"cut_strands": 1768, "sort_rewrites": 84801, "harmonize_steps": 2, "harmonize_rewrites": 244801,
           "calabi_draw": 6, "calabi_cycles": 401, "calabi_walk_edges": 14732},
 }
 
@@ -171,7 +174,7 @@ def sweep_one(size: int) -> dict:
     cycles = fg.is_calabi(parsed).cycles
     k, witness = fg.complexity(g)
     try:
-        c = fg.cut(g, witness)
+        cut_s, c = best_of(lambda: fg.cut(g, witness))
     except ValueError as exc:
         fail(size, f"cut rejected: {exc}")
     sort_s, (sorted_cut, rewrites) = best_of(lambda: fg.sort_events(c))
@@ -190,6 +193,7 @@ def sweep_one(size: int) -> dict:
         fail(size, "harmonize result is not a contiguous Calabi graph")
 
     got = {
+        "cut_strands": len(c.bottom),
         "sort_rewrites": rewrites,
         "harmonize_steps": len(trace.steps),
         "harmonize_rewrites": None if result is None else sum(s.rewrites for s in trace.steps),
@@ -204,6 +208,7 @@ def sweep_one(size: int) -> dict:
         "complexity": k,
         **{name: round(t, 5) for name, t in stage_s.items()},
         "is_calabi_calabi_s": round(calabi_s["is_calabi_calabi_s"], 5),
+        "cut_s": round(cut_s, 5),
         "sort_events_s": round(sort_s, 4),
         "reglue_s": round(reglue_s, 5),
         "harmonize_s": round(harmonize_s, 4),

@@ -225,6 +225,8 @@ def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
 
 
 _DISK_RE = re.compile(r"^(small|ribbon\(([0-9]+)\))$")
+_SUMMAND_RE = re.compile(r"^\s*summand\s+(\S+)\s+periods\s+\((.+)\)\s*$")
+_SCALAR_RE = re.compile(rf"^\s*scalar\s+({SYMBOL_NAME})\s+irrational\s+approx\s+\[\s*(\S+?)\s*,\s*(\S+?)\s*\]\s*$")
 
 
 def _parse_disk(token: str) -> Disk:
@@ -250,7 +252,7 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
             except ValueError as exc:
                 _fail(lines, lno, _col(text, 0), str(exc))
         if ws[0] == "summand":
-            m = re.match(r"^\s*summand\s+(\S+)\s+periods\s+\((.+)\)\s*$", text)
+            m = _SUMMAND_RE.match(text)
             if not m:
                 _fail(lines, lno, _col(text, 0), "expected 'summand <id> periods (<p>, <q>)'")
             parts = m.group(2).split(",")
@@ -303,10 +305,7 @@ def parse(data: bytes | str, filename: str = "<input>") -> ParsedFile:
     for lineno, text_line in lines:
         words = text_line.split()
         if words[0] == "scalar":
-            m = re.match(
-                rf"^\s*scalar\s+({SYMBOL_NAME})\s+irrational\s+approx\s+\[\s*(\S+?)\s*,\s*(\S+?)\s*\]\s*$",
-                text_line,
-            )
+            m = _SCALAR_RE.match(text_line)
             if not m:
                 _fail(lines, lineno, _col(text_line, 0), "expected 'scalar <name> irrational approx [<lo>, <hi>]'")
             bounds = []

@@ -224,12 +224,16 @@ class FoliationGraph:
         below the lowest critical value (gap 0); crossing a SPLIT adds a
         strand and crossing a MERGE removes one.  Midpoints rise with rank
         but for the last, which wraps, so the witness is the midpoint of
-        the first minimizing gap or of the last one."""
+        the first minimizing gap or of the last one.  The gap holding the
+        witness is kept as ``_witness_gap``: the one above rank k is gap
+        k + 1, or gap 0 for the last."""
         start = sum(self._crossings(0))
         kinds = self._kinds
         counts = list(accumulate((1 if kinds[v] == SPLIT else -1 for v in self._order), initial=start))[1:]
-        best = min(counts)
-        return best, min(self._midpoint(k) for k in (counts.index(best), len(counts) - 1) if counts[k] == best)
+        best, n = min(counts), len(counts)
+        ranks = [k for k in (counts.index(best), n - 1) if counts[k] == best]
+        witness, self.__dict__["_witness_gap"] = min((self._midpoint(k), (k + 1) % n) for k in ranks)
+        return best, witness
 
     def _midpoint(self, k: int) -> Fraction:
         """The circular midpoint of the gap above the critical value of rank

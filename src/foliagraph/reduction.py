@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Collection, Iterator, NamedTuple, Sequence
@@ -73,8 +73,11 @@ class Event(NamedTuple):
     """A vertex of ``kind`` crossed by the cut word: it consumes the
     strands ``inputs`` and produces ``outputs``, which line up with its
     slots ``IN_SLOTS[kind]`` and ``OUT_SLOTS[kind]``.  Immutable; a named
-    tuple because ``cut`` and every rewrite build one per event, at less
-    than half a frozen dataclass's cost."""
+    tuple because ``cut`` and every rewrite build one per event.  They
+    build it as ``tuple.__new__(Event, (kind, inputs, outputs))``, which
+    is ``Event._make`` without its length check: about 0.17 µs against
+    0.30 µs for ``Event(kind, inputs, outputs)`` and 0.57 µs for a frozen
+    dataclass (CPython 3.11, ``timeit``)."""
 
     kind: str
     inputs: tuple[int, ...]
@@ -100,7 +103,8 @@ class CutGraph:
     source: str
 
     def __post_init__(self):
-        if live_after(self.bottom, self.events) != set(self.top) or len(self.top) != len(set(self.top)):
+        top = set(self.top)
+        if live_after(self.bottom, self.events) != top or len(self.top) != len(top):
             raise ValueError("replaying events does not yield the top strands")
         if len(self.bottom) != len(self.top):
             raise ValueError("boundary strand counts differ")
@@ -118,24 +122,48 @@ def live_after(bottom: tuple[int, ...], events: Sequence[Event]) -> set[int]:
     live = set(bottom)
     if len(live) != len(bottom):
         raise ValueError("duplicate bottom strands")
+    remove, add = live.remove, live.add
+    # Each kind's checks on its single strands, all before the set
+    # changes; ``_event_fault`` names the first that fails.
     for i, (kind, consumed, produced) in enumerate(events):
-        arity = ARITY.get(kind)
-        if arity != (len(consumed), len(produced)):
-            if arity is None:
-                raise ValueError(f"event {i}: unknown kind {kind!r}")
-            raise ValueError(f"event {i}: {kind} takes {arity[0]} input(s) and {arity[1]} output(s)")
-        # A kind has at most two slots a side, so a repeat involves the first.
-        if consumed[0] in consumed[1:]:
-            raise ValueError(f"event {i}: {kind.lower()} consumes strand {consumed[0]} twice")
-        if produced[0] in produced[1:]:
-            raise ValueError(f"event {i}: {kind.lower()} outputs collide")
-        if not live.issuperset(consumed):
-            raise ValueError(f"event {i}: consumes dead strand(s) {sorted(set(consumed) - live)}")
-        live.difference_update(consumed)
-        if not live.isdisjoint(produced):
-            raise ValueError(f"event {i}: output {next(s for s in produced if s in live)} already live")
-        live.update(produced)
+        if kind == MERGE and len(consumed) == 2 and len(produced) == 1:
+            a, b = consumed
+            (y,) = produced
+            if a == b or a not in live or b not in live or (y in live and y != a and y != b):
+                raise _event_fault(i, kind, consumed, produced, live)
+            remove(a)
+            remove(b)
+            add(y)
+        elif kind == SPLIT and len(consumed) == 1 and len(produced) == 2:
+            (x,) = consumed
+            y, z = produced
+            if y == z or x not in live or (y in live and y != x) or (z in live and z != x):
+                raise _event_fault(i, kind, consumed, produced, live)
+            remove(x)
+            add(y)
+            add(z)
+        else:
+            raise _event_fault(i, kind, consumed, produced, live)
     return live
+
+
+def _event_fault(i: int, kind: str, consumed: tuple, produced: tuple, live: set[int]) -> ValueError:
+    """The error of event ``i``, which ``live_after`` rejects, on the
+    strands ``live`` before it: the first of its checks that fails."""
+    arity = ARITY.get(kind)
+    if arity != (len(consumed), len(produced)):
+        if arity is None:
+            return ValueError(f"event {i}: unknown kind {kind!r}")
+        return ValueError(f"event {i}: {kind} takes {arity[0]} input(s) and {arity[1]} output(s)")
+    # A kind has at most two slots a side, so a repeat involves the first.
+    if consumed[0] in consumed[1:]:
+        return ValueError(f"event {i}: {kind.lower()} consumes strand {consumed[0]} twice")
+    if produced[0] in produced[1:]:
+        return ValueError(f"event {i}: {kind.lower()} outputs collide")
+    if not live.issuperset(consumed):
+        return ValueError(f"event {i}: consumes dead strand(s) {sorted(set(consumed) - live)}")
+    live = live.difference(consumed)
+    return ValueError(f"event {i}: output {next(s for s in produced if s in live)} already live")
 
 
 def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
@@ -144,29 +172,58 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
     Each edge falls into crossing-count + 1 segments; consecutive segments
     of one edge are glued across the cut: ``top[i]`` continues into
     ``bottom[i]``.  Events are the vertices ordered by height above the
-    cut: the circular order rotated at its gap.
+    cut: the circular order rotated at its gap.  Raises ValueError naming
+    the edge or vertex if an end names no vertex or slot, or a vertex's
+    kind is unknown, which only a graph that ``validate`` rejects has.
     """
     if isinstance(g, FreeCircle):
         raise ValueError("cannot cut a vertex-free graph")
-    _, gap = g._gap(a, "cut angle")
+    _check_ends(g)
+    return _cut(g, g._gap(a, "cut angle")[1])
 
+
+def _check_ends(g: FoliationGraph) -> None:
+    """Raise ValueError naming the first edge whose end names no vertex or
+    no slot.  ``_tables`` numbers such names past the vertices and SLOTS,
+    so a graph without them passes in O(1)."""
+    ids, slots, nv = g._ids, g._slots, len(g._kinds)
+    if len(ids) == nv and len(slots) == len(SLOTS):
+        return
+    for eid, t, ts, h, hs in zip(g._eids, g._tail, g._tail_slot, g._head, g._head_slot):
+        for v, s in ((t, ts), (h, hs)):
+            if v >= nv:
+                raise ValueError(f"edge {eid}: unknown vertex {ids[v]}")
+            if s >= len(SLOTS):
+                raise ValueError(f"edge {eid}: unknown slot {ids[v]}.{slots[s]}")
+
+
+def _cut(g: FoliationGraph, gap: int) -> CutGraph:
+    """``cut`` at a level in ``gap`` of ``g._order``, for a graph whose
+    ends all name a vertex and a slot."""
     at = [0] * (4 * len(g._kinds))  # port 4 * vertex + slot -> segment
     bottom: list[int] = []
     top: list[int] = []
     k = 0  # the next strand id; an edge's segments are consecutive
     for t, ts, h, hs, n in zip(g._tail, g._tail_slot, g._head, g._head_slot, g._crossings(gap)):
-        at[4 * t + ts], at[4 * h + hs] = k, k + n
-        bottom.extend(range(k + 1, k + n + 1))
-        top.extend(range(k, k + n))
-        k += n + 1
+        at[4 * t + ts] = k
+        if n:
+            bottom.extend(range(k + 1, k + n + 1))
+            top.extend(range(k, k + n))
+            k += n
+        at[4 * h + hs] = k
+        k += 1
 
-    events = []
-    kinds = g._kinds
-    for v in g._order[gap:] + g._order[:gap]:
+    # Events are built as the Event docstring says, by tuple.__new__.
+    new, events, kinds, order = tuple.__new__, [], g._kinds, g._order
+    for v in order[gap:] + order[:gap]:
         kind = kinds[v]
-        ins, outs = ARITY[kind]
         p = 4 * v  # its in-slots are ports p, p + 1 and its out-slots p + 2, p + 3
-        events.append(Event(kind, tuple(at[p : p + ins]), tuple(at[p + 2 : p + 2 + outs])))
+        if kind == MERGE:
+            events.append(new(Event, (kind, (at[p], at[p + 1]), (at[p + 2],))))
+        elif kind == SPLIT:
+            events.append(new(Event, (kind, (at[p],), (at[p + 2], at[p + 3]))))
+        else:
+            raise ValueError(f"vertex {g._ids[v]}: unknown kind {kind}")
     return CutGraph(tuple(bottom), tuple(top), tuple(events), g.name)
 
 
@@ -180,18 +237,20 @@ def _transpose(
     word and the boundary data stay untouched.
     """
     (x,), (x1, x2) = split.inputs, split.outputs
-    (y1, y2), (y,) = merge.inputs, merge.outputs
-    shared = {x1, x2} & {y1, y2}
-    if not shared:
+    ins, (y,) = merge.inputs, merge.outputs
+    y1, y2 = ins
+    fed1, fed2 = x1 in ins, x2 in ins
+    if not (fed1 or fed2):
         # Disjoint: the events commute as written.
         return merge, split
-    if len(shared) == 1:
-        # One split output feeds the merge: merge first, split the result.
-        s = shared.pop()
+    if not (fed1 and fed2) or x1 == x2:
+        # One split output feeds the merge (x1 == x2 only where a rewrite
+        # re-emitted an id): merge first, split the result.
+        s = x1 if fed1 else x2
         other_x = x2 if s == x1 else x1
         other_y = y2 if s == y1 else y1
         z = next(fresh)
-        return Event(MERGE, (x, other_y), (z,)), Event(SPLIT, (z,), (other_x, y))
+        return tuple.__new__(Event, (MERGE, (x, other_y), (z,))), tuple.__new__(Event, (SPLIT, (z,), (other_x, y)))
     # Bubble: both split outputs feed the merge.  Borrow a parallel live
     # strand, merge into it, and split it back off unchanged.  Only this
     # case reads ``live_before``.
@@ -199,7 +258,7 @@ def _transpose(
     if w is None:
         raise NotSortableError((x, x1, x2, y), len(live_before))
     z = next(fresh)
-    return Event(MERGE, (x, w), (z,)), Event(SPLIT, (z,), (y, w))
+    return tuple.__new__(Event, (MERGE, (x, w), (z,))), tuple.__new__(Event, (SPLIT, (z,), (y, w)))
 
 
 def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
@@ -246,12 +305,7 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     splits: list[Event] = []
     # Strand -> the ascending indices of the splits that output it now.
     made: defaultdict[int, list[int]] = defaultdict(list)
-
-    def maker(s: int, below: int) -> int:
-        """The highest split below index ``below`` that outputs ``s``, or -1."""
-        at = made.get(s, ())
-        k = bisect_left(at, below)
-        return at[k - 1] if k else -1
+    get = made.get
 
     rewrites = 0
     for ev in c.events:
@@ -262,20 +316,33 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
             continue
         rewrites += len(splits)
         merge, below = ev, len(splits)
-        while (j := max(maker(merge.inputs[0], below), maker(merge.inputs[1], below))) >= 0:
+        while True:
+            # The highest split below index ``below`` that outputs an input
+            # of the merge, or -1: one bisect per input.
+            a, b = merge.inputs
+            at = get(a, ())
+            k = bisect_left(at, below)
+            j = at[k - 1] if k else -1
+            at = get(b, ())
+            k = bisect_left(at, below)
+            if k and at[k - 1] > j:
+                j = at[k - 1]
+            if j < 0:
+                break
             split = splits[j]
+            old = split.outputs
             # Only a bubble borrows a strand, so only it reads the live set.
-            bubble = split.outputs[0] in merge.inputs and split.outputs[1] in merge.inputs
+            bubble = old[0] in (a, b) and old[1] in (a, b)
             live = live_after(c.bottom, merges + splits[:j]) if bubble else ()
             merge, splits[j] = _transpose(split, merge, live, fresh)
-            for s in split.outputs:
+            for s in old:
                 made[s].remove(j)
             for s in splits[j].outputs:
                 insort(made[s], j)
             below = j
         merges.append(merge)
 
-    return replace(c, events=tuple(merges + splits)), rewrites
+    return CutGraph(c.bottom, c.top, tuple(merges + splits), c.source), rewrites
 
 
 def reglue(c: CutGraph) -> Foliation:
@@ -308,32 +375,61 @@ def reglue(c: CutGraph) -> Foliation:
     # bubble rule borrows and re-emits strands), so segments are numbered
     # by birth: the bottom strands in order, then the out-slots in word
     # order.  Each ends at an event's in-slot or at the top, where the
-    # glue hands it on to the bottom segment at the same position.
+    # glue hands it on to the bottom segment at the same position.  The
+    # checked cut gives each MERGE two inputs and one output, and each
+    # SPLIT one input and two outputs.
     b = len(c.bottom)
-    live = {s: k for k, s in enumerate(c.bottom)}  # strand -> its current segment
+    live = dict(zip(c.bottom, range(b)))  # strand -> its current segment
+    pop = live.pop
     # Event i's slot s is port 4 * i + s, as in the graph layer: in-slots
     # from 4 * i, out-slots from 4 * i + 2.
     born: list[int] = []  # the out-port of segment b + m
-    dies: dict[int, int] = {}  # segment -> the in-port it ends at
-    for i, (_, ins, outs) in enumerate(c.events):
-        for port, s in enumerate(ins, start=4 * i):
-            dies[live.pop(s)] = port
-        for port, s in enumerate(outs, start=4 * i + 2):
-            live[s] = b + len(born)
-            born.append(port)
-    wraps = {live[t]: k for k, t in enumerate(c.top)}
+    dies = [-1] * (b + 2 * n)  # segment -> the in-port it ends at, or -1 at the top
+    seg, p = b, 0  # the next segment, and the event's first port
+    for kind, ins, outs in c.events:
+        dies[pop(ins[0])] = p
+        if kind == MERGE:
+            dies[pop(ins[1])] = p + 1
+            live[outs[0]] = seg
+            born.append(p + 2)
+            seg += 1
+        else:
+            live[outs[0]], live[outs[1]] = seg, seg + 1
+            born += (p + 2, p + 3)
+            seg += 2
+        p += 4
+    wraps = [0] * len(dies)  # a segment that reaches the top -> its bottom segment
+    for k, t in enumerate(c.top):
+        wraps[live[t]] = k
 
-    heads, windings = [], []  # per edge m, from born[m]: its head's in-port and winding
+    # The tables go in id order, where "v10" sorts before "v2": event i
+    # is the vertex at position at[i], and edge m, from born[m], the edge
+    # at position eo.index(m).  Vertex i gets the angle (i + 1) / (n + 1)
+    # in lowest terms.
+    ids = [f"v{i}" for i in range(n)]
+    vo = sorted(range(n), key=ids.__getitem__)
+    at = [0] * n
+    for p, i in enumerate(vo):
+        at[i] = p
+    common = [gcd(i, n + 1) for i in range(1, n + 1)]
+    eids = [f"e{m}" for m in range(len(born))]
+    eo = sorted(range(len(born)), key=eids.__getitem__)
+
+    # Each edge runs from its out-port through the glue to an in-port.
+    tail, tail_slot, head, head_slot, winding = [], [], [], [], []
     passed = [False] * b  # bottom segments some edge runs through
-    for m, port in enumerate(born):
-        seg, passes = b + m, 0
-        while seg not in dies:
+    for m in eo:
+        port, seg, passes = born[m], b + m, 0
+        while dies[seg] < 0:
             seg = wraps[seg]
             passed[seg] = True
             passes += 1
-        head = dies[seg]
-        heads.append(head)
-        windings.append(passes - 1 if head >> 2 < port >> 2 else passes)
+        h = dies[seg]
+        tail.append(at[port >> 2])
+        tail_slot.append(port & 3)
+        head.append(at[h >> 2])
+        head_slot.append(h & 3)
+        winding.append(passes - 1 if h >> 2 < port >> 2 else passes)
 
     orphans = sorted(s for s, seen in zip(c.bottom, passed) if not seen)
     if orphans:
@@ -341,28 +437,19 @@ def reglue(c: CutGraph) -> Foliation:
             f"glue orbit through strands {orphans} avoids every vertex"
         )
 
-    # The tables go in id order, where "v10" sorts before "v2": event i
-    # is the vertex at position at[i], and the edges go in the order eo.
-    ids = [f"v{i}" for i in range(n)]
-    vo = sorted(range(n), key=ids.__getitem__)
-    at = [0] * n
-    for p, i in enumerate(vo):
-        at[i] = p
-    eids = [f"e{m}" for m in range(len(born))]
-    eo = sorted(range(len(born)), key=eids.__getitem__)
-    tails, heads = [born[m] for m in eo], [heads[m] for m in eo]
+    events = c.events
     g = FoliationGraph._make(
         name,
-        [ids[i] for i in vo],
-        [c.events[i].kind for i in vo],
-        [(i + 1) // gcd(i + 1, n + 1) for i in vo],
-        [(n + 1) // gcd(i + 1, n + 1) for i in vo],
-        [eids[m] for m in eo],
-        [at[p >> 2] for p in tails],
-        [p & 3 for p in tails],
-        [at[p >> 2] for p in heads],
-        [p & 3 for p in heads],
-        [windings[m] for m in eo],
+        sorted(ids),
+        [events[i].kind for i in vo],
+        [(i + 1) // common[i] for i in vo],
+        [(n + 1) // common[i] for i in vo],
+        sorted(eids),
+        tail,
+        tail_slot,
+        head,
+        head_slot,
+        winding,
         SLOTS,
     )
     # Word order is angle order: seed the circular order instead of sorting.
@@ -399,13 +486,18 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     The result is Calabi and contiguous to the input; since complexity is
     a positive integer that strictly decreases, at most complexity(g)
     reductions happen.  A stuck step raises StuckError carrying the trace
-    of the completed steps.
+    of the completed steps.  Each step cuts at the gap that holds the
+    complexity witness, which the sweep found.  A step on a graph with an
+    end that names no vertex or slot, or a vertex of unknown kind, raises
+    ValueError naming it, as ``cut`` does.
     """
     steps: list[ReductionStep] = []
     current = g
     while not _calabi_verdict(current):
+        # The sweep below reads every end, so check them first.
+        _check_ends(current)
         before, witness = complexity(current)
-        c = cut(current, witness)
+        c = _cut(current, current._witness_gap)
         try:
             sorted_cut, rewrites = sort_events(c)
             after_graph = reglue(sorted_cut)

@@ -376,6 +376,19 @@ def test_complexity_witness_breaks_wraparound_tie(angles, witness):
     assert complexity(g) == min((oracle_crossing_count(g, a), a) for a in regular_levels(g))
 
 
+def test_sweep_keeps_the_gap_of_its_witness():
+    # harmonize cuts at ``_witness_gap`` without looking the witness up.
+    rng = random.Random(2026_11)
+    graphs = [_two_thetas(angles) for angles in (
+        (Fraction(3, 8), Fraction(1, 2), Fraction(5, 8), Fraction(7, 8)),
+        (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)),
+    )]
+    graphs += [builtin("dumbbell"), builtin("theta")] + [random_valid_graph(rng, max_pairs=8) for _ in range(200)]
+    for g in graphs:
+        _, witness = complexity(g)
+        assert g._witness_gap == g._gap(witness, "witness")[1]
+
+
 def test_angles_closer_than_a_float_keep_their_exact_order():
     # Floats that tie fall back to the exact angles, in the sort, in the
     # distinctness check and in the gaps a level falls into.

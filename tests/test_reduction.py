@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from dataclasses import replace
@@ -11,6 +12,7 @@ from foliagraph import (
     MERGE,
     SPLIT,
     CutGraph,
+    End,
     Event,
     FreeCircle,
     NotSortableError,
@@ -26,10 +28,11 @@ from foliagraph import (
     serialize,
     sort_events,
     validate,
+    Vertex,
 )
 from foliagraph.graph import FoliationGraph
 import foliagraph.reduction as reduction
-from foliagraph.reduction import RegluingError, _transpose
+from foliagraph.reduction import RegluingError, _transpose, live_after
 
 from graphgen import (
     is_theta,
@@ -68,6 +71,78 @@ def test_cut_rejects_free_circle_and_singular_angle():
         cut(builtin("free-circle(2)"), Fraction(0))
     with pytest.raises(ValueError):
         cut(builtin("theta"), Fraction(1, 4))
+
+
+def _dumbbell_with(vertex=None, edge=None):
+    """The dumbbell with its vertex ``s`` or its edge ``e1`` replaced by
+    what the given function makes of it."""
+    g = builtin("dumbbell")
+    return FoliationGraph(
+        "broken",
+        [vertex(v) if vertex and v.id == "s" else v for v in g.vertices],
+        [edge(e) if edge and e.id == "e1" else e for e in g.edges],
+    )
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (_dumbbell_with(vertex=lambda v: Vertex(v.id, "SADDLE", v.angle)), "vertex s: unknown kind SADDLE"),
+        (_dumbbell_with(edge=lambda e: replace(e, tail=End("zz", e.tail.slot))), "edge e1: unknown vertex zz"),
+        (_dumbbell_with(edge=lambda e: replace(e, head=End("zz", e.head.slot))), "edge e1: unknown vertex zz"),
+        (_dumbbell_with(edge=lambda e: replace(e, tail=End("s", "out7"))), "edge e1: unknown slot s.out7"),
+    ],
+)
+def test_cut_and_harmonize_name_what_an_invalid_graph_breaks(g, message):
+    assert not validate(g).ok
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cut(g, Fraction(0))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        harmonize(g)
+
+
+def _is_exact_event(ev):
+    want = Event(kind=ev.kind, inputs=ev.inputs, outputs=ev.outputs)
+    return type(ev) is Event and ev == want and repr(ev) == repr(want)
+
+
+def test_cut_and_sort_events_return_exact_events():
+    rng = random.Random(2026_09)
+    graphs = [builtin("dumbbell"), builtin("theta")] + [random_valid_graph(rng, max_pairs=6) for _ in range(30)]
+    cuts = sorted_cuts = 0
+    for g in graphs:
+        for a in regular_levels(g):
+            c = cut(g, a)
+            assert all(map(_is_exact_event, c.events))
+            cuts += 1
+            try:
+                sorted_cut, _ = sort_events(c)
+            except NotSortableError:
+                continue
+            assert all(map(_is_exact_event, sorted_cut.events))
+            sorted_cuts += 1
+    assert sorted_cuts > 100 and cuts > sorted_cuts
+
+
+def test_harmonize_outputs_match_the_recorded_digest():
+    # One sha256 over harmonize's whole output on 300 seeded non-Calabi
+    # graphs of up to 32 vertices (25 of them stuck): the result text, or
+    # the StuckError message, then each step's record and graph_after
+    # text.  Any change to a word, strand id, angle or message moves it.
+    rng = random.Random(2026_10)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        g = random_non_calabi_graph(rng, max_pairs=16)
+        try:
+            result, trace = harmonize(g)
+            lines = [serialize(result)]
+        except StuckError as exc:
+            trace = exc.trace
+            lines = [f"stuck: {exc}"]
+        for step in trace.steps:
+            lines += [repr(step), serialize(step.graph_after)]
+        digest.update("\n".join(lines).encode() + b"\0")
+    assert digest.hexdigest() == "eb5e4bb8f1102fc98f20df1051be73ddce60c9cbc87cb7a2304dcba2107b58c4"
 
 
 def test_sort_dumbbell_one_rewrite():
@@ -130,6 +205,58 @@ def test_sort_borrows_smallest_strand():
 def test_malformed_cut_rejected_at_construction(bottom, top, events, message):
     with pytest.raises(ValueError, match=message):
         CutGraph(bottom, top, events, "bad")
+
+
+def _live_after_reference(bottom, events):
+    """The checked replay event by event with set operations and the
+    checks in ``live_after``'s order: its reference."""
+    live = set(bottom)
+    if len(live) != len(bottom):
+        raise ValueError("duplicate bottom strands")
+    for i, (kind, consumed, produced) in enumerate(events):
+        arity = {MERGE: (2, 1), SPLIT: (1, 2)}.get(kind)
+        if arity is None:
+            raise ValueError(f"event {i}: unknown kind {kind!r}")
+        if arity != (len(consumed), len(produced)):
+            raise ValueError(f"event {i}: {kind} takes {arity[0]} input(s) and {arity[1]} output(s)")
+        if len(set(consumed)) < len(consumed):
+            raise ValueError(f"event {i}: {kind.lower()} consumes strand {consumed[0]} twice")
+        if len(set(produced)) < len(produced):
+            raise ValueError(f"event {i}: {kind.lower()} outputs collide")
+        if not live.issuperset(consumed):
+            raise ValueError(f"event {i}: consumes dead strand(s) {sorted(set(consumed) - live)}")
+        live.difference_update(consumed)
+        if not live.isdisjoint(produced):
+            raise ValueError(f"event {i}: output {next(s for s in produced if s in live)} already live")
+        live.update(produced)
+    return live
+
+
+def test_live_after_matches_its_reference_on_random_words():
+    # ``live_after`` tests each kind's strands one by one and names a
+    # fault only once one fails: it must accept and reject the same words,
+    # with the same messages, as the set-by-set replay.
+    rng = random.Random(2026_12)
+    outcomes = set()
+    for _ in range(20_000):
+        bottom = tuple(rng.sample(range(8), rng.randint(0, 5))) if rng.random() < 0.95 else (1, 1)
+        events = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.choice((MERGE, SPLIT, MERGE, SPLIT, "SADDLE"))
+            ins, outs = {MERGE: (2, 1), SPLIT: (1, 2)}.get(kind, (1, 1))
+            if rng.random() < 0.3:
+                ins, outs = rng.randint(0, 3), rng.randint(0, 3)
+            strands = [rng.randrange(8) for _ in range(ins + outs)]
+            events.append(Event(kind, tuple(strands[:ins]), tuple(strands[ins:])))
+        results = []
+        for replay_ in (live_after, _live_after_reference):
+            try:
+                results.append(sorted(replay_(bottom, events)))
+            except ValueError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], (bottom, events)
+        outcomes.add(results[0].split(":")[-1].split()[0] if isinstance(results[0], str) else "ok")
+    assert len(outcomes) >= 8
 
 
 def test_reglue_sorted_dumbbell_is_theta():
