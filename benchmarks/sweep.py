@@ -70,12 +70,12 @@ from modelgen import example_table, random_model  # noqa: E402
 
 REPEAT = 3
 # Per size: the witness cut's strand count and the rewrites of its sort,
-# and harmonize's completed steps with their rewrites in total, or the
-# steps completed before it got stuck (rewrites None); and the Calabi
-# input's draw, its certificate's cycle count and the total length of
-# its walks.
+# and harmonize's steps with their rewrites in total (every recorded
+# input completes; a stuck run would record the steps completed before
+# it, with rewrites None); and the Calabi input's draw, its certificate's
+# cycle count and the total length of its walks.
 RECORDED = {
-    100: {"cut_strands": 204, "sort_rewrites": 1562, "harmonize_steps": 4, "harmonize_rewrites": None,
+    100: {"cut_strands": 204, "sort_rewrites": 1562, "harmonize_steps": 5, "harmonize_rewrites": 9212,
           "calabi_draw": 6, "calabi_cycles": 51, "calabi_walk_edges": 1238},
     200: {"cut_strands": 474, "sort_rewrites": 5774, "harmonize_steps": 3, "harmonize_rewrites": 25774,
           "calabi_draw": 18, "calabi_cycles": 101, "calabi_walk_edges": 3720},

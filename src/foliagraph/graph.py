@@ -226,13 +226,16 @@ class FoliationGraph:
         but for the last, which wraps, so the witness is the midpoint of
         the first minimizing gap or of the last one.  The gap holding the
         witness is kept as ``_witness_gap``: the one above rank k is gap
-        k + 1, or gap 0 for the last."""
+        k + 1, or gap 0 for the last.  The counts are kept as
+        ``_counts``: the one above rank k is ``_counts[k]``, so gap g's is
+        ``_counts[g - 1]``."""
         start = sum(self._crossings(0))
         kinds = self._kinds
         counts = list(accumulate((1 if kinds[v] == SPLIT else -1 for v in self._order), initial=start))[1:]
         best, n = min(counts), len(counts)
         ranks = [k for k in (counts.index(best), n - 1) if counts[k] == best]
         witness, self.__dict__["_witness_gap"] = min((self._midpoint(k), (k + 1) % n) for k in ranks)
+        self.__dict__["_counts"] = counts
         return best, witness
 
     def _midpoint(self, k: int) -> Fraction:

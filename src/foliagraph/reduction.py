@@ -485,19 +485,40 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
 
     The result is Calabi and contiguous to the input; since complexity is
     a positive integer that strictly decreases, at most complexity(g)
-    reductions happen.  A stuck step raises StuckError carrying the trace
-    of the completed steps.  Each step cuts at the gap that holds the
-    complexity witness, which the sweep found.  A step on a graph with an
+    reductions happen.  Each step cuts at a level the sweep counted.  With
+    complexity c and m merges, it is the witness if the witness level has
+    c > m strands.  Otherwise it is the level with the fewest strands k
+    such that m < k < c + m, ties going to the lowest gap (gap 0 wraps):
+    by ``sort_events``' rule a cut with k > m strands sorts, and the
+    reglued level between the merge block and the split block has
+    k - m < c strands.  If no level qualifies, the step cuts at the
+    witness, the sort jams, and StuckError is raised carrying the trace of
+    the completed steps.  That is the one case left: adjacent levels
+    differ by one strand and a graph of complexity 1 is Calabi, so no
+    level qualifies only where every level has at most m strands, as in
+    ``tests/data/dead_end_v6.graph``.  A completed step's graph is never
+    such a dead end: its merges lie below its splits, so the level above
+    its lowest merge has c + m - 1 > m strands.  A step on a graph with an
     end that names no vertex or slot, or a vertex of unknown kind, raises
     ValueError naming it, as ``cut`` does.
     """
     steps: list[ReductionStep] = []
     current = g
+    merges = 0 if isinstance(g, FreeCircle) else g.merge_count()
     while not _calabi_verdict(current):
         # The sweep below reads every end, so check them first.
         _check_ends(current)
-        before, witness = complexity(current)
-        c = _cut(current, current._witness_gap)
+        before, angle = complexity(current)
+        gap, counts = current._witness_gap, current._counts
+        if before <= merges:
+            # The witness level jams: take the fewest strands that sort and
+            # still lower complexity, if any level has them, at the lowest
+            # gap.  The level above rank r is in gap r + 1, or 0 for the last.
+            fits = [(k, (r + 1) % len(counts), r) for r, k in enumerate(counts) if merges < k < before + merges]
+            if fits:
+                _, gap, r = min(fits)
+                angle = current._midpoint(r)
+        c = _cut(current, gap)
         try:
             sorted_cut, rewrites = sort_events(c)
             after_graph = reglue(sorted_cut)
@@ -506,7 +527,7 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
         after, _ = complexity(after_graph)
         if after >= before:
             raise AssertionError("reduction did not decrease complexity")
-        steps.append(ReductionStep(witness, before, after, rewrites, sorted_cut.events, current, after_graph))
+        steps.append(ReductionStep(angle, before, after, rewrites, sorted_cut.events, current, after_graph))
         current = after_graph
     return current, ReductionTrace(tuple(steps))
 

@@ -8,10 +8,28 @@ meaningful.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
-from foliagraph import MERGE, SPLIT, CutGraph, Edge, End, Event, FoliationGraph, Vertex, builtin, is_calabi, validate
+from foliagraph import (
+    MERGE,
+    SPLIT,
+    CutGraph,
+    Edge,
+    End,
+    Event,
+    FoliationGraph,
+    Vertex,
+    builtin,
+    complexity,
+    is_calabi,
+    validate,
+)
+
+# A valid non-Calabi graph on which no level has more strands than merges,
+# so no single-level cut sorts: ``harmonize`` raises StuckError on it.
+DEAD_END_V6 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "dead_end_v6.graph")
 
 
 def _stubs(n_pairs: int):
@@ -298,6 +316,43 @@ def oracle_crossing_count(g: FoliationGraph, a: Fraction) -> int:
         t, h = angle[e.tail.vertex], angle[e.head.vertex]
         count += e.winding + (0 < turn(a - t) < turn(h - t))
     return count
+
+
+def oracle_cut_level(g: FoliationGraph) -> Fraction:
+    """The level ``harmonize``'s rule cuts ``g`` at, by angle arithmetic:
+    with c the least crossing count over ``regular_levels`` and m the
+    merges, the complexity witness if more than m strands cross it;
+    otherwise the level with the fewest strands k such that m < k < c + m,
+    ties going to the lowest gap (gap 0 lies above the highest angle and
+    below the lowest, gap i just below the i-th lowest); the witness if no
+    level qualifies."""
+    m, witness = sum(v.kind == MERGE for v in g.vertices), complexity(g)[1]
+    if oracle_crossing_count(g, witness) > m:
+        return witness
+    levels = regular_levels(g)
+    counts = [oracle_crossing_count(g, a) for a in levels]
+    c, angles = min(counts), [v.angle for v in g.vertices]
+    fits = [(k, sum(x < a for x in angles) % len(angles), a) for a, k in zip(levels, counts) if m < k < c + m]
+    return min(fits)[2] if fits else witness
+
+
+def level_rule_faults(step) -> list[str]:
+    """What a ``harmonize`` step breaks of the level rule, checked by
+    ``oracle_crossing_count``: its cut angle must be a regular level of
+    the graph before it, crossed by k strands with k > m (the merges) and
+    k - m < the complexity before it, and be ``oracle_cut_level``'s."""
+    g, a = step.graph_before, step.cut_angle
+    m = sum(v.kind == MERGE for v in g.vertices)
+    if a not in regular_levels(g):
+        return [f"cut angle {a} is not a sampled regular level"]
+    k = oracle_crossing_count(g, a)
+    faults = []
+    if not m < k < step.complexity_before + m:
+        faults.append(f"cut angle {a} has {k} strands, {m} merges and complexity {step.complexity_before}")
+    want = oracle_cut_level(g)
+    if a != want:
+        faults.append(f"cut angle {a} is not the rule's level {want}")
+    return faults
 
 
 def oracle_end_faults(g: FoliationGraph) -> list[str]:

@@ -30,6 +30,7 @@ from foliagraph import (
 from graphgen import (
     exhaustive_valid_graphs,
     is_theta,
+    level_rule_faults,
     oracle_all_pairs_positive_path,
     oracle_every_edge_on_cycle,
     oracle_strongly_connected,
@@ -122,7 +123,10 @@ def test_criterion_3_reduction_contract(announce):
             result, trace = harmonize(g)
         except StuckError as exc:
             findings.append((f"graph#{i} {'harmonize' if exc.trace.steps else 'first step'}: {exc}", g))
+            failures.append(f"graph#{i}: harmonize got stuck")
             result, trace = None, exc.trace
+        for step in trace.steps:
+            failures += [f"graph#{i}: {fault}" for fault in level_rule_faults(step)]
         if trace.steps:
             g2 = trace.steps[0].graph_after
             if complexity(g2)[0] >= k0:
@@ -142,8 +146,9 @@ def test_criterion_3_reduction_contract(announce):
     if findings:
         announce(
             f"    FINDING: {len(findings)} stuck reduction(s) in 500 runs "
-            f"({harmonized} harmonized cleanly); the sort jams exactly when "
-            f"complexity <= #merges at the cut level. First witness:"
+            f"({harmonized} harmonized cleanly); a step gets stuck only where "
+            f"no level has k strands with #merges < k < complexity + #merges. "
+            f"First witness:"
         )
         message, witness_graph = findings[0]
         announce("    " + message)

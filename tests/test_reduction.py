@@ -3,6 +3,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from foliagraph import (
     cut,
     harmonize,
     is_calabi,
+    parse,
     reglue,
     serialize,
     sort_events,
@@ -35,7 +37,10 @@ import foliagraph.reduction as reduction
 from foliagraph.reduction import RegluingError, _transpose, live_after
 
 from graphgen import (
+    DEAD_END_V6,
     is_theta,
+    level_rule_faults,
+    oracle_crossing_count,
     random_non_calabi_graph,
     random_reusing_word,
     random_valid_graph,
@@ -124,25 +129,68 @@ def test_cut_and_sort_events_return_exact_events():
     assert sorted_cuts > 100 and cuts > sorted_cuts
 
 
-def test_harmonize_outputs_match_the_recorded_digest():
-    # One sha256 over harmonize's whole output on 300 seeded non-Calabi
-    # graphs of up to 32 vertices (25 of them stuck): the result text, or
-    # the StuckError message, then each step's record and graph_after
-    # text.  Any change to a word, strand id, angle or message moves it.
+def _digest_graphs():
+    """The digest test's 300 seeded non-Calabi graphs of up to 32 vertices."""
     rng = random.Random(2026_10)
-    digest = hashlib.sha256()
-    for _ in range(300):
-        g = random_non_calabi_graph(rng, max_pairs=16)
+    return [random_non_calabi_graph(rng, max_pairs=16) for _ in range(300)]
+
+
+def test_harmonize_outputs_match_the_recorded_digest():
+    # One sha256 over harmonize's whole output on 300 seeded graphs: the
+    # result text, then each step's record and graph_after text.  Any
+    # change to a word, strand id, angle or message moves it.  A second
+    # digest covers only the runs whose every step cut at the complexity
+    # witness, 275 of the 300: cutting only there, the other 25 get stuck.
+    digest, at_witness = hashlib.sha256(), hashlib.sha256()
+    stuck = witness_runs = 0
+    for g in _digest_graphs():
         try:
             result, trace = harmonize(g)
-            lines = [serialize(result)]
-        except StuckError as exc:
-            trace = exc.trace
-            lines = [f"stuck: {exc}"]
+        except StuckError:
+            stuck += 1
+            continue
+        lines = [serialize(result)]
         for step in trace.steps:
             lines += [repr(step), serialize(step.graph_after)]
-        digest.update("\n".join(lines).encode() + b"\0")
-    assert digest.hexdigest() == "eb5e4bb8f1102fc98f20df1051be73ddce60c9cbc87cb7a2304dcba2107b58c4"
+        text = "\n".join(lines).encode() + b"\0"
+        digest.update(text)
+        if all(step.cut_angle == complexity(step.graph_before)[1] for step in trace.steps):
+            witness_runs += 1
+            at_witness.update(text)
+    assert witness_runs == 275
+    assert at_witness.hexdigest() == "ce81ce73cfd13810920708687c4f88d2e74b0dc0cb95be97ed4223a0b50a9582"
+    assert stuck == 0
+    assert digest.hexdigest() == "ecdf4feb86ad8ef198680f559e5d59ab1205649be3ff4934fae40f364d223aa6"
+
+
+def test_harmonize_cuts_at_the_level_the_rule_picks():
+    # Every step of the digest test's 300 runs, checked against the rule
+    # by crossing counts from angle arithmetic; some steps leave the
+    # witness, because its level has too few strands to sort.
+    steps = rerouted = 0
+    for g in _digest_graphs():
+        _, trace = harmonize(g)
+        for step in trace.steps:
+            assert level_rule_faults(step) == []
+            steps += 1
+            rerouted += step.cut_angle != complexity(step.graph_before)[1]
+    assert steps > 600 and rerouted >= 25
+
+
+def test_harmonize_takes_the_wrapping_gap_first_among_ties():
+    # Turning every angle by one amount turns each level with its
+    # crossings.  The first graph of this seed jams at the witness of its
+    # second step's graph; turned so that the level the rule picks there
+    # wraps, it lies in gap 0, which wins its tie with another level of as
+    # many strands.
+    g = random_non_calabi_graph(random.Random(2024_03), max_pairs=6)
+    step = harmonize(g)[1].steps[1]
+    h = step.graph_before
+    assert step.cut_angle != complexity(h)[1]
+    turned = FoliationGraph("turned", [replace(v, angle=(v.angle - step.cut_angle) % 1) for v in h.vertices], h.edges)
+    first = harmonize(turned)[1].steps[0]
+    assert first.cut_angle == 0 and level_rule_faults(first) == []
+    assert (first.complexity_before, first.complexity_after) == (step.complexity_before, step.complexity_after)
 
 
 def test_sort_dumbbell_one_rewrite():
@@ -344,10 +392,41 @@ def test_first_step_dumbbell():
     assert complexity(g)[0] == 1
 
 
-def test_stuck_error_carries_the_completed_steps_and_its_cause():
-    # The first graph of this seed completes one step, then meets a bubble
-    # with nothing to borrow.
-    g = random_non_calabi_graph(random.Random(2024_03), max_pairs=6)
+def test_dead_end_v6_has_no_level_that_sorts():
+    g = parse(Path(DEAD_END_V6).read_text())
+    assert validate(g).ok and not is_calabi(g).verdict
+    assert complexity(g)[0] == 2 and g.merge_count() == 3
+    assert max(oracle_crossing_count(g, a) for a in regular_levels(g)) <= 3
+    with pytest.raises(StuckError) as exc:
+        harmonize(g)
+    assert isinstance(exc.value.cause, NotSortableError)
+    assert exc.value.trace == ReductionTrace()
+
+
+def test_stuck_error_carries_the_completed_steps_and_its_cause(monkeypatch):
+    g = parse(Path(DEAD_END_V6).read_text())
+    with pytest.raises(StuckError) as exc:
+        harmonize(g)
+    stuck = exc.value
+    assert isinstance(stuck.cause, NotSortableError)
+    assert stuck.__cause__ is stuck.cause
+    assert str(stuck) == f"reduction of x stuck: {stuck.cause}"
+
+    # No known input gets stuck after a completed step: a step's graph
+    # has its merges below its splits, so the level above its lowest
+    # merge sorts unless complexity is 1, and such a graph is Calabi.  A
+    # sort that jams from its second call on stands in for one.
+    real_sort, calls = reduction.sort_events, 0
+
+    def jam_after_one(c):
+        nonlocal calls
+        calls += 1
+        if calls > 1:
+            raise NotSortableError((0, 1, 2, 3), 1)
+        return real_sort(c)
+
+    monkeypatch.setattr(reduction, "sort_events", jam_after_one)
+    g = parse(MULTISTEP_FIXTURE)
     with pytest.raises(StuckError) as exc:
         harmonize(g)
     stuck = exc.value
@@ -391,8 +470,6 @@ end
 
 def test_harmonize_multi_step():
     # A heavily wound two-vertex graph needs three reductions: 4 -> 3 -> 2 -> 1.
-    from foliagraph import parse
-
     g = parse(MULTISTEP_FIXTURE)
     assert validate(g).ok and not is_calabi(g).verdict
     result, trace = harmonize(g)
