@@ -16,8 +16,11 @@ would, so each builds what it needs itself.  ``cut`` cuts the graph at
 the complexity witness, after ``complexity`` has built its angle order,
 ``sort_events`` sorts that cut, ``reglue`` reglues the sorted cut, and
 ``harmonize`` reduces the graph itself (every recorded input is
-non-Calabi).  ``is_calabi_calabi_s`` times ``is_calabi`` on a freshly
-parsed Calabi input: the first Calabi graph among the draws of that same
+non-Calabi).  ``reglue`` is the public call, which builds the layout of
+its word's kinds (ids, angles, tails, order, out-edges) on every call;
+``harmonize`` builds that layout once per call and reuses it at every
+step.  ``is_calabi_calabi_s`` times ``is_calabi`` on a freshly parsed
+Calabi input: the first Calabi graph among the draws of that same
 generator (draw 6, 18, 4 and 6 at 100, 200, 400 and 800 vertices; draw 1
 is the input above).  The
 scalar rows always cover all recorded value counts, 48, 96, 192 and 384:

@@ -132,7 +132,8 @@ class FoliationGraph:
     ``_ids`` and ``_slots`` go on past the vertices and SLOTS with the
     names an invalid graph's ends use but no vertex or slot carries.
     Every index below, the angles as ``Fraction``s among them, is built
-    on first use from these; the graph is frozen, so none goes stale.
+    on first use from these, or seeded by ``reglue``, which has it in
+    hand; the graph is frozen, so none goes stale.
     """
 
     name: str
@@ -183,7 +184,8 @@ class FoliationGraph:
 
     @cached_property
     def _succ(self) -> tuple[list[int], list[int]]:
-        """Each vertex's out-edges, as ``_incident`` lists them."""
+        """Each vertex's out-edges, as ``_incident`` lists them.  ``reglue``
+        seeds it."""
         return _incident(len(self._ids), self._tail)
 
     @cached_property
@@ -212,26 +214,33 @@ class FoliationGraph:
 
     @cached_property
     def _rank(self) -> list[int]:
-        """Each vertex's position in ``_order``."""
+        """Each vertex's position in ``_order``.  ``reglue`` seeds it."""
         rank = [0] * len(self._order)
         for k, v in enumerate(self._order):
             rank[v] = k
         return rank
 
     @cached_property
+    def _base(self) -> int:
+        """The crossing count at gap 0, below the lowest critical value.
+        ``reglue`` seeds it: there gap 0 is the cut it reglued."""
+        return sum(self._crossings(0))
+
+    @cached_property
     def _complexity(self) -> tuple[int, Fraction]:
         """The sweep behind ``complexity``: start from the crossing count
-        below the lowest critical value (gap 0); crossing a SPLIT adds a
-        strand and crossing a MERGE removes one.  Midpoints rise with rank
-        but for the last, which wraps, so the witness is the midpoint of
-        the first minimizing gap or of the last one.  The gap holding the
-        witness is kept as ``_witness_gap``: the one above rank k is gap
-        k + 1, or gap 0 for the last.  The counts are kept as
-        ``_counts``: the one above rank k is ``_counts[k]``, so gap g's is
-        ``_counts[g - 1]``."""
-        start = sum(self._crossings(0))
+        below the lowest critical value (gap 0, ``_base``); crossing a
+        SPLIT adds a strand and crossing a MERGE removes one.  Midpoints
+        rise with rank but for the last, which wraps, so the witness is
+        the midpoint of the first minimizing gap or of the last one.  The
+        gap holding the witness is kept as ``_witness_gap``: the one above
+        rank k is gap k + 1, or gap 0 for the last.  The counts are kept
+        as ``_counts``: the one above rank k is ``_counts[k]``, so gap g's
+        is ``_counts[g - 1]``.  The sweep reads every end, so it checks
+        them first (``_check_ends``)."""
+        _check_ends(self)
         kinds = self._kinds
-        counts = list(accumulate((1 if kinds[v] == SPLIT else -1 for v in self._order), initial=start))[1:]
+        counts = list(accumulate((1 if kinds[v] == SPLIT else -1 for v in self._order), initial=self._base))[1:]
         best, n = min(counts), len(counts)
         ranks = [k for k in (counts.index(best), n - 1) if counts[k] == best]
         witness, self.__dict__["_witness_gap"] = min((self._midpoint(k), (k + 1) % n) for k in ranks)
@@ -274,6 +283,21 @@ class FoliationGraph:
 
     def split_count(self) -> int:
         return self._kinds.count(SPLIT)
+
+
+def _check_ends(g: FoliationGraph) -> None:
+    """Raise ValueError naming the first edge whose end names no vertex or
+    no slot.  ``_tables`` numbers such names past the vertices and SLOTS,
+    so a graph without them passes in O(1)."""
+    ids, slots, nv = g._ids, g._slots, len(g._kinds)
+    if len(ids) == nv and len(slots) == len(SLOTS):
+        return
+    for eid, t, ts, h, hs in zip(g._eids, g._tail, g._tail_slot, g._head, g._head_slot):
+        for v, s in ((t, ts), (h, hs)):
+            if v >= nv:
+                raise ValueError(f"edge {eid}: unknown vertex {ids[v]}")
+            if s >= len(SLOTS):
+                raise ValueError(f"edge {eid}: unknown slot {ids[v]}.{slots[s]}")
 
 
 def _incident(n: int, ends: list[int]) -> tuple[list[int], list[int]]:

@@ -33,7 +33,9 @@ from .graph import (
     FoliationGraph,
     FreeCircle,
     _calabi_verdict,
+    _check_ends,
     _connected,
+    _incident,
     complexity,
 )
 
@@ -180,21 +182,6 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
         raise ValueError("cannot cut a vertex-free graph")
     _check_ends(g)
     return _cut(g, g._gap(a, "cut angle")[1])
-
-
-def _check_ends(g: FoliationGraph) -> None:
-    """Raise ValueError naming the first edge whose end names no vertex or
-    no slot.  ``_tables`` numbers such names past the vertices and SLOTS,
-    so a graph without them passes in O(1)."""
-    ids, slots, nv = g._ids, g._slots, len(g._kinds)
-    if len(ids) == nv and len(slots) == len(SLOTS):
-        return
-    for eid, t, ts, h, hs in zip(g._eids, g._tail, g._tail_slot, g._head, g._head_slot):
-        for v, s in ((t, ts), (h, hs)):
-            if v >= nv:
-                raise ValueError(f"edge {eid}: unknown vertex {ids[v]}")
-            if s >= len(SLOTS):
-                raise ValueError(f"edge {eid}: unknown slot {ids[v]}.{slots[s]}")
 
 
 def _cut(g: FoliationGraph, gap: int) -> CutGraph:
@@ -345,6 +332,64 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     return CutGraph(c.bottom, c.top, tuple(merges + splits), c.source), rewrites
 
 
+class _Layout(NamedTuple):
+    """What a graph reglued from a word takes from the word's kinds alone.
+
+    Event i becomes vertex ``v{i}`` at angle (i + 1)/(n + 1), and its
+    out-slots, in word order, start the edges ``e0``, ``e1``, ...  The
+    tables go in id order, where "v10" sorts before "v2": event i is the
+    vertex at position ``order[i]`` (which makes ``order`` the circular
+    order) and vertex v is event ``rank[v]``.  So the vertex and edge ids,
+    the kinds and angles, every edge's tail and the out-edge lists
+    (``succ``) are all fixed before any strand is read.  ``starts`` holds,
+    per edge in id order, its number m (its first segment is the m-th
+    born, b + m for b bottom strands) and its tail's event.
+    """
+
+    ids: list[str]
+    kinds: list[str]
+    num: list[int]
+    den: list[int]
+    eids: list[str]
+    tail: list[int]
+    tail_slot: list[int]
+    order: list[int]
+    rank: list[int]
+    succ: tuple[list[int], list[int]]
+    starts: list[tuple[int, int]]
+
+
+def _layout(kinds: Sequence[str]) -> _Layout:
+    """The layout of every word whose events have the kinds ``kinds``, in
+    word order: MERGE or SPLIT, as a checked cut has them."""
+    n = len(kinds)
+    born: list[int] = []  # edge m starts at out-port born[m]; event i's are 4 * i + 2, 4 * i + 3
+    for i, kind in enumerate(kinds):
+        born += (4 * i + 2,) if kind == MERGE else (4 * i + 2, 4 * i + 3)
+    ids = [f"v{i}" for i in range(n)]
+    rank = sorted(range(n), key=ids.__getitem__)
+    order = [0] * n
+    for v, i in enumerate(rank):
+        order[i] = v
+    eids = [f"e{m}" for m in range(len(born))]
+    eo = sorted(range(len(born)), key=eids.__getitem__)
+    tail = [order[born[m] >> 2] for m in eo]
+    common = [gcd(i + 1, n + 1) for i in rank]  # of each angle's numerator and denominator
+    return _Layout(
+        [ids[i] for i in rank],
+        [kinds[i] for i in rank],
+        [(i + 1) // d for i, d in zip(rank, common)],
+        [(n + 1) // d for d in common],
+        [eids[m] for m in eo],
+        tail,
+        [born[m] & 3 for m in eo],
+        order,
+        rank,
+        _incident(n, tail),
+        [(m, born[m] >> 2) for m in eo],
+    )
+
+
 def reglue(c: CutGraph) -> Foliation:
     """Reassemble a foliation graph from a cut.
 
@@ -352,11 +397,25 @@ def reglue(c: CutGraph) -> Foliation:
     sorted word land in (0, 1/2), splits in (1/2, 1)); maximal strand runs
     through the glue become edges, winding once per glue pass except that
     a run ending at an earlier vertex spends one pass wrapping the circle.
-    """
-    n = len(c.events)
-    name = c.source if c.source.endswith("-reglued") else f"{c.source}-reglued"
 
-    if n == 0:
+    The vertices, the edge ids and tails, the circular order and the
+    out-edge lists depend only on the word's kinds: they are its layout
+    (``_Layout``), which this call builds and ``harmonize`` builds once
+    for all its steps.  Only the heads and windings, and the checks, read
+    the strands.  The graph is handed its order, rank and out-edges from
+    the layout, and its crossing count at gap 0, which is the cut's level:
+    each crossing there is one glue pass, and every bottom segment is
+    passed exactly once (at least once, as the orphan check asserts, and
+    at most once, since each segment follows one segment only), so the
+    count is ``len(c.bottom)``.
+    """
+    return _reglue(c, _layout([ev.kind for ev in c.events]))
+
+
+def _reglue(c: CutGraph, layout: _Layout) -> Foliation:
+    """``reglue`` of a cut, given the layout of its word's kinds."""
+    name = c.source if c.source.endswith("-reglued") else f"{c.source}-reglued"
+    if not c.events:
         # No events: the glue orbits are covering circles; only a single
         # orbit regains a connected graph.
         if not c.bottom:
@@ -383,77 +442,59 @@ def reglue(c: CutGraph) -> Foliation:
     pop = live.pop
     # Event i's slot s is port 4 * i + s, as in the graph layer: in-slots
     # from 4 * i, out-slots from 4 * i + 2.
-    born: list[int] = []  # the out-port of segment b + m
-    dies = [-1] * (b + 2 * n)  # segment -> the in-port it ends at, or -1 at the top
+    dies = [-1] * (b + len(layout.eids))  # segment -> the in-port it ends at, or -1 at the top
     seg, p = b, 0  # the next segment, and the event's first port
     for kind, ins, outs in c.events:
         dies[pop(ins[0])] = p
         if kind == MERGE:
             dies[pop(ins[1])] = p + 1
             live[outs[0]] = seg
-            born.append(p + 2)
             seg += 1
         else:
             live[outs[0]], live[outs[1]] = seg, seg + 1
-            born += (p + 2, p + 3)
             seg += 2
         p += 4
     wraps = [0] * len(dies)  # a segment that reaches the top -> its bottom segment
     for k, t in enumerate(c.top):
         wraps[live[t]] = k
 
-    # The tables go in id order, where "v10" sorts before "v2": event i
-    # is the vertex at position at[i], and edge m, from born[m], the edge
-    # at position eo.index(m).  Vertex i gets the angle (i + 1) / (n + 1)
-    # in lowest terms.
-    ids = [f"v{i}" for i in range(n)]
-    vo = sorted(range(n), key=ids.__getitem__)
-    at = [0] * n
-    for p, i in enumerate(vo):
-        at[i] = p
-    common = [gcd(i, n + 1) for i in range(1, n + 1)]
-    eids = [f"e{m}" for m in range(len(born))]
-    eo = sorted(range(len(born)), key=eids.__getitem__)
-
     # Each edge runs from its out-port through the glue to an in-port.
-    tail, tail_slot, head, head_slot, winding = [], [], [], [], []
+    head, head_slot, winding = [], [], []
     passed = [False] * b  # bottom segments some edge runs through
-    for m in eo:
-        port, seg, passes = born[m], b + m, 0
+    order = layout.order
+    for m, t in layout.starts:
+        seg, passes = b + m, 0
         while dies[seg] < 0:
             seg = wraps[seg]
             passed[seg] = True
             passes += 1
         h = dies[seg]
-        tail.append(at[port >> 2])
-        tail_slot.append(port & 3)
-        head.append(at[h >> 2])
+        head.append(order[h >> 2])
         head_slot.append(h & 3)
-        winding.append(passes - 1 if h >> 2 < port >> 2 else passes)
+        winding.append(passes - 1 if h >> 2 < t else passes)
 
-    orphans = sorted(s for s, seen in zip(c.bottom, passed) if not seen)
-    if orphans:
+    if not all(passed):
+        orphans = sorted(s for s, seen in zip(c.bottom, passed) if not seen)
         raise RegluingError(
             f"glue orbit through strands {orphans} avoids every vertex"
         )
 
-    events = c.events
     g = FoliationGraph._make(
         name,
-        sorted(ids),
-        [events[i].kind for i in vo],
-        [(i + 1) // common[i] for i in vo],
-        [(n + 1) // common[i] for i in vo],
-        sorted(eids),
-        tail,
-        tail_slot,
+        layout.ids,
+        layout.kinds,
+        layout.num,
+        layout.den,
+        layout.eids,
+        layout.tail,
+        layout.tail_slot,
         head,
         head_slot,
         winding,
         SLOTS,
     )
-    # Word order is angle order: seed the circular order instead of sorting.
-    g.__dict__["_order"] = at
+    # Hand over what the layout and the cut already hold (see reglue).
+    g.__dict__.update(_order=order, _rank=layout.rank, _succ=layout.succ, _base=b)
     # The checked cut guarantees every invariant of validate but connectivity.
     if not _connected(g):
         raise RegluingError("reglued graph is disconnected")
@@ -498,16 +539,25 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     level qualifies only where every level has at most m strands, as in
     ``tests/data/dead_end_v6.graph``.  A completed step's graph is never
     such a dead end: its merges lie below its splits, so the level above
-    its lowest merge has c + m - 1 > m strands.  A step on a graph with an
-    end that names no vertex or slot, or a vertex of unknown kind, raises
-    ValueError naming it, as ``cut`` does.
+    its lowest merge has c + m - 1 > m strands.  A graph with an end that
+    names no vertex or slot, or a vertex of unknown kind, raises
+    ValueError naming it, as ``cut`` does, before any step.
+
+    Every sorted word of the chain has the same kinds, its m merges and
+    then its s splits, since each step keeps both counts; so every step
+    reglues with one layout (see ``reglue``), built at the first step.
     """
     steps: list[ReductionStep] = []
     current = g
-    merges = 0 if isinstance(g, FreeCircle) else g.merge_count()
+    merges = splits = 0
+    if isinstance(g, FoliationGraph):
+        _check_ends(g)
+        merges, splits = g.merge_count(), g.split_count()
+        if merges + splits != len(g._kinds):
+            v = next(v for v, kind in enumerate(g._kinds) if kind not in ARITY)
+            raise ValueError(f"vertex {g._ids[v]}: unknown kind {g._kinds[v]}")
+    layout = None
     while not _calabi_verdict(current):
-        # The sweep below reads every end, so check them first.
-        _check_ends(current)
         before, angle = complexity(current)
         gap, counts = current._witness_gap, current._counts
         if before <= merges:
@@ -519,9 +569,11 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
                 _, gap, r = min(fits)
                 angle = current._midpoint(r)
         c = _cut(current, gap)
+        if layout is None:
+            layout = _layout((MERGE,) * merges + (SPLIT,) * splits)
         try:
             sorted_cut, rewrites = sort_events(c)
-            after_graph = reglue(sorted_cut)
+            after_graph = _reglue(sorted_cut, layout)
         except (NotSortableError, RegluingError) as exc:
             raise StuckError(f"reduction of {current.name} stuck: {exc}", exc, ReductionTrace(tuple(steps))) from exc
         after, _ = complexity(after_graph)

@@ -78,10 +78,10 @@ def test_cut_rejects_free_circle_and_singular_angle():
         cut(builtin("theta"), Fraction(1, 4))
 
 
-def _dumbbell_with(vertex=None, edge=None):
-    """The dumbbell with its vertex ``s`` or its edge ``e1`` replaced by
-    what the given function makes of it."""
-    g = builtin("dumbbell")
+def _builtin_with(name, vertex=None, edge=None):
+    """The builtin graph ``name`` with its vertex ``s`` or its edge ``e1``
+    replaced by what the given function makes of it."""
+    g = builtin(name)
     return FoliationGraph(
         "broken",
         [vertex(v) if vertex and v.id == "s" else v for v in g.vertices],
@@ -89,21 +89,31 @@ def _dumbbell_with(vertex=None, edge=None):
     )
 
 
+def _saddle(v):
+    return Vertex(v.id, "SADDLE", v.angle)
+
+
 @pytest.mark.parametrize(
     "g, message",
     [
-        (_dumbbell_with(vertex=lambda v: Vertex(v.id, "SADDLE", v.angle)), "vertex s: unknown kind SADDLE"),
-        (_dumbbell_with(edge=lambda e: replace(e, tail=End("zz", e.tail.slot))), "edge e1: unknown vertex zz"),
-        (_dumbbell_with(edge=lambda e: replace(e, head=End("zz", e.head.slot))), "edge e1: unknown vertex zz"),
-        (_dumbbell_with(edge=lambda e: replace(e, tail=End("s", "out7"))), "edge e1: unknown slot s.out7"),
+        (_builtin_with("dumbbell", vertex=_saddle), "vertex s: unknown kind SADDLE"),
+        (_builtin_with("dumbbell", edge=lambda e: replace(e, tail=End("zz", e.tail.slot))), "edge e1: unknown vertex zz"),
+        (_builtin_with("dumbbell", edge=lambda e: replace(e, head=End("zz", e.head.slot))), "edge e1: unknown vertex zz"),
+        (_builtin_with("dumbbell", edge=lambda e: replace(e, tail=End("s", "out7"))), "edge e1: unknown slot s.out7"),
+        # Theta is Calabi whatever its kinds say, so harmonize must check
+        # them before its loop, which never runs.
+        (_builtin_with("theta", vertex=_saddle), "vertex s: unknown kind SADDLE"),
     ],
 )
 def test_cut_and_harmonize_name_what_an_invalid_graph_breaks(g, message):
     assert not validate(g).ok
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        cut(g, Fraction(0))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        harmonize(g)
+    calls = [lambda: cut(g, Fraction(0)), lambda: harmonize(g)]
+    if message.startswith("edge"):
+        # The complexity sweep reads every end, so it checks them first.
+        calls.append(lambda: complexity(g))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def _is_exact_event(ev):
@@ -511,9 +521,15 @@ def test_roundtrip_at_random_regular_angle(seed):
     assert validate(g3).ok
 
 
+def _seeded_values(g):
+    """What ``reglue`` hands its graph, and what the sweep derives from it."""
+    return (g._order, g._rank, g._succ, g._base, complexity(g), g._counts, g._witness_gap)
+
+
 def test_reglued_graph_keeps_angle_order():
-    # ``reglue`` hands its graph the circular order instead of sorting the
-    # angles; it must be the order the angles give.
+    # ``reglue`` hands its graph the circular order, the rank, the
+    # out-edges and the gap-0 crossing count instead of deriving them; each
+    # must be what a fresh graph derives, as must the sweep that reads them.
     rng = random.Random(606)
     id_order_differs = 0
     for _ in range(60):
@@ -535,12 +551,29 @@ def test_reglued_graph_keeps_angle_order():
                 by_angle = sorted(g2.vertices, key=lambda v: v.angle)
                 assert [g2.vertices[v] for v in g2._order] == by_angle
                 assert [by_angle[k] for k in g2._rank] == list(g2.vertices)
+                assert g2._base == len(c2.bottom)
                 fresh = FoliationGraph(g2.name, g2.vertices, g2.edges)
                 assert g2 == fresh
-                assert g2._order == fresh._order and g2._rank == fresh._rank
+                assert _seeded_values(g2) == _seeded_values(fresh)
                 id_order_differs += g2._order != sorted(g2._order)
     # Ids v10, v11, ... sort before v2, so the id order is no stand-in.
     assert id_order_differs
+
+    # Every graph of a harmonize chain is reglued with the layout of its
+    # first step; long chains on 10 or more vertices cover the ids where
+    # "v10" sorts before "v2".
+    rng = random.Random(2024_13)
+    long_chains = 0
+    for _ in range(40):
+        g = random_non_calabi_graph(rng, max_pairs=10)
+        _, trace = harmonize(g)
+        for step in trace.steps:
+            g2 = step.graph_after
+            fresh = FoliationGraph(g2.name, g2.vertices, g2.edges)
+            assert g2 == fresh
+            assert _seeded_values(g2) == _seeded_values(fresh)
+        long_chains += len(trace.steps) >= 3 and len(g.vertices) >= 10
+    assert long_chains >= 20
 
 
 @settings(max_examples=50, deadline=None)
@@ -807,3 +840,29 @@ def test_harmonize_sweeps_each_graph_once(monkeypatch):
             trace = exc.trace
         graphs += 1 + len(trace.steps)
     assert graphs > 40 and calls <= graphs
+
+
+def test_harmonize_builds_one_layout_per_call(monkeypatch):
+    # Every sorted word of a chain has the same kinds, so one layout serves
+    # every step of a ``harmonize`` call.
+    real_layout = reduction._layout
+    builds = 0
+
+    def counting_layout(kinds):
+        nonlocal builds
+        builds += 1
+        return real_layout(kinds)
+
+    monkeypatch.setattr(reduction, "_layout", counting_layout)
+    rng = random.Random(2024_14)
+    steps = 0
+    for _ in range(40):
+        g = random_non_calabi_graph(rng, max_pairs=8)
+        before = builds
+        try:
+            _, trace = harmonize(g)
+        except StuckError as exc:
+            trace = exc.trace
+        steps += len(trace.steps)
+        assert builds - before == 1
+    assert steps > 40
