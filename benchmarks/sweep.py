@@ -20,9 +20,11 @@ non-Calabi).  ``reglue`` is the public call, which builds the layout of
 its word's kinds (ids, angles, tails, order, out-edges) on every call;
 ``harmonize`` builds that layout once per call and reuses it at every
 step.  ``is_calabi_calabi_s`` times ``is_calabi`` on a freshly parsed
-Calabi input: the first Calabi graph among the draws of that same
-generator (draw 6, 18, 4 and 6 at 100, 200, 400 and 800 vertices; draw 1
-is the input above).  The
+and validated Calabi input, so that it times the decision alone (each
+algorithm validates its input, and the graph keeps the report): the
+first Calabi graph among the draws of that same generator (draw 6, 18, 4
+and 6 at 100, 200, 400 and 800 vertices; draw 1 is the input above).
+The
 scalar rows always cover all recorded value counts, 48, 96, 192 and 384:
 at N values the inputs are N random values over the three-symbol table of
 ``tests/modelgen.example_table`` (rank 4, the table's full width) and N
@@ -41,12 +43,12 @@ and ``serialize`` run in that order on each parsed model, as
 Prints one JSON object.  Exits nonzero on a wrong answer: a text that
 does not parse back to the graph and to itself (``serialize(parse(text))
 == text`` and the parsed graph equal to the one built from objects), a
-cut its construction check rejects or whose strand count differs from
-the recorded one, a sorted word with a split below a merge, a
-reglued or harmonized graph that fails ``validate``, a harmonize result
-that is not Calabi or not contiguous, a rewrite or step count that
-differs from the recorded one, a Calabi input's draw, certificate
-cycle count or total walk length that differs from the recorded one, a
+cut that ``CutGraph``'s construction check rejects (``cut`` skips it)
+or whose strand count differs from the recorded one, a sorted word with
+a split below a merge, a reglued or harmonized graph that fails
+``validate``, a harmonize result that is not Calabi or not contiguous, a
+rewrite or step count that differs from the recorded one, a Calabi
+input's draw, certificate cycle count or total walk length that differs from the recorded one, a
 rank or relation that differs from
 the recorded one, a surface text that does not parse back to the model
 and to itself, a failed consistency check, or a period rank that differs
@@ -171,13 +173,15 @@ def sweep_one(size: int) -> dict:
     while not fg.is_calabi(calabi).verdict:
         draw, calabi = draw + 1, random_valid_graph(rng, n_pairs=size // 2)
     calabi_text = fg.serialize(calabi)
-    calabi_s, parsed = staged(calabi_text, {"is_calabi_calabi_s": fg.is_calabi})
+    calabi_s, parsed = staged(calabi_text, {"validate_s": fg.validate, "is_calabi_calabi_s": fg.is_calabi})
     if parsed != calabi or fg.serialize(parsed) != calabi_text:
         fail(size, "the parsed Calabi graph differs from the object-built one or from its text")
     cycles = fg.is_calabi(parsed).cycles
     k, witness = fg.complexity(g)
     try:
         cut_s, c = best_of(lambda: fg.cut(g, witness))
+        # ``cut`` skips the construction check; run it here, untimed.
+        fg.CutGraph(c.bottom, c.top, c.events, c.source)
     except ValueError as exc:
         fail(size, f"cut rejected: {exc}")
     sort_s, (sorted_cut, rewrites) = best_of(lambda: fg.sort_events(c))

@@ -183,6 +183,46 @@ class FoliationGraph:
         return all(self.__dict__[t] == other.__dict__[t] for t in _TABLES)
 
     @cached_property
+    def _report(self) -> ValidationReport:
+        """The checks behind ``validate``, O(V + E) over the tables.  No
+        caller seeds it, so it always judges the tables themselves."""
+        bad = _token_faults("graph name", [self.name])
+        ids, kinds, num, den, eids = self._ids, self._kinds, self._num, self._den, self._eids
+        nv = len(kinds)
+        bad += _token_faults("vertex id", ids[:nv]) + _token_faults("edge id", eids)
+        if len(set(ids[:nv])) != nv:
+            bad.append("duplicate vertex ids")
+        if len(set(eids)) != len(eids):
+            bad.append("duplicate edge ids")
+        if not nv:
+            bad.append("graph has no vertices (use a free circle record instead)")
+            return ValidationReport(False, tuple(bad))
+
+        for v, (vid, kind) in enumerate(zip(ids, kinds)):
+            if kind not in ARITY:
+                bad.append(f"vertex {vid}: unknown kind {kind}")
+            if not 0 <= num[v] < den[v]:
+                bad.append(f"vertex {vid}: angle {self._angle[v]} outside [0, 1)")
+
+        bad += _end_faults(self)
+
+        # Sorted, equal angles are adjacent.
+        angles = [(num[v], den[v]) for v in self._order]
+        if any(map(eq, angles, angles[1:])):
+            bad.append("vertex angles not pairwise distinct (critical values must differ)")
+
+        if self.merge_count() != self.split_count():
+            bad.append(f"#MERGE = {self.merge_count()} differs from #SPLIT = {self.split_count()}")
+        if 2 * len(eids) != 3 * nv:
+            bad.append(f"2E = {2 * len(eids)} differs from 3V = {3 * nv}")
+
+        # An end naming no vertex (numbered past the vertices) skips the search.
+        if len(ids) == nv and not _connected(self):
+            bad.append("underlying graph not connected")
+
+        return ValidationReport(not bad, tuple(bad))
+
+    @cached_property
     def _succ(self) -> tuple[list[int], list[int]]:
         """Each vertex's out-edges, as ``_incident`` lists them.  ``reglue``
         seeds it."""
@@ -236,9 +276,7 @@ class FoliationGraph:
         gap holding the witness is kept as ``_witness_gap``: the one above
         rank k is gap k + 1, or gap 0 for the last.  The counts are kept
         as ``_counts``: the one above rank k is ``_counts[k]``, so gap g's
-        is ``_counts[g - 1]``.  The sweep reads every end, so it checks
-        them first (``_check_ends``)."""
-        _check_ends(self)
+        is ``_counts[g - 1]``."""
         kinds = self._kinds
         counts = list(accumulate((1 if kinds[v] == SPLIT else -1 for v in self._order), initial=self._base))[1:]
         best, n = min(counts), len(counts)
@@ -283,21 +321,6 @@ class FoliationGraph:
 
     def split_count(self) -> int:
         return self._kinds.count(SPLIT)
-
-
-def _check_ends(g: FoliationGraph) -> None:
-    """Raise ValueError naming the first edge whose end names no vertex or
-    no slot.  ``_tables`` numbers such names past the vertices and SLOTS,
-    so a graph without them passes in O(1)."""
-    ids, slots, nv = g._ids, g._slots, len(g._kinds)
-    if len(ids) == nv and len(slots) == len(SLOTS):
-        return
-    for eid, t, ts, h, hs in zip(g._eids, g._tail, g._tail_slot, g._head, g._head_slot):
-        for v, s in ((t, ts), (h, hs)):
-            if v >= nv:
-                raise ValueError(f"edge {eid}: unknown vertex {ids[v]}")
-            if s >= len(SLOTS):
-                raise ValueError(f"edge {eid}: unknown slot {ids[v]}.{slots[s]}")
 
 
 def _incident(n: int, ends: list[int]) -> tuple[list[int], list[int]]:
@@ -368,49 +391,22 @@ def _turn(x: Fraction) -> Fraction:
 
 
 def validate(g: Foliation) -> ValidationReport:
-    """Check every structural invariant, reporting all failures."""
-    bad = _token_faults("graph name", [g.name])
+    """Check every structural invariant, reporting all failures.  A graph
+    keeps its report.  ``complexity``, ``is_calabi``, ``euler_genus``, ``cut``
+    and ``harmonize`` raise ValueError with its first violation, if any."""
     if isinstance(g, FreeCircle):
+        bad = _token_faults("graph name", [g.name])
         if g.winding < 1:
             bad.append("free circle winding must be >= 1")
         return ValidationReport(not bad, tuple(bad))
+    return g._report
 
-    ids, kinds, num, den, eids = g._ids, g._kinds, g._num, g._den, g._eids
-    nv = len(kinds)
-    bad += _token_faults("vertex id", ids[:nv]) + _token_faults("edge id", eids)
-    if len(set(ids[:nv])) != nv:
-        bad.append("duplicate vertex ids")
-    if len(set(eids)) != len(eids):
-        bad.append("duplicate edge ids")
-    if not nv:
-        bad.append("graph has no vertices (use a free circle record instead)")
-        return ValidationReport(False, tuple(bad))
 
-    for v, (vid, kind) in enumerate(zip(ids, kinds)):
-        if kind not in ARITY:
-            bad.append(f"vertex {vid}: unknown kind {kind}")
-        if not 0 <= num[v] < den[v]:
-            bad.append(f"vertex {vid}: angle {g._angle[v]} outside [0, 1)")
-
-    bad += _end_faults(g)
-
-    # Sorted, equal angles are adjacent.
-    angles = [(num[v], den[v]) for v in g._order]
-    if any(map(eq, angles, angles[1:])):
-        bad.append("vertex angles not pairwise distinct (critical values must differ)")
-
-    if g.merge_count() != g.split_count():
-        bad.append(
-            f"#MERGE = {g.merge_count()} differs from #SPLIT = {g.split_count()}"
-        )
-    if 2 * len(eids) != 3 * nv:
-        bad.append(f"2E = {2 * len(eids)} differs from 3V = {3 * nv}")
-
-    # An end naming no vertex (numbered past the vertices) skips the search.
-    if len(ids) == nv and not _connected(g):
-        bad.append("underlying graph not connected")
-
-    return ValidationReport(not bad, tuple(bad))
+def _require_valid(g: Foliation) -> None:
+    """ValueError with ``validate``'s first violation, unless it accepts ``g``."""
+    report = validate(g)
+    if not report.ok:
+        raise ValueError(report.violations[0])
 
 
 def _end_faults(g: FoliationGraph) -> list[str]:
@@ -514,8 +510,10 @@ def builtin(name: str) -> Foliation:
 def complexity(g: Foliation) -> tuple[int, Fraction]:
     """Minimum crossing count over regular levels, with the smallest
     minimizing sample angle as witness.  One sweep per graph: the result
-    is kept on the (immutable) graph, so repeat calls return it.
+    is kept on the (immutable) graph, so repeat calls return it.  Reads
+    only valid graphs (see ``validate``).
     """
+    _require_valid(g)
     if isinstance(g, FreeCircle):
         return g.winding, Fraction(0)
     return g._complexity
@@ -552,9 +550,11 @@ def is_calabi(g: Foliation) -> CalabiCertificate:
     smallest-id vertex outside its positive out-set.  There are exactly
     E - V + 1 walks, the genus, each built once: each non-root vertex has
     exactly one reverse-tree out-edge, and it repeats the walk of the
-    forward-tree edge into that vertex.
+    forward-tree edge into that vertex.  Reads only valid graphs (see
+    ``validate``).
     """
-    if isinstance(g, FreeCircle) or not g._kinds:
+    _require_valid(g)
+    if isinstance(g, FreeCircle):
         return CalabiCertificate(True)
     nv = len(g._kinds)
     down, up = _root_trees(g)
@@ -583,8 +583,8 @@ def _root_trees(g: FoliationGraph) -> tuple[tuple[list, list], tuple[list, list]
 
 
 def _calabi_verdict(g: Foliation) -> bool:
-    """``is_calabi(g).verdict`` without building the certificate."""
-    return isinstance(g, FreeCircle) or not g._kinds or len(_root_trees(g)[1][0]) == len(g._kinds)
+    """``is_calabi(g).verdict`` of a valid graph, without the certificate."""
+    return isinstance(g, FreeCircle) or len(_root_trees(g)[1][0]) == len(g._kinds)
 
 
 def _root_walks(g: FoliationGraph, down: tuple[list, list], up: tuple[list, list]) -> tuple[tuple[str, ...], ...]:
@@ -624,12 +624,10 @@ def _root_walks(g: FoliationGraph, down: tuple[list, list], up: tuple[list, list
 
 
 def euler_genus(g: Foliation) -> tuple[int, int]:
-    """Euler characteristic and genus of the modeled surface."""
+    """Euler characteristic -V and genus E - V + 1 = V/2 + 1 of the modeled
+    surface.  Reads only valid graphs (see ``validate``)."""
+    _require_valid(g)
     if isinstance(g, FreeCircle):
         return 0, 1
-    nv, ne = len(g._kinds), len(g._eids)
-    genus = (nv + 2) // 2
-    betti = ne - nv + 1
-    if genus != betti or (nv + 2) % 2:
-        raise ValueError("graph violates 2E = 3V; validate it first")
-    return -nv, genus
+    nv = len(g._kinds)
+    return -nv, nv // 2 + 1

@@ -33,10 +33,9 @@ from .graph import (
     FoliationGraph,
     FreeCircle,
     _calabi_verdict,
-    _check_ends,
     _connected,
     _incident,
-    complexity,
+    _require_valid,
 )
 
 
@@ -96,7 +95,8 @@ class CutGraph:
 
     Construction checks the cut: the word replays from ``bottom`` to
     ``top`` (see ``live_after``) and both boundaries have the same size,
-    so the alignment is a bijection.  ValueError otherwise.
+    so the alignment is a bijection.  ValueError otherwise.  ``cut`` skips
+    the check (``_make``): a valid graph's word replays by construction.
     """
 
     bottom: tuple[int, ...]
@@ -110,6 +110,13 @@ class CutGraph:
             raise ValueError("replaying events does not yield the top strands")
         if len(self.bottom) != len(self.top):
             raise ValueError("boundary strand counts differ")
+
+    @classmethod
+    def _make(cls, bottom: tuple[int, ...], top: tuple[int, ...], events: tuple[Event, ...], source: str) -> CutGraph:
+        """A cut without the construction check."""
+        c = object.__new__(cls)
+        c.__dict__.update(bottom=bottom, top=top, events=events, source=source)
+        return c
 
 
 def live_after(bottom: tuple[int, ...], events: Sequence[Event]) -> set[int]:
@@ -174,19 +181,17 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
     Each edge falls into crossing-count + 1 segments; consecutive segments
     of one edge are glued across the cut: ``top[i]`` continues into
     ``bottom[i]``.  Events are the vertices ordered by height above the
-    cut: the circular order rotated at its gap.  Raises ValueError naming
-    the edge or vertex if an end names no vertex or slot, or a vertex's
-    kind is unknown, which only a graph that ``validate`` rejects has.
+    cut: the circular order rotated at its gap.  Reads only valid graphs
+    (see ``validate``).
     """
+    _require_valid(g)
     if isinstance(g, FreeCircle):
         raise ValueError("cannot cut a vertex-free graph")
-    _check_ends(g)
     return _cut(g, g._gap(a, "cut angle")[1])
 
 
 def _cut(g: FoliationGraph, gap: int) -> CutGraph:
-    """``cut`` at a level in ``gap`` of ``g._order``, for a graph whose
-    ends all name a vertex and a slot."""
+    """``cut`` of a valid graph at a level in ``gap`` of ``g._order``."""
     at = [0] * (4 * len(g._kinds))  # port 4 * vertex + slot -> segment
     bottom: list[int] = []
     top: list[int] = []
@@ -207,11 +212,9 @@ def _cut(g: FoliationGraph, gap: int) -> CutGraph:
         p = 4 * v  # its in-slots are ports p, p + 1 and its out-slots p + 2, p + 3
         if kind == MERGE:
             events.append(new(Event, (kind, (at[p], at[p + 1]), (at[p + 2],))))
-        elif kind == SPLIT:
-            events.append(new(Event, (kind, (at[p],), (at[p + 2], at[p + 3]))))
         else:
-            raise ValueError(f"vertex {g._ids[v]}: unknown kind {kind}")
-    return CutGraph(tuple(bottom), tuple(top), tuple(events), g.name)
+            events.append(new(Event, (kind, (at[p],), (at[p + 2], at[p + 3]))))
+    return CutGraph._make(tuple(bottom), tuple(top), tuple(events), g.name)
 
 
 def _transpose(
@@ -407,7 +410,9 @@ def reglue(c: CutGraph) -> Foliation:
     each crossing there is one glue pass, and every bottom segment is
     passed exactly once (at least once, as the orphan check asserts, and
     at most once, since each segment follows one segment only), so the
-    count is ``len(c.bottom)``.
+    count is ``len(c.bottom)``.  The word replays from ``bottom`` to
+    ``top``, as ``CutGraph`` checks on construction and as ``cut`` of a
+    valid graph has it by construction, so only connectivity is checked.
     """
     return _reglue(c, _layout([ev.kind for ev in c.events]))
 
@@ -434,9 +439,9 @@ def _reglue(c: CutGraph, layout: _Layout) -> Foliation:
     # bubble rule borrows and re-emits strands), so segments are numbered
     # by birth: the bottom strands in order, then the out-slots in word
     # order.  Each ends at an event's in-slot or at the top, where the
-    # glue hands it on to the bottom segment at the same position.  The
-    # checked cut gives each MERGE two inputs and one output, and each
-    # SPLIT one input and two outputs.
+    # glue hands it on to the bottom segment at the same position.  A
+    # cut's events have their kind's arity: each MERGE two inputs and one
+    # output, and each SPLIT one input and two outputs.
     b = len(c.bottom)
     live = dict(zip(c.bottom, range(b)))  # strand -> its current segment
     pop = live.pop
@@ -495,7 +500,6 @@ def _reglue(c: CutGraph, layout: _Layout) -> Foliation:
     )
     # Hand over what the layout and the cut already hold (see reglue).
     g.__dict__.update(_order=order, _rank=layout.rank, _succ=layout.succ, _base=b)
-    # The checked cut guarantees every invariant of validate but connectivity.
     if not _connected(g):
         raise RegluingError("reglued graph is disconnected")
     return g
@@ -539,26 +543,22 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     level qualifies only where every level has at most m strands, as in
     ``tests/data/dead_end_v6.graph``.  A completed step's graph is never
     such a dead end: its merges lie below its splits, so the level above
-    its lowest merge has c + m - 1 > m strands.  A graph with an end that
-    names no vertex or slot, or a vertex of unknown kind, raises
-    ValueError naming it, as ``cut`` does, before any step.
+    its lowest merge has c + m - 1 > m strands.  Reads only valid graphs
+    (see ``validate``): it validates its input, and each step's graph is
+    valid when its source is, so the loop reads the sweep directly.
 
     Every sorted word of the chain has the same kinds, its m merges and
-    then its s splits, since each step keeps both counts; so every step
+    then as many splits, since each step keeps both counts; so every step
     reglues with one layout (see ``reglue``), built at the first step.
     """
+    _require_valid(g)
     steps: list[ReductionStep] = []
-    current = g
-    merges = splits = 0
-    if isinstance(g, FoliationGraph):
-        _check_ends(g)
-        merges, splits = g.merge_count(), g.split_count()
-        if merges + splits != len(g._kinds):
-            v = next(v for v, kind in enumerate(g._kinds) if kind not in ARITY)
-            raise ValueError(f"vertex {g._ids[v]}: unknown kind {g._kinds[v]}")
-    layout = None
+    current, layout = g, None
     while not _calabi_verdict(current):
-        before, angle = complexity(current)
+        if layout is None:
+            merges = current.merge_count()
+            layout = _layout((MERGE,) * merges + (SPLIT,) * merges)
+        before, angle = current._complexity
         gap, counts = current._witness_gap, current._counts
         if before <= merges:
             # The witness level jams: take the fewest strands that sort and
@@ -569,14 +569,12 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
                 _, gap, r = min(fits)
                 angle = current._midpoint(r)
         c = _cut(current, gap)
-        if layout is None:
-            layout = _layout((MERGE,) * merges + (SPLIT,) * splits)
         try:
             sorted_cut, rewrites = sort_events(c)
             after_graph = _reglue(sorted_cut, layout)
         except (NotSortableError, RegluingError) as exc:
             raise StuckError(f"reduction of {current.name} stuck: {exc}", exc, ReductionTrace(tuple(steps))) from exc
-        after, _ = complexity(after_graph)
+        after = after_graph._complexity[0]
         if after >= before:
             raise AssertionError("reduction did not decrease complexity")
         steps.append(ReductionStep(angle, before, after, rewrites, sorted_cut.events, current, after_graph))

@@ -16,10 +16,13 @@ from foliagraph import (
     End,
     FoliationGraph,
     FreeCircle,
+    StuckError,
     Vertex,
     builtin,
     complexity,
+    cut,
     euler_genus,
+    harmonize,
     ParseError,
     is_calabi,
     parse,
@@ -261,6 +264,31 @@ def test_validate_reports_end_faults_as_the_objects_count_them():
             assert h == g and validate(h).violations == violations
             parsed += 1
     assert 500 < faulty < 1500 and parsed > 300 and shared > 100
+
+
+def test_every_algorithm_raises_the_first_violation_of_an_invalid_graph():
+    # complexity, is_calabi, euler_genus, cut and harmonize read only graphs
+    # that validate accepts: each raises ValueError with the report's first
+    # violation exactly when validate rejects the graph, whatever fault it
+    # would meet first.  Each call gets its own copy of the graph, so its
+    # gate builds the report itself.
+    rng = random.Random(1619)
+    rejected = 0
+    for _ in range(1500):
+        g = _malformed(rng, random_valid_graph(rng, max_pairs=rng.choice((1, 2, 4))))
+        report = validate(g)
+        level = complexity(FoliationGraph(g.name, g.vertices, g.edges))[1] if report.ok else Fraction(1, 3)
+        for algorithm in (complexity, is_calabi, euler_genus, lambda h: cut(h, level), harmonize):
+            try:
+                algorithm(FoliationGraph(g.name, g.vertices, g.edges))
+            except StuckError:
+                assert report.ok
+            except ValueError as exc:
+                assert not report.ok and str(exc) == report.violations[0], (g, exc)
+            else:
+                assert report.ok, (g, algorithm)
+        rejected += not report.ok
+    assert 1000 < rejected < 1500
 
 
 def test_equality_compares_what_the_objects_compare():

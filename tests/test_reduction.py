@@ -23,6 +23,7 @@ from foliagraph import (
     complexity,
     contiguous,
     cut,
+    euler_genus,
     harmonize,
     is_calabi,
     parse,
@@ -30,6 +31,7 @@ from foliagraph import (
     serialize,
     sort_events,
     validate,
+    ValidationReport,
     Vertex,
 )
 from foliagraph.graph import FoliationGraph
@@ -38,6 +40,7 @@ from foliagraph.reduction import RegluingError, _transpose, live_after
 
 from graphgen import (
     DEAD_END_V6,
+    exhaustive_valid_graphs,
     is_theta,
     level_rule_faults,
     oracle_crossing_count,
@@ -93,25 +96,39 @@ def _saddle(v):
     return Vertex(v.id, "SADDLE", v.angle)
 
 
+def _algorithms(g):
+    """Every algorithm that reads only valid graphs, as calls on ``g``."""
+    return [
+        lambda: complexity(g),
+        lambda: is_calabi(g),
+        lambda: euler_genus(g),
+        lambda: cut(g, Fraction(0)),
+        lambda: harmonize(g),
+    ]
+
+
 @pytest.mark.parametrize(
     "g, message",
     [
         (_builtin_with("dumbbell", vertex=_saddle), "vertex s: unknown kind SADDLE"),
         (_builtin_with("dumbbell", edge=lambda e: replace(e, tail=End("zz", e.tail.slot))), "edge e1: unknown vertex zz"),
         (_builtin_with("dumbbell", edge=lambda e: replace(e, head=End("zz", e.head.slot))), "edge e1: unknown vertex zz"),
-        (_builtin_with("dumbbell", edge=lambda e: replace(e, tail=End("s", "out7"))), "edge e1: unknown slot s.out7"),
-        # Theta is Calabi whatever its kinds say, so harmonize must check
-        # them before its loop, which never runs.
+        (
+            _builtin_with("dumbbell", edge=lambda e: replace(e, tail=End("s", "out7"))),
+            "edge e1: slot s.out7 not an out-slot of a SPLIT vertex",
+        ),
+        # Theta is Calabi whatever its kinds say, so its strong
+        # connectivity alone would pass it, and harmonize's loop never runs.
         (_builtin_with("theta", vertex=_saddle), "vertex s: unknown kind SADDLE"),
+        (FoliationGraph("empty", [], []), "graph has no vertices (use a free circle record instead)"),
+        (FreeCircle("x", 0), "free circle winding must be >= 1"),
     ],
 )
 def test_cut_and_harmonize_name_what_an_invalid_graph_breaks(g, message):
-    assert not validate(g).ok
-    calls = [lambda: cut(g, Fraction(0)), lambda: harmonize(g)]
-    if message.startswith("edge"):
-        # The complexity sweep reads every end, so it checks them first.
-        calls.append(lambda: complexity(g))
-    for call in calls:
+    # Each algorithm raises validate's first violation, whichever part of
+    # the graph it reads first.
+    assert validate(g).violations[0] == message
+    for call in _algorithms(g):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
@@ -526,6 +543,36 @@ def _seeded_values(g):
     return (g._order, g._rank, g._succ, g._base, complexity(g), g._counts, g._witness_gap)
 
 
+def test_validate_rejects_a_reglued_name_the_text_cannot_carry():
+    # reglue names its graph after the cut's source, which it does not
+    # check, so validate judges the graph it builds like any other.
+    word = (Event(MERGE, (0, 1), (2,)), Event(SPLIT, (2,), (1, 0)))
+    g = reglue(CutGraph((0, 1), (1, 0), word, "a b"))
+    message = "graph name 'a b-reglued' is empty or holds whitespace or '#'"
+    assert validate(g) == ValidationReport(False, (message,))
+    for call in _algorithms(g):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_cut_words_replay_to_their_top():
+    # ``cut`` builds its CutGraph without the construction check, because
+    # a valid graph's word replays by construction.  The check must pass
+    # on every cut: every graph of up to 6 vertices and 200 random ones,
+    # at every regular level.
+    rng = random.Random(2026_23)
+    graphs = [g for n in (2, 4, 6) for g in exhaustive_valid_graphs(n)]
+    graphs += [random_valid_graph(rng, max_pairs=rng.choice((2, 4, 8))) for _ in range(200)]
+    cuts = 0
+    for g in graphs:
+        for a in regular_levels(g):
+            c = cut(g, a)
+            assert live_after(c.bottom, c.events) == set(c.top)
+            assert len(c.bottom) == len(c.top) == len(set(c.top))
+            cuts += 1
+    assert cuts > 2000
+
+
 def test_reglued_graph_keeps_angle_order():
     # ``reglue`` hands its graph the circular order, the rank, the
     # out-edges and the gap-0 crossing count instead of deriving them; each
@@ -783,10 +830,10 @@ def test_sort_events_matches_reference_on_reused_strands():
 
 
 def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
-    # Two full-word checks per step, when ``cut`` and ``sort_events`` each
-    # construct a CutGraph, plus one prefix replay per bubble, the only
-    # rewrite that reads a live set, so commuting and shared-strand
-    # rewrites build no set.
+    # One full-word check per step, when ``sort_events`` constructs its
+    # CutGraph (``cut`` of a valid graph skips the check), plus one prefix
+    # replay per bubble, the only rewrite that reads a live set, so
+    # commuting and shared-strand rewrites build no set.
     replays = bubbles = 0
     real_live_after, real_transpose = reduction.live_after, _transpose
 
@@ -814,7 +861,7 @@ def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
             steps += len(trace.steps) + 1
         rewrites += sum(s.rewrites for s in trace.steps)
     assert steps and bubbles and rewrites > 10 * bubbles
-    assert replays <= 2 * steps + bubbles
+    assert replays <= steps + bubbles
 
 
 def test_harmonize_sweeps_each_graph_once(monkeypatch):
