@@ -21,7 +21,9 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import gcd
+from sys import maxsize
 from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .graph import (
@@ -94,9 +96,11 @@ class CutGraph:
     the height-ordered word acting on the live strand set.
 
     Construction checks the cut: the word replays from ``bottom`` to
-    ``top`` (see ``live_after``) and both boundaries have the same size,
-    so the alignment is a bijection.  ValueError otherwise.  ``cut`` skips
-    the check (``_make``): a valid graph's word replays by construction.
+    ``top`` in one pass of ``live_after``, which raises at the first
+    failing check, naming the event, and both boundaries have the same
+    size, so the alignment is a bijection.  ValueError otherwise.  ``cut``
+    skips the check (``_make``): a valid graph's word replays by
+    construction.
     """
 
     bottom: tuple[int, ...]
@@ -121,58 +125,46 @@ class CutGraph:
 
 def live_after(bottom: tuple[int, ...], events: Sequence[Event]) -> set[int]:
     """The strands live after the word ``events`` runs from ``bottom``,
-    replayed with one mutable set in O(n + k).
-
-    Raises ValueError naming the event if the bottom repeats a strand, an
-    event's kind is unknown or its strand counts do not fit the kind's
-    slots, an event consumes a dead strand or one strand twice, its
-    outputs collide, or an output collides with a live strand.
+    replayed with one mutable set in O(n + k), in one pass that raises
+    ValueError at the first failing check: the bottom repeats a strand,
+    or an event (named) has an unknown kind or strand counts that do not
+    fit its kind's slots, consumes one strand twice, has colliding
+    outputs, consumes a dead strand or, its inputs gone, outputs a live one.
     """
     live = set(bottom)
     if len(live) != len(bottom):
         raise ValueError("duplicate bottom strands")
     remove, add = live.remove, live.add
-    # Each kind's checks on its single strands, all before the set
-    # changes; ``_event_fault`` names the first that fails.
     for i, (kind, consumed, produced) in enumerate(events):
         if kind == MERGE and len(consumed) == 2 and len(produced) == 1:
             a, b = consumed
-            (y,) = produced
-            if a == b or a not in live or b not in live or (y in live and y != a and y != b):
-                raise _event_fault(i, kind, consumed, produced, live)
+            if a == b:
+                raise ValueError(f"event {i}: merge consumes strand {a} twice")
+            if a not in live or b not in live:
+                raise ValueError(f"event {i}: consumes dead strand(s) {sorted({a, b} - live)}")
             remove(a)
             remove(b)
+            (y,) = produced
+            if y in live:
+                raise ValueError(f"event {i}: output {y} already live")
             add(y)
         elif kind == SPLIT and len(consumed) == 1 and len(produced) == 2:
             (x,) = consumed
             y, z = produced
-            if y == z or x not in live or (y in live and y != x) or (z in live and z != x):
-                raise _event_fault(i, kind, consumed, produced, live)
+            if y == z:
+                raise ValueError(f"event {i}: split outputs collide")
+            if x not in live:
+                raise ValueError(f"event {i}: consumes dead strand(s) {[x]}")
             remove(x)
+            if y in live or z in live:
+                raise ValueError(f"event {i}: output {y if y in live else z} already live")
             add(y)
             add(z)
+        elif kind in ARITY:
+            raise ValueError(f"event {i}: {kind} takes {ARITY[kind][0]} input(s) and {ARITY[kind][1]} output(s)")
         else:
-            raise _event_fault(i, kind, consumed, produced, live)
+            raise ValueError(f"event {i}: unknown kind {kind!r}")
     return live
-
-
-def _event_fault(i: int, kind: str, consumed: tuple, produced: tuple, live: set[int]) -> ValueError:
-    """The error of event ``i``, which ``live_after`` rejects, on the
-    strands ``live`` before it: the first of its checks that fails."""
-    arity = ARITY.get(kind)
-    if arity != (len(consumed), len(produced)):
-        if arity is None:
-            return ValueError(f"event {i}: unknown kind {kind!r}")
-        return ValueError(f"event {i}: {kind} takes {arity[0]} input(s) and {arity[1]} output(s)")
-    # A kind has at most two slots a side, so a repeat involves the first.
-    if consumed[0] in consumed[1:]:
-        return ValueError(f"event {i}: {kind.lower()} consumes strand {consumed[0]} twice")
-    if produced[0] in produced[1:]:
-        return ValueError(f"event {i}: {kind.lower()} outputs collide")
-    if not live.issuperset(consumed):
-        return ValueError(f"event {i}: consumes dead strand(s) {sorted(set(consumed) - live)}")
-    live = live.difference(consumed)
-    return ValueError(f"event {i}: output {next(s for s in produced if s in live)} already live")
 
 
 def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
@@ -182,7 +174,8 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
     of one edge are glued across the cut: ``top[i]`` continues into
     ``bottom[i]``.  Events are the vertices ordered by height above the
     cut: the circular order rotated at its gap.  Reads only valid graphs
-    (see ``validate``).
+    (see ``validate``).  ValueError, from ``harmonize`` too, if the level
+    holds more strands than a list can index.
     """
     _require_valid(g)
     if isinstance(g, FreeCircle):
@@ -192,11 +185,15 @@ def cut(g: FoliationGraph, a: Fraction) -> CutGraph:
 
 def _cut(g: FoliationGraph, gap: int) -> CutGraph:
     """``cut`` of a valid graph at a level in ``gap`` of ``g._order``."""
+    crossings = g._crossings(gap)
+    strands = sum(crossings)
+    if strands > maxsize:
+        raise ValueError(f"cut level holds {strands} strands, more than a list can index")
     at = [0] * (4 * len(g._kinds))  # port 4 * vertex + slot -> segment
     bottom: list[int] = []
     top: list[int] = []
     k = 0  # the next strand id; an edge's segments are consecutive
-    for t, ts, h, hs, n in zip(g._tail, g._tail_slot, g._head, g._head_slot, g._crossings(gap)):
+    for t, ts, h, hs, n in zip(g._tail, g._tail_slot, g._head, g._head_slot, crossings):
         at[4 * t + ts] = k
         if n:
             bottom.extend(range(k + 1, k + n + 1))
@@ -289,7 +286,7 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     """
     # Every strand that is ever live is a bottom strand or an event output.
     born = [s for ev in c.events for s in ev.outputs]
-    fresh = iter(range(max((*c.bottom, *born), default=-1) + 1, 10**9))
+    fresh = count(max((*c.bottom, *born), default=-1) + 1)
 
     merges: list[Event] = []
     splits: list[Event] = []

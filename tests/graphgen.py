@@ -31,6 +31,10 @@ from foliagraph import (
 # so no single-level cut sorts: ``harmonize`` raises StuckError on it.
 DEAD_END_V6 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "dead_end_v6.graph")
 
+# The builtin dumbbell with loop e2 at winding 10**20: valid, but its cut
+# levels hold more strands than a list can index.
+HUGE_WINDING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "huge_winding.graph")
+
 
 def _stubs(n_pairs: int):
     merges = [f"m{i}" for i in range(n_pairs)]

@@ -5,7 +5,7 @@ import pytest
 from foliagraph import builtin, builtin_example, harmonize, parse, serialize_graph, serialize_surface, to_dot
 from foliagraph.cli import main
 
-from graphgen import DEAD_END_V6, is_theta
+from graphgen import DEAD_END_V6, HUGE_WINDING, is_theta
 from test_reduction import MULTISTEP_FIXTURE
 
 
@@ -91,6 +91,12 @@ def test_harmonize_stuck_exits_1(capsys):
     code, out, err = run(capsys, "harmonize", DEAD_END_V6)
     assert code == 1 and out == ""
     assert err.startswith("stuck: reduction of x stuck: bubble SPLIT(")
+
+
+def test_harmonize_too_large_a_level_exits_2(capsys):
+    code, out, err = run(capsys, "harmonize", HUGE_WINDING)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "holds 100000000000000000001 strands" in err
 
 
 def test_validate_graph_file(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 from dataclasses import replace
@@ -40,6 +41,7 @@ from foliagraph.reduction import RegluingError, _transpose, live_after
 
 from graphgen import (
     DEAD_END_V6,
+    HUGE_WINDING,
     exhaustive_valid_graphs,
     is_theta,
     level_rule_faults,
@@ -234,6 +236,23 @@ def test_sort_dumbbell_one_rewrite():
     assert sorted_cut.top == c.top
 
 
+def test_sort_draws_fresh_ids_past_any_bound():
+    # A bubble's fresh strand comes after the largest id in the word,
+    # however large: the word at offset 10**9 sorts to the offset-0 result
+    # with every id shifted.
+    def word(b):
+        events = (Event(SPLIT, (b,), (b + 2, b + 3)), Event(MERGE, (b + 2, b + 1), (b + 4,)))
+        return CutGraph((b, b + 1), (b + 3, b + 4), events, "big")
+
+    def shifted(ev, b):
+        return Event(ev.kind, tuple(s + b for s in ev.inputs), tuple(s + b for s in ev.outputs))
+
+    b = 10**9
+    (small, rewrites), (big, big_rewrites) = sort_events(word(0)), sort_events(word(b))
+    assert big_rewrites == rewrites == 1
+    assert big.events == tuple(shifted(ev, b) for ev in small.events)
+
+
 def test_sort_already_sorted_is_identity():
     c = cut(builtin("dumbbell"), Fraction(0))
     once, _ = sort_events(c)
@@ -307,10 +326,33 @@ def _live_after_reference(bottom, events):
     return live
 
 
+def _outcome(events, result):
+    """Which of ``live_after``'s raise sites ``result`` (a live set or a
+    message) came from: the event's kind and fault, and for a split's
+    live output which output it was."""
+    if not isinstance(result, str):
+        return "ok"
+    if result == "duplicate bottom strands":
+        return "duplicate bottom"
+    i, fault = re.fullmatch(r"event (\d+): (.*)", result).groups()
+    kind, _, outputs = events[int(i)]
+    if fault.startswith("unknown kind"):
+        return "unknown kind"
+    if "already live" in fault:
+        live = int(fault.split()[1])
+        return f"{kind} output live" if kind == MERGE else f"{kind} output {outputs.index(live)} live"
+    faults = (("takes", "arity"), ("twice", "consumes twice"), ("collide", "outputs collide"), ("dead", "dead"))
+    for word, name in faults:
+        if word in fault:
+            return f"{kind} {name}"
+    raise AssertionError(result)
+
+
 def test_live_after_matches_its_reference_on_random_words():
-    # ``live_after`` tests each kind's strands one by one and names a
-    # fault only once one fails: it must accept and reject the same words,
-    # with the same messages, as the set-by-set replay.
+    # ``live_after`` runs each kind's checks in one pass and raises at the
+    # first that fails: it must accept and reject the same words, with the
+    # same messages, as the set-by-set replay, and the words must reach
+    # every one of its raise sites.
     rng = random.Random(2026_12)
     outcomes = set()
     for _ in range(20_000):
@@ -330,8 +372,21 @@ def test_live_after_matches_its_reference_on_random_words():
             except ValueError as exc:
                 results.append(str(exc))
         assert results[0] == results[1], (bottom, events)
-        outcomes.add(results[0].split(":")[-1].split()[0] if isinstance(results[0], str) else "ok")
-    assert len(outcomes) >= 8
+        outcomes.add(_outcome(events, results[0]))
+    assert outcomes == {
+        "ok",
+        "duplicate bottom",
+        "unknown kind",
+        "MERGE arity",
+        "SPLIT arity",
+        "MERGE consumes twice",
+        "SPLIT outputs collide",
+        "MERGE dead",
+        "SPLIT dead",
+        "MERGE output live",
+        "SPLIT output 0 live",
+        "SPLIT output 1 live",
+    }
 
 
 def test_reglue_sorted_dumbbell_is_theta():
@@ -428,6 +483,17 @@ def test_dead_end_v6_has_no_level_that_sorts():
         harmonize(g)
     assert isinstance(exc.value.cause, NotSortableError)
     assert exc.value.trace == ReductionTrace()
+
+
+def test_cut_and_harmonize_name_a_level_too_large_to_index():
+    # Valid, but every level holds over sys.maxsize strands: the word
+    # cannot be built, and both say so before building it.
+    g = parse(Path(HUGE_WINDING).read_text())
+    assert validate(g).ok and complexity(g)[0] == 10**20 + 1
+    message = f"cut level holds {10**20 + 1} strands, more than a list can index"
+    for run in (lambda: cut(g, 0), lambda: harmonize(g)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run()
 
 
 def test_stuck_error_carries_the_completed_steps_and_its_cause(monkeypatch):
@@ -726,7 +792,7 @@ def _sort_events_by_full_replay(c):
     used = set(c.bottom + c.top)
     for ev in c.events:
         used.update(ev.inputs + ev.outputs)
-    fresh = iter(range(max(used, default=-1) + 1, 10**9))
+    fresh = itertools.count(max(used, default=-1) + 1)
     events, rewrites = list(c.events), 0
     while True:
         levels = replay(c.bottom, tuple(events))
@@ -801,8 +867,10 @@ def test_sort_events_matches_reference_on_reused_strands():
     # Hand-made words may re-emit a strand id above a split that made it,
     # so a merge's input can have several makers; the one it meets is the
     # highest below it.
+    # The counts are those the ``sort_events`` docstring states: a replay
+    # that accepts or rejects another set of words changes them.
     rng = random.Random(4444)
-    same = stuck = rejected = 0
+    same = stuck = rejected = reference_sorts = reference_valid = 0
     for _ in range(3000):
         c = random_reusing_word(rng)
         try:
@@ -818,6 +886,13 @@ def test_sort_events_matches_reference_on_reused_strands():
             # of a bubble's prefix or of the result names the event.
             assert str(exc).startswith("event ")
             rejected += 1
+            if not isinstance(want, NotSortableError):
+                reference_sorts += 1
+                try:
+                    CutGraph(c.bottom, c.top, want[0], c.source)
+                    reference_valid += 1
+                except ValueError:
+                    pass
             continue
         if isinstance(want, NotSortableError):
             assert isinstance(got, NotSortableError) and str(got) == str(want)
@@ -826,7 +901,8 @@ def test_sort_events_matches_reference_on_reused_strands():
             assert not isinstance(got, NotSortableError)
             assert (got[0].events, got[1]) == want
             same += 1
-    assert same and stuck and rejected < same // 10
+    assert (same, stuck, rejected) == (1534, 1443, 23)
+    assert (reference_sorts, reference_valid) == (14, 4)
 
 
 def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
