@@ -190,7 +190,9 @@ def _parse_graph(lines: _Lines, lineno: int, header: str) -> Foliation:
     for lno, text in lines:
         ws = text.split()
         if ws[0] == "end":
-            return FoliationGraph._make(*_tables(name, vertices, edges))
+            if len(ws) > 1:
+                _fail(lines, lno, _col(text, 1), "expected 'end'")
+            return FoliationGraph._make(**_tables(name, vertices, edges))
         if ws[0] == "vertex":
             if len(ws) != 4 or ws[2] not in ARITY:
                 _fail(lines, lno, _col(text, 0), "expected 'vertex <id> MERGE|SPLIT <angle>'")
@@ -247,6 +249,8 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
     for lno, text in lines:
         ws = text.split()
         if ws[0] == "end":
+            if len(ws) > 1:
+                _fail(lines, lno, _col(text, 1), "expected 'end'")
             try:
                 return SurfaceModel(name, table, tuple(summands), tuple(tubes))
             except ValueError as exc:

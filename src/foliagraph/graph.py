@@ -56,15 +56,15 @@ class Edge:
     winding: int
 
 
-# The tables of a FoliationGraph, in the order ``_make`` takes them.
+# The tables of a FoliationGraph, by the names ``_make`` takes them.
 _TABLES = (
     "name", "_ids", "_kinds", "_num", "_den",
     "_eids", "_tail", "_tail_slot", "_head", "_head_slot", "_winding", "_slots",
 )
 
 
-def _tables(name: str, vertices: list[tuple], edges: list[tuple]) -> tuple:
-    """The tables of a graph, in ``_TABLES`` order, from rows in any order:
+def _tables(name: str, vertices: list[tuple], edges: list[tuple]) -> dict:
+    """The tables of a graph, by their ``_TABLES`` names, from rows in any order:
     (id, kind, angle numerator, angle denominator), as ``_lowest_terms``
     gives them, per vertex, and (id, tail vertex id, tail slot name, head
     vertex id, head slot name, winding) per edge.
@@ -93,10 +93,10 @@ def _tables(name: str, vertices: list[tuple], edges: list[tuple]) -> tuple:
     sindex = dict(_SLOT_INDEX)
     tail, head = numbered(tails, ids, vindex), numbered(heads, ids, vindex)
     tail_slot, head_slot = numbered(tail_slots, slots, sindex), numbered(head_slots, slots, sindex)
-    return (
+    return dict(zip(_TABLES, (
         name, ids, kinds, num, den, eids, tail, tail_slot, head, head_slot, windings,
         SLOTS if len(slots) == len(SLOTS) else tuple(slots),
-    )
+    )))
 
 
 def _lowest_terms(angle) -> tuple:
@@ -119,7 +119,7 @@ def _columns(rows: list[tuple], width: int) -> list[list]:
 class FoliationGraph:
     """A foliation graph, held as flat tables indexed by position in id
     order.  ``FoliationGraph(name, vertices, edges)`` converts the objects
-    once; ``parse`` and ``reglue`` fill the tables directly.  ``vertices``
+    once; ``parse`` and ``reglue`` hand their tables to ``_make``.  ``vertices``
     and ``edges`` are built from the tables on first read.  Equality,
     hash and repr are those of the dataclass of (name, vertices, edges),
     with vertices and edges in id order.
@@ -132,8 +132,9 @@ class FoliationGraph:
     ``_ids`` and ``_slots`` go on past the vertices and SLOTS with the
     names an invalid graph's ends use but no vertex or slot carries.
     Every index below, the angles as ``Fraction``s among them, is built
-    on first use from these, or seeded by ``reglue``, which has it in
-    hand; the graph is frozen, so none goes stale.
+    on first use from these, or handed to ``_make`` by ``reglue``, which
+    has it in hand; the graph is frozen, so none goes stale.  Only the
+    two constructors write the instance dict.
     """
 
     name: str
@@ -142,19 +143,20 @@ class FoliationGraph:
 
     def __init__(self, name: str, vertices, edges):
         vertices = sorted(vertices, key=attrgetter("id"))
-        self.__dict__.update(zip(_TABLES, _tables(
+        self.__dict__.update(_tables(
             name,
             [(v.id, v.kind, *_lowest_terms(v.angle)) for v in vertices],
             [(e.id, e.tail.vertex, e.tail.slot, e.head.vertex, e.head.slot, e.winding) for e in edges],
-        )))
+        ))
         # The angles as given, so that ``vertices`` returns them unchanged.
         self.__dict__["_angle"] = [v.angle for v in vertices]
 
     @classmethod
-    def _make(cls, *tables) -> FoliationGraph:
-        """A graph from its tables, given in ``_TABLES`` order."""
+    def _make(cls, **tables) -> FoliationGraph:
+        """An unchecked graph from its tables, by their ``_TABLES`` names, plus
+        any of ``_order``, ``_rank``, ``_succ`` and ``_base`` the builder holds."""
         g = object.__new__(cls)
-        g.__dict__.update(zip(_TABLES, tables))
+        g.__dict__.update(tables)
         return g
 
     @cached_property
@@ -225,7 +227,7 @@ class FoliationGraph:
     @cached_property
     def _succ(self) -> tuple[list[int], list[int]]:
         """Each vertex's out-edges, as ``_incident`` lists them.  ``reglue``
-        seeds it."""
+        hands it over."""
         return _incident(len(self._ids), self._tail)
 
     @cached_property
@@ -243,8 +245,8 @@ class FoliationGraph:
         within a rounding step of each other or outside [0, 1) make, are
         sorted again by the exact angles.  Angles outside [0, 1), which
         only an invalid graph has and whose quotient may not fit in a float,
-        all take 1.0.  ``reglue`` seeds it, since it builds its vertices in
-        angle order."""
+        all take 1.0.  ``reglue`` hands it over, since it builds its
+        vertices in angle order."""
         flo = [n / d if 0 <= n < d else 1.0 for n, d in zip(self._num, self._den)]
         order = sorted(range(len(flo)), key=flo.__getitem__)
         if len(set(flo)) < len(flo):
@@ -254,7 +256,7 @@ class FoliationGraph:
 
     @cached_property
     def _rank(self) -> list[int]:
-        """Each vertex's position in ``_order``.  ``reglue`` seeds it."""
+        """Each vertex's position in ``_order``.  ``reglue`` hands it over."""
         rank = [0] * len(self._order)
         for k, v in enumerate(self._order):
             rank[v] = k
@@ -263,27 +265,30 @@ class FoliationGraph:
     @cached_property
     def _base(self) -> int:
         """The crossing count at gap 0, below the lowest critical value.
-        ``reglue`` seeds it: there gap 0 is the cut it reglued."""
+        ``reglue`` hands it over: there gap 0 is the cut it reglued."""
         return sum(self._crossings(0))
 
     @cached_property
-    def _complexity(self) -> tuple[int, Fraction]:
-        """The sweep behind ``complexity``: start from the crossing count
-        below the lowest critical value (gap 0, ``_base``); crossing a
-        SPLIT adds a strand and crossing a MERGE removes one.  Midpoints
-        rise with rank but for the last, which wraps, so the witness is
-        the midpoint of the first minimizing gap or of the last one.  The
-        gap holding the witness is kept as ``_witness_gap``: the one above
-        rank k is gap k + 1, or gap 0 for the last.  The counts are kept
-        as ``_counts``: the one above rank k is ``_counts[k]``, so gap g's
-        is ``_counts[g - 1]``."""
+    def _sweep(self) -> tuple[int, Fraction, int, list[int]]:
+        """The sweep behind ``complexity``, as (minimum, witness, witness
+        gap, counts): start from the crossing count below the lowest
+        critical value (gap 0, ``_base``); crossing a SPLIT adds a strand
+        and crossing a MERGE removes one.  The count above rank k is
+        ``counts[k]``, so gap g's is ``counts[g - 1]``.  Midpoints rise
+        with rank but for the last, which wraps, so the witness is the
+        midpoint of the first minimizing gap or of the last one; the gap
+        above rank k is gap k + 1, or gap 0 for the last."""
         kinds = self._kinds
         counts = list(accumulate((1 if kinds[v] == SPLIT else -1 for v in self._order), initial=self._base))[1:]
         best, n = min(counts), len(counts)
         ranks = [k for k in (counts.index(best), n - 1) if counts[k] == best]
-        witness, self.__dict__["_witness_gap"] = min((self._midpoint(k), (k + 1) % n) for k in ranks)
-        self.__dict__["_counts"] = counts
-        return best, witness
+        witness, gap = min((self._midpoint(k), (k + 1) % n) for k in ranks)
+        return best, witness, gap, counts
+
+    @cached_property
+    def _complexity(self) -> tuple[int, Fraction]:
+        """``complexity``'s (minimum, witness), kept so repeat calls return it."""
+        return self._sweep[:2]
 
     def _midpoint(self, k: int) -> Fraction:
         """The circular midpoint of the gap above the critical value of rank

@@ -1,5 +1,5 @@
-"""Complexity reduction: cut at a minimal regular level, rearrange the
-crossing events so every merge happens below every split, and reglue.
+"""Complexity reduction: cut at a regular level, rearrange the crossing
+events so every merge happens below every split, and reglue.
 
 Cutting the circle at a regular angle turns the graph into a word of
 events acting on strands (edge segments crossing the cut) between two
@@ -9,10 +9,11 @@ vocabulary: ``Event(kind, inputs, outputs)`` holds one strand per slot
 of ``IN_SLOTS[kind]`` and ``OUT_SLOTS[kind]``, in slot order, so ``cut``
 reads it off a vertex's ports and ``reglue`` writes it back into the
 graph's tables, both by the graph layer's slot indices (``SLOTS``).
-Sorting the word by adjacent transpositions is the combinatorial shadow of rearranging the Morse
-function to be self-indexing; regluing the sorted word yields a graph
-with strictly smaller complexity and the same number of merges and
-splits.  Iterating reaches a Calabi graph.
+Sorting the word by adjacent transpositions is the combinatorial shadow
+of rearranging the Morse function to be self-indexing; regluing the
+sorted word yields a graph with strictly smaller complexity and the same
+number of merges and splits.  Iterating reaches a Calabi graph, or a
+dead end (see ``harmonize``).
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _cut(g: FoliationGraph, gap: int) -> CutGraph:
             events.append(new(Event, (kind, (at[p], at[p + 1]), (at[p + 2],))))
         else:
             events.append(new(Event, (kind, (at[p],), (at[p + 2], at[p + 3]))))
-    return CutGraph._make(tuple(bottom), tuple(top), tuple(events), g.name)
+    return CutGraph._make(bottom=tuple(bottom), top=tuple(top), events=tuple(events), source=g.name)
 
 
 def _transpose(
@@ -332,36 +333,22 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     return CutGraph(c.bottom, c.top, tuple(merges + splits), c.source), rewrites
 
 
-class _Layout(NamedTuple):
-    """What a graph reglued from a word takes from the word's kinds alone.
+def _layout(kinds: Sequence[str]) -> tuple[dict, list[tuple[int, int]]]:
+    """What a graph reglued from a word takes from the word's kinds alone,
+    MERGE or SPLIT in word order as a checked cut has them: the tables and
+    indices its graphs share, by the names ``FoliationGraph._make`` takes,
+    and its edge starts.
 
     Event i becomes vertex ``v{i}`` at angle (i + 1)/(n + 1), and its
     out-slots, in word order, start the edges ``e0``, ``e1``, ...  The
     tables go in id order, where "v10" sorts before "v2": event i is the
-    vertex at position ``order[i]`` (which makes ``order`` the circular
-    order) and vertex v is event ``rank[v]``.  So the vertex and edge ids,
+    vertex at position ``_order[i]`` (which makes ``_order`` the circular
+    order) and vertex v is event ``_rank[v]``.  So the vertex and edge ids,
     the kinds and angles, every edge's tail and the out-edge lists
-    (``succ``) are all fixed before any strand is read.  ``starts`` holds,
+    (``_succ``) are all fixed before any strand is read.  The starts hold,
     per edge in id order, its number m (its first segment is the m-th
     born, b + m for b bottom strands) and its tail's event.
     """
-
-    ids: list[str]
-    kinds: list[str]
-    num: list[int]
-    den: list[int]
-    eids: list[str]
-    tail: list[int]
-    tail_slot: list[int]
-    order: list[int]
-    rank: list[int]
-    succ: tuple[list[int], list[int]]
-    starts: list[tuple[int, int]]
-
-
-def _layout(kinds: Sequence[str]) -> _Layout:
-    """The layout of every word whose events have the kinds ``kinds``, in
-    word order: MERGE or SPLIT, as a checked cut has them."""
     n = len(kinds)
     born: list[int] = []  # edge m starts at out-port born[m]; event i's are 4 * i + 2, 4 * i + 3
     for i, kind in enumerate(kinds):
@@ -375,19 +362,19 @@ def _layout(kinds: Sequence[str]) -> _Layout:
     eo = sorted(range(len(born)), key=eids.__getitem__)
     tail = [order[born[m] >> 2] for m in eo]
     common = [gcd(i + 1, n + 1) for i in rank]  # of each angle's numerator and denominator
-    return _Layout(
-        [ids[i] for i in rank],
-        [kinds[i] for i in rank],
-        [(i + 1) // d for i, d in zip(rank, common)],
-        [(n + 1) // d for d in common],
-        [eids[m] for m in eo],
-        tail,
-        [born[m] & 3 for m in eo],
-        order,
-        rank,
-        _incident(n, tail),
-        [(m, born[m] >> 2) for m in eo],
-    )
+    return dict(
+        _ids=[ids[i] for i in rank],
+        _kinds=[kinds[i] for i in rank],
+        _num=[(i + 1) // d for i, d in zip(rank, common)],
+        _den=[(n + 1) // d for d in common],
+        _eids=[eids[m] for m in eo],
+        _tail=tail,
+        _tail_slot=[born[m] & 3 for m in eo],
+        _slots=SLOTS,
+        _order=order,
+        _rank=rank,
+        _succ=_incident(n, tail),
+    ), [(m, born[m] >> 2) for m in eo]
 
 
 def reglue(c: CutGraph) -> Foliation:
@@ -400,7 +387,7 @@ def reglue(c: CutGraph) -> Foliation:
 
     The vertices, the edge ids and tails, the circular order and the
     out-edge lists depend only on the word's kinds: they are its layout
-    (``_Layout``), which this call builds and ``harmonize`` builds once
+    (``_layout``), which this call builds and ``harmonize`` builds once
     for all its steps.  Only the heads and windings, and the checks, read
     the strands.  The graph is handed its order, rank and out-edges from
     the layout, and its crossing count at gap 0, which is the cut's level:
@@ -409,12 +396,15 @@ def reglue(c: CutGraph) -> Foliation:
     at most once, since each segment follows one segment only), so the
     count is ``len(c.bottom)``.  The word replays from ``bottom`` to
     ``top``, as ``CutGraph`` checks on construction and as ``cut`` of a
-    valid graph has it by construction, so only connectivity is checked.
+    valid graph has it by construction.  RegluingError is raised on an
+    empty cut, on an eventless word whose glue splits into several
+    covering circles, on a glue orbit that avoids every vertex, and on a
+    disconnected graph.
     """
-    return _reglue(c, _layout([ev.kind for ev in c.events]))
+    return _reglue(c, *_layout([ev.kind for ev in c.events]))
 
 
-def _reglue(c: CutGraph, layout: _Layout) -> Foliation:
+def _reglue(c: CutGraph, shared: dict, starts: list[tuple[int, int]]) -> Foliation:
     """``reglue`` of a cut, given the layout of its word's kinds."""
     name = c.source if c.source.endswith("-reglued") else f"{c.source}-reglued"
     if not c.events:
@@ -444,7 +434,7 @@ def _reglue(c: CutGraph, layout: _Layout) -> Foliation:
     pop = live.pop
     # Event i's slot s is port 4 * i + s, as in the graph layer: in-slots
     # from 4 * i, out-slots from 4 * i + 2.
-    dies = [-1] * (b + len(layout.eids))  # segment -> the in-port it ends at, or -1 at the top
+    dies = [-1] * (b + len(starts))  # segment -> the in-port it ends at, or -1 at the top
     seg, p = b, 0  # the next segment, and the event's first port
     for kind, ins, outs in c.events:
         dies[pop(ins[0])] = p
@@ -463,8 +453,8 @@ def _reglue(c: CutGraph, layout: _Layout) -> Foliation:
     # Each edge runs from its out-port through the glue to an in-port.
     head, head_slot, winding = [], [], []
     passed = [False] * b  # bottom segments some edge runs through
-    order = layout.order
-    for m, t in layout.starts:
+    order = shared["_order"]
+    for m, t in starts:
         seg, passes = b + m, 0
         while dies[seg] < 0:
             seg = wraps[seg]
@@ -481,22 +471,8 @@ def _reglue(c: CutGraph, layout: _Layout) -> Foliation:
             f"glue orbit through strands {orphans} avoids every vertex"
         )
 
-    g = FoliationGraph._make(
-        name,
-        layout.ids,
-        layout.kinds,
-        layout.num,
-        layout.den,
-        layout.eids,
-        layout.tail,
-        layout.tail_slot,
-        head,
-        head_slot,
-        winding,
-        SLOTS,
-    )
     # Hand over what the layout and the cut already hold (see reglue).
-    g.__dict__.update(_order=order, _rank=layout.rank, _succ=layout.succ, _base=b)
+    g = FoliationGraph._make(**shared, name=name, _head=head, _head_slot=head_slot, _winding=winding, _base=b)
     if not _connected(g):
         raise RegluingError("reglued graph is disconnected")
     return g
@@ -555,8 +531,7 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
         if layout is None:
             merges = current.merge_count()
             layout = _layout((MERGE,) * merges + (SPLIT,) * merges)
-        before, angle = current._complexity
-        gap, counts = current._witness_gap, current._counts
+        before, angle, gap, counts = current._sweep
         if before <= merges:
             # The witness level jams: take the fewest strands that sort and
             # still lower complexity, if any level has them, at the lowest
@@ -568,10 +543,10 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
         c = _cut(current, gap)
         try:
             sorted_cut, rewrites = sort_events(c)
-            after_graph = _reglue(sorted_cut, layout)
+            after_graph = _reglue(sorted_cut, *layout)
         except (NotSortableError, RegluingError) as exc:
             raise StuckError(f"reduction of {current.name} stuck: {exc}", exc, ReductionTrace(tuple(steps))) from exc
-        after = after_graph._complexity[0]
+        after = after_graph._sweep[0]
         if after >= before:
             raise AssertionError("reduction did not decrease complexity")
         steps.append(ReductionStep(angle, before, after, rewrites, sorted_cut.events, current, after_graph))

@@ -110,6 +110,7 @@ def test_surface_roundtrip_examples():
     for n in (1, 2, 3, 4):
         m = builtin_example(n)
         text = serialize_surface(m)
+        assert serialize(m) == text
         m2 = parse(text)
         assert isinstance(m2, SurfaceModel)
         assert serialize_surface(m2) == text
@@ -198,6 +199,9 @@ def test_bad_token_position():
         ),
         (THETA_FIXTURE + "graph c freecircle 1 end\n", "f:9:1: only one graph or surface per file"),
         ("graph c freecircle 1 end\nsurface s\nend\n", "f:2:1: only one graph or surface per file"),
+        # A block's "end" stands alone; the first word after it is located.
+        (THETA_FIXTURE.replace("end\n", "end of the graph\n"), "f:8:5: expected 'end'"),
+        ("surface s\n  summand t periods (1, 0)\nend now\n", "f:3:5: expected 'end'"),
         # SurfaceModel's own checks, reported at the block's "end".
         (
             "surface s\n  summand t periods (1, 0)\n  summand t periods (0, 1)\nend\n",

@@ -405,9 +405,10 @@ def test_complexity_witness_breaks_wraparound_tie(angles, witness):
 
 
 def test_sweep_keeps_the_gap_of_its_witness():
-    # harmonize cuts at ``_witness_gap`` without looking the witness up,
-    # and picks another level from ``_counts`` without recounting: gap k's
-    # count is ``_counts[k - 1]``, and level a lies in gap ``_gap(a)``.
+    # harmonize cuts at the sweep's witness gap without looking the witness
+    # up, and picks another level from the sweep's counts without
+    # recounting: gap k's count is ``counts[k - 1]``, and level a lies in
+    # gap ``_gap(a)``.
     rng = random.Random(2026_11)
     graphs = [_two_thetas(angles) for angles in (
         (Fraction(3, 8), Fraction(1, 2), Fraction(5, 8), Fraction(7, 8)),
@@ -415,11 +416,12 @@ def test_sweep_keeps_the_gap_of_its_witness():
     )]
     graphs += [builtin("dumbbell"), builtin("theta")] + [random_valid_graph(rng, max_pairs=8) for _ in range(200)]
     for g in graphs:
-        best, witness = complexity(g)
-        assert g._witness_gap == g._gap(witness, "witness")[1]
-        assert g._counts[g._witness_gap - 1] == best
+        best, witness, gap, counts = g._sweep
+        assert (best, witness) == complexity(g)
+        assert gap == g._gap(witness, "witness")[1]
+        assert counts[gap - 1] == best
         for a in regular_levels(g):
-            assert g._counts[g._gap(a, "level")[1] - 1] == oracle_crossing_count(g, a)
+            assert counts[g._gap(a, "level")[1] - 1] == oracle_crossing_count(g, a)
 
 
 def test_angles_closer_than_a_float_keep_their_exact_order():

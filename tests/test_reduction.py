@@ -4,6 +4,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from foliagraph import (
     ValidationReport,
     Vertex,
 )
-from foliagraph.graph import FoliationGraph
+from foliagraph.graph import _TABLES, FoliationGraph
 import foliagraph.reduction as reduction
 from foliagraph.reduction import RegluingError, _transpose, live_after
 
@@ -438,10 +439,12 @@ def test_reglue_vertex_free_cut():
     c = CutGraph((1, 2, 0), (0, 1, 2), (), "cover")
     fc = reglue(c)
     assert fc == FreeCircle("cover-reglued", 3)
-    # Two orbits cannot reassemble into one connected object.
+    # Two orbits cannot reassemble into one connected object, nor can none.
     c2 = CutGraph((0, 1), (0, 1), (), "split-cover")
-    with pytest.raises(RegluingError):
+    with pytest.raises(RegluingError, match="^glue splits into several covering circles$"):
         reglue(c2)
+    with pytest.raises(RegluingError, match="^empty cut$"):
+        reglue(CutGraph((), (), (), "e"))
 
 
 def test_reglue_rejects_two_component_word():
@@ -595,7 +598,7 @@ def test_roundtrip_at_random_regular_angle(seed):
     c = cut(g, a)
     g2 = reglue(c)
     assert validate(g2).ok and reglue_rotates(g, a, g2)
-    # reglue checks only connectivity; the rest follows from the cut.
+    # reglue checks only what the replay leaves open; validity follows from the cut.
     try:
         sorted_cut, _ = sort_events(c)
         g3 = reglue(sorted_cut)
@@ -606,7 +609,13 @@ def test_roundtrip_at_random_regular_angle(seed):
 
 def _seeded_values(g):
     """What ``reglue`` hands its graph, and what the sweep derives from it."""
-    return (g._order, g._rank, g._succ, g._base, complexity(g), g._counts, g._witness_gap)
+    return (g._order, g._rank, g._succ, g._base, complexity(g), g._sweep)
+
+
+# What ``reglue`` hands ``FoliationGraph._make`` besides the tables, and
+# every other index a graph builds on first read.
+_HANDED = {"_order", "_rank", "_succ", "_base"}
+_LAZY = {name for name, attr in vars(FoliationGraph).items() if isinstance(attr, cached_property)} - _HANDED
 
 
 def test_validate_rejects_a_reglued_name_the_text_cannot_carry():
@@ -643,6 +652,8 @@ def test_reglued_graph_keeps_angle_order():
     # ``reglue`` hands its graph the circular order, the rank, the
     # out-edges and the gap-0 crossing count instead of deriving them; each
     # must be what a fresh graph derives, as must the sweep that reads them.
+    # A reglued graph holds exactly the tables and those indices, so the
+    # layout a chain shares can neither leak a key nor miss a table.
     rng = random.Random(606)
     id_order_differs = 0
     for _ in range(60):
@@ -659,6 +670,7 @@ def test_reglued_graph_keeps_angle_order():
                     g2 = reglue(c2)
                 except RegluingError:
                     continue
+                assert set(g2.__dict__) == set(_TABLES) | _HANDED
                 # The handed-over order is the angles' order, and the one a
                 # fresh graph sorts.
                 by_angle = sorted(g2.vertices, key=lambda v: v.angle)
@@ -682,6 +694,8 @@ def test_reglued_graph_keeps_angle_order():
         _, trace = harmonize(g)
         for step in trace.steps:
             g2 = step.graph_after
+            # Besides what harmonize read of it on first use.
+            assert set(g2.__dict__) - _LAZY == set(_TABLES) | _HANDED
             fresh = FoliationGraph(g2.name, g2.vertices, g2.edges)
             assert g2 == fresh
             assert _seeded_values(g2) == _seeded_values(fresh)
@@ -942,8 +956,9 @@ def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
 
 def test_harmonize_sweeps_each_graph_once(monkeypatch):
     # Each ``harmonize`` step needs the complexity of the graph it produced,
-    # and the next step needs it again for its witness: one sweep serves both.
-    sweep = FoliationGraph.__dict__["_complexity"]
+    # and the next step needs it again for its witness: one sweep serves
+    # both, so every graph of a chain is swept exactly once.
+    sweep = FoliationGraph.__dict__["_sweep"]
     real_sweep = sweep.func
     calls = 0
 
@@ -962,7 +977,7 @@ def test_harmonize_sweeps_each_graph_once(monkeypatch):
         except StuckError as exc:
             trace = exc.trace
         graphs += 1 + len(trace.steps)
-    assert graphs > 40 and calls <= graphs
+    assert graphs > 40 and calls == graphs
 
 
 def test_harmonize_builds_one_layout_per_call(monkeypatch):

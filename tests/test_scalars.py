@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
@@ -309,6 +310,26 @@ def test_rank_and_relation_errors(table):
         late = [table.rational(1), table.rational(2), table.symbol("lam"), table.symbol("mu"), table.symbol("nu")]
         with pytest.raises(TableMismatchError):
             fn(late + [other.symbol("lam")])
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda t: SymbolDecl("x", Fraction(2), Fraction(2)), ValueError, "symbol x: interval needs lo < hi"),
+        (lambda t: SymbolTable((t.decls[0], t.decls[0])), ValueError, "duplicate symbol names in table"),
+        (
+            lambda t: t.symbol("lam").rebind(SymbolTable(t.decls[:1])),
+            TableMismatchError,
+            "operands use different symbol tables",
+        ),
+    ],
+)
+def test_declarations_and_rebind_name_their_fault(table, build, error, message):
+    # Raise sites that no parsed file reaches: the parser rejects an empty
+    # interval and a repeated name at their line, and reads every value
+    # over one table.
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(table)
 
 
 @pytest.mark.parametrize("name", ["a b", "", "1x", "lam#", "x-y"])

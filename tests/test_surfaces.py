@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 
 from foliagraph import (
     SMALL,
+    Disk,
     SurfaceModel,
     Tube,
     builtin_example,
@@ -49,6 +51,28 @@ def test_model_ids_the_text_format_cannot_carry_rejected(build, message):
     # graph ``validate``'s rule: the text format splits lines at whitespace
     # and drops what follows "#", so such an id would not parse back.
     with pytest.raises(ValueError, match=f"^{message} is empty or holds whitespace or '#'$"):
+        build()
+
+
+def _torus_with_tube(kind: str, right: str) -> SurfaceModel:
+    """One torus t0 and a tube from it, built without ``connect_sum``."""
+    t = make_torus(1, 0)
+    return SurfaceModel("s", t.table, t.summands, (Tube("v", "t0", right, kind, SMALL, SMALL),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Disk(-1), "disk winding must be >= 0"),
+        (lambda: _torus_with_tube("D", "t0"), "tube v: unknown kind D"),
+        (lambda: _torus_with_tube("A", "x"), "tube v: unknown summand id"),
+        (lambda: cup_product(make_torus(1, 0), (1,)), "class vector needs 2*genus entries"),
+    ],
+)
+def test_constructors_and_cup_product_name_their_fault(build, message):
+    # Raise sites that no parsed file reaches: the parser rejects a bad
+    # disk or tube at its line, and ``cup_product`` is public API only.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 
