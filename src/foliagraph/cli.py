@@ -261,10 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, source=True):
+    def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
-        if source:
-            p.add_argument("source", help="file path, builtin:<name>, or example:<n>")
+        p.add_argument("source", help="file path, builtin:<name>, or example:<n>")
         p.add_argument("--machine", action="store_true", help="key=value output")
         p.set_defaults(fn=fn)
         return p

@@ -113,16 +113,16 @@ def _columns(rows: list[tuple], width: int) -> list[list]:
     return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
-# The dataclass keeps the table ``__eq__`` below, which the class defines,
-# and generates the hash and repr of (name, vertices, edges).
+# The dataclass keeps the table ``__eq__`` and ``__hash__`` below, which the
+# class defines, and generates the repr of (name, vertices, edges).
 @dataclass(frozen=True, init=False)
 class FoliationGraph:
     """A foliation graph, held as flat tables indexed by position in id
     order.  ``FoliationGraph(name, vertices, edges)`` converts the objects
     once; ``parse`` and ``reglue`` hand their tables to ``_make``.  ``vertices``
-    and ``edges`` are built from the tables on first read.  Equality,
-    hash and repr are those of the dataclass of (name, vertices, edges),
-    with vertices and edges in id order.
+    and ``edges`` are built from the tables on first read.  Equality and
+    hash compare the tables, so angles compare as the numbers they are;
+    repr is the dataclass's, of (name, vertices, edges) in id order.
 
     Per vertex: ``_ids``, ``_kinds`` and the angle as ``_num``/``_den`` in
     lowest terms; ``_order`` computes each angle's nearest float to sort.
@@ -183,6 +183,10 @@ class FoliationGraph:
         # Equal tables hold equal names in equal places: the same test as
         # comparing (name, vertices, edges).
         return all(self.__dict__[t] == other.__dict__[t] for t in _TABLES)
+
+    def __hash__(self):
+        d = self.__dict__
+        return hash((self.name, *(tuple(d[t]) for t in _TABLES[1:])))
 
     @cached_property
     def _report(self) -> ValidationReport:

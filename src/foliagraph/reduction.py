@@ -377,7 +377,7 @@ def _layout(kinds: Sequence[str]) -> tuple[dict, list[tuple[int, int]]]:
     ), [(m, born[m] >> 2) for m in eo]
 
 
-def reglue(c: CutGraph) -> Foliation:
+def reglue(c: CutGraph) -> FoliationGraph:
     """Reassemble a foliation graph from a cut.
 
     Events become vertices at increasing angles in word order (merges of a
@@ -396,31 +396,17 @@ def reglue(c: CutGraph) -> Foliation:
     at most once, since each segment follows one segment only), so the
     count is ``len(c.bottom)``.  The word replays from ``bottom`` to
     ``top``, as ``CutGraph`` checks on construction and as ``cut`` of a
-    valid graph has it by construction.  RegluingError is raised on an
-    empty cut, on an eventless word whose glue splits into several
-    covering circles, on a glue orbit that avoids every vertex, and on a
-    disconnected graph.
+    valid graph has it by construction.  RegluingError is raised on a glue
+    orbit that avoids every vertex and on a disconnected graph: two checks
+    for hand-built cuts, an eventless one among them (``cut`` never makes
+    one).
     """
     return _reglue(c, *_layout([ev.kind for ev in c.events]))
 
 
-def _reglue(c: CutGraph, shared: dict, starts: list[tuple[int, int]]) -> Foliation:
+def _reglue(c: CutGraph, shared: dict, starts: list[tuple[int, int]]) -> FoliationGraph:
     """``reglue`` of a cut, given the layout of its word's kinds."""
     name = c.source if c.source.endswith("-reglued") else f"{c.source}-reglued"
-    if not c.events:
-        # No events: the glue orbits are covering circles; only a single
-        # orbit regains a connected graph.
-        if not c.bottom:
-            raise RegluingError("empty cut")
-        glue = dict(zip(c.top, c.bottom))
-        orbit = {c.bottom[0]}
-        s = glue[c.bottom[0]]
-        while s not in orbit:
-            orbit.add(s)
-            s = glue[s]
-        if len(orbit) != len(c.bottom):
-            raise RegluingError("glue splits into several covering circles")
-        return FreeCircle(name, len(c.bottom))
 
     # A strand id may label several disjoint segments of the word (the
     # bubble rule borrows and re-emits strands), so segments are numbered
@@ -490,7 +476,7 @@ class ReductionStep:
     rewrites: int
     word: tuple[Event, ...]
     graph_before: FoliationGraph = field(compare=False, repr=False)
-    graph_after: Foliation = field(compare=False, repr=False)
+    graph_after: FoliationGraph = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -518,7 +504,8 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     such a dead end: its merges lie below its splits, so the level above
     its lowest merge has c + m - 1 > m strands.  Reads only valid graphs
     (see ``validate``): it validates its input, and each step's graph is
-    valid when its source is, so the loop reads the sweep directly.
+    valid when its source is, so the loop reads the sweep directly and a
+    RegluingError would be a bug, which propagates.
 
     Every sorted word of the chain has the same kinds, its m merges and
     then as many splits, since each step keeps both counts; so every step
@@ -544,7 +531,7 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
         try:
             sorted_cut, rewrites = sort_events(c)
             after_graph = _reglue(sorted_cut, *layout)
-        except (NotSortableError, RegluingError) as exc:
+        except NotSortableError as exc:
             raise StuckError(f"reduction of {current.name} stuck: {exc}", exc, ReductionTrace(tuple(steps))) from exc
         after = after_graph._sweep[0]
         if after >= before:

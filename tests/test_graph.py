@@ -309,6 +309,19 @@ def test_equality_compares_what_the_objects_compare():
     assert 0 < equal < 300
 
 
+def test_equal_graphs_hash_alike_whatever_type_their_angles_have():
+    # Angles given as text or as floats are the same numbers as the
+    # Fractions: the graphs are equal, so they hash alike.
+    theta = builtin("theta")
+    for angle in (str, float):
+        g = FoliationGraph("theta", [Vertex(v.id, v.kind, angle(v.angle)) for v in theta.vertices], theta.edges)
+        assert g == theta and validate(g).ok and serialize(g) == serialize(theta)
+        assert hash(g) == hash(theta) and len({g, theta}) == 1
+    # The hash reads the tables: it builds no vertex or edge objects.
+    h = parse(serialize(theta))
+    assert hash(h) == hash(theta) and not {"vertices", "edges"} & set(h.__dict__)
+
+
 def test_validate_reports_angles_outside_the_circle():
     # The range test is exact, also for angles a float cannot hold, and
     # building a graph with such an angle, or an infinite or nan float,

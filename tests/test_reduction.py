@@ -435,15 +435,14 @@ def test_reglue_rotates_rejects_mutants():
 
 
 def test_reglue_vertex_free_cut():
-    # Top strand i continues into bottom strand i + 1 (mod 3): one orbit.
-    c = CutGraph((1, 2, 0), (0, 1, 2), (), "cover")
-    fc = reglue(c)
-    assert fc == FreeCircle("cover-reglued", 3)
-    # Two orbits cannot reassemble into one connected object, nor can none.
-    c2 = CutGraph((0, 1), (0, 1), (), "split-cover")
-    with pytest.raises(RegluingError, match="^glue splits into several covering circles$"):
-        reglue(c2)
-    with pytest.raises(RegluingError, match="^empty cut$"):
+    # ``cut`` never makes an eventless word; a hand-built one meets the
+    # general checks.  Its glue orbits avoid every vertex, and with no
+    # strands at all the graph has no vertex to connect.
+    for bottom, top in (((1, 2, 0), (0, 1, 2)), ((0, 1), (0, 1))):
+        with pytest.raises(RegluingError) as exc:
+            reglue(CutGraph(bottom, top, (), "cover"))
+        assert str(exc.value) == f"glue orbit through strands {sorted(bottom)} avoids every vertex"
+    with pytest.raises(RegluingError, match="^reglued graph is disconnected$"):
         reglue(CutGraph((), (), (), "e"))
 
 

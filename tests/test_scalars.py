@@ -1,4 +1,5 @@
 import copy
+import operator
 import random
 import re
 from dataclasses import FrozenInstanceError
@@ -14,6 +15,7 @@ from foliagraph import (
     SymbolDecl,
     SymbolTable,
     TableMismatchError,
+    builtin,
     integer_relation,
     qrank,
 )
@@ -175,6 +177,17 @@ def test_unknown_symbol_rejected(table):
     with pytest.raises(KeyError) as exc:
         table.symbol("xi")
     assert exc.value.args == ("xi",)
+
+
+def test_foreign_operands_are_left_to_the_other_type(table):
+    # Comparing with or combining with a type they do not know, graphs and
+    # scalars return NotImplemented, so Python answers: unequal, or TypeError.
+    assert (builtin("theta") == "theta") is False
+    x = table.rational(3)
+    assert (x == "3") is False
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, "3")
 
 
 def test_products_of_symbols_rejected(table):
