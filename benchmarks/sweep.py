@@ -46,8 +46,12 @@ does not parse back to the graph and to itself (``serialize(parse(text))
 cut that ``CutGraph``'s construction check rejects (``cut`` skips it)
 or whose strand count differs from the recorded one, a sorted word with
 a split below a merge, a reglued or harmonized graph that fails
-``validate``, a harmonize result that is not Calabi or not contiguous, a
-rewrite or step count that differs from the recorded one, a Calabi
+``validate``, a harmonize step whose sorted word ``CutGraph``'s check
+rejects between the boundaries of ``cut`` at the step's level (harmonize
+skips it), a harmonize step whose reglued graph holds a sweep that
+differs from the one a graph rebuilt from its vertices and edges
+computes (harmonize hands it over), a harmonize result that is not
+Calabi or not contiguous, a rewrite or step count that differs from the recorded one, a Calabi
 input's draw, certificate cycle count or total walk length that differs from the recorded one, a
 rank or relation that differs from
 the recorded one, a surface text that does not parse back to the model
@@ -196,6 +200,16 @@ def sweep_one(size: int) -> dict:
     for step in trace.steps:
         if not fg.validate(step.graph_after).ok:
             fail(size, "a reduction step produced an invalid graph")
+        # harmonize builds its sorted cut unchecked and hands each reglued
+        # graph its sweep; check both here, untimed.
+        c_step = fg.cut(step.graph_before, step.cut_angle)
+        try:
+            fg.CutGraph(c_step.bottom, c_step.top, step.word, c_step.source)
+        except ValueError as exc:
+            fail(size, f"a reduction step's sorted word does not replay: {exc}")
+        after = step.graph_after
+        if after._sweep != fg.FoliationGraph(after.name, after.vertices, after.edges)._sweep:
+            fail(size, "a reduction step's handed-over sweep differs from a recomputed one")
     if result is not None and not (fg.is_calabi(result).verdict and fg.contiguous(g, result)):
         fail(size, "harmonize result is not a contiguous Calabi graph")
 

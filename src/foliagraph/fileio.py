@@ -41,7 +41,7 @@ from .graph import (
     _tables,
 )
 from .scalars import SYMBOL_NAME, ExactScalar, SymbolDecl, SymbolTable, _reduced
-from .surfaces import SMALL, TUBE_KINDS, Disk, Summand, SurfaceModel, Tube, ribbon
+from .surfaces import SMALL, TUBE_KINDS, Disk, ModelFault, Summand, SurfaceModel, Tube, ribbon
 
 ParsedFile = FoliationGraph | FreeCircle | SurfaceModel
 
@@ -246,6 +246,9 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
     summands: list[Summand] = []
     known: set[str] = set()
     tubes: list[Tube] = []
+    # Per part kind, in order, each part's line number and text: a
+    # ModelFault of that part is reported at its id, the line's second word.
+    at: dict[str, list[tuple[int, str]]] = {"summand": [], "tube": []}
     for lno, text in lines:
         ws = text.split()
         if ws[0] == "end":
@@ -253,6 +256,9 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
                 _fail(lines, lno, _col(text, 1), "expected 'end'")
             try:
                 return SurfaceModel(name, table, tuple(summands), tuple(tubes))
+            except ModelFault as exc:
+                part_lno, part_text = at[exc.part][exc.index]
+                _fail(lines, part_lno, _col(part_text, 1), str(exc))
             except ValueError as exc:
                 _fail(lines, lno, _col(text, 0), str(exc))
         if ws[0] == "summand":
@@ -270,6 +276,7 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
             if p.is_zero() and q.is_zero():
                 _fail(lines, lno, m.start(2) + 1, "periods (0, 0) define no form")
             summands.append(Summand(m.group(1), p, q))
+            at["summand"].append((lno, text))
             known.add(m.group(1))
         elif ws[0] == "tube":
             if len(ws) != 9 or ws[4] != "kind" or ws[6] != "disks":
@@ -286,6 +293,7 @@ def _parse_surface(lines: _Lines, lineno: int, header: str, table: SymbolTable) 
                 except ValueError as exc:
                     _fail(lines, lno, _col(text, k), str(exc))
             tubes.append(Tube(ws[1], ws[2], ws[3], ws[5], *disks))
+            at["tube"].append((lno, text))
         else:
             _fail(lines, lno, _col(text, 0), f"unexpected directive {ws[0]!r} in surface block")
     lines.end_of_file()

@@ -154,7 +154,8 @@ class FoliationGraph:
     @classmethod
     def _make(cls, **tables) -> FoliationGraph:
         """An unchecked graph from its tables, by their ``_TABLES`` names, plus
-        any of ``_order``, ``_rank``, ``_succ`` and ``_base`` the builder holds."""
+        any of ``_order``, ``_rank``, ``_succ`` and ``_sweep`` the builder
+        holds: ``reglue`` hands over all four."""
         g = object.__new__(cls)
         g.__dict__.update(tables)
         return g
@@ -267,23 +268,19 @@ class FoliationGraph:
         return rank
 
     @cached_property
-    def _base(self) -> int:
-        """The crossing count at gap 0, below the lowest critical value.
-        ``reglue`` hands it over: there gap 0 is the cut it reglued."""
-        return sum(self._crossings(0))
-
-    @cached_property
     def _sweep(self) -> tuple[int, Fraction, int, list[int]]:
         """The sweep behind ``complexity``, as (minimum, witness, witness
         gap, counts): start from the crossing count below the lowest
-        critical value (gap 0, ``_base``); crossing a SPLIT adds a strand
+        critical value (gap 0); crossing a SPLIT adds a strand
         and crossing a MERGE removes one.  The count above rank k is
         ``counts[k]``, so gap g's is ``counts[g - 1]``.  Midpoints rise
         with rank but for the last, which wraps, so the witness is the
         midpoint of the first minimizing gap or of the last one; the gap
-        above rank k is gap k + 1, or gap 0 for the last."""
-        kinds = self._kinds
-        counts = list(accumulate((1 if kinds[v] == SPLIT else -1 for v in self._order), initial=self._base))[1:]
+        above rank k is gap k + 1, or gap 0 for the last.  ``reglue`` hands
+        it over, since the layout of its word's kinds fixes it (see
+        ``reduction._layout``), so ``harmonize`` sweeps only its input."""
+        kinds, base = self._kinds, sum(self._crossings(0))
+        counts = list(accumulate((1 if kinds[v] == SPLIT else -1 for v in self._order), initial=base))[1:]
         best, n = min(counts), len(counts)
         ranks = [k for k in (counts.index(best), n - 1) if counts[k] == best]
         witness, gap = min((self._midpoint(k), (k + 1) % n) for k in ranks)

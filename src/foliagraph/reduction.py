@@ -22,7 +22,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count
 from math import gcd
 from sys import maxsize
 from typing import Collection, Iterator, NamedTuple, Sequence
@@ -99,9 +99,11 @@ class CutGraph:
     Construction checks the cut: the word replays from ``bottom`` to
     ``top`` in one pass of ``live_after``, which raises at the first
     failing check, naming the event, and both boundaries have the same
-    size, so the alignment is a bijection.  ValueError otherwise.  ``cut``
-    skips the check (``_make``): a valid graph's word replays by
-    construction.
+    size, so the alignment is a bijection.  ValueError otherwise.  Two
+    callers skip the check (``_make``): ``cut``, since a valid graph's
+    word replays by construction, and ``harmonize`` for its sorted cuts,
+    since a sort of such a word that succeeds keeps it valid (see
+    ``sort_events``).  ``sort_events`` itself checks its result.
     """
 
     bottom: tuple[int, ...]
@@ -284,7 +286,19 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     ``tests/graphgen.random_reusing_word`` (``random.Random(4444)``), 23
     are rejected so; the full-replay reference sorts 14 of those, 4 to a
     valid word.
+
+    The result is a checked ``CutGraph``: its word replays from ``bottom``
+    to ``top`` once more.  ``harmonize`` skips that replay (``_sort_events``
+    and ``CutGraph._make``): a word that ``cut`` makes never re-emits a
+    strand, and a rewrite that succeeds keeps the word valid, as above.
     """
+    events, rewrites = _sort_events(c)
+    return CutGraph(c.bottom, c.top, events, c.source), rewrites
+
+
+def _sort_events(c: CutGraph) -> tuple[tuple[Event, ...], int]:
+    """``sort_events``' word and rewrite count, without the check of the
+    word it returns."""
     # Every strand that is ever live is a bottom strand or an event output.
     born = [s for ev in c.events for s in ev.outputs]
     fresh = count(max((*c.bottom, *born), default=-1) + 1)
@@ -330,14 +344,14 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
             below = j
         merges.append(merge)
 
-    return CutGraph(c.bottom, c.top, tuple(merges + splits), c.source), rewrites
+    return tuple(merges + splits), rewrites
 
 
-def _layout(kinds: Sequence[str]) -> tuple[dict, list[tuple[int, int]]]:
+def _layout(kinds: Sequence[str]) -> tuple[dict, list[tuple[int, int]], tuple]:
     """What a graph reglued from a word takes from the word's kinds alone,
     MERGE or SPLIT in word order as a checked cut has them: the tables and
     indices its graphs share, by the names ``FoliationGraph._make`` takes,
-    and its edge starts.
+    its edge starts, and its sweep less the bottom strand count.
 
     Event i becomes vertex ``v{i}`` at angle (i + 1)/(n + 1), and its
     out-slots, in word order, start the edges ``e0``, ``e1``, ...  The
@@ -348,6 +362,16 @@ def _layout(kinds: Sequence[str]) -> tuple[dict, list[tuple[int, int]]]:
     (``_succ``) are all fixed before any strand is read.  The starts hold,
     per edge in id order, its number m (its first segment is the m-th
     born, b + m for b bottom strands) and its tail's event.
+
+    The sweep is fixed too, as (low, witness, witness gap, balance): the
+    circular order is the word order and the count at gap 0 is b (see
+    ``reglue``), so the count above rank k is b + ``balance[k]``, the
+    running sum of +1 per SPLIT and -1 per MERGE, and its minimum is
+    b + low.  The gap above rank k < n - 1 has midpoint
+    (2k + 3)/(2n + 2); the last one wraps to 0, so it is the witness
+    whenever it minimizes, and otherwise the first minimizing gap is.  An
+    eventless word, which no graph has, gets witness 0 at gap 0, as a
+    free circle has.
     """
     n = len(kinds)
     born: list[int] = []  # edge m starts at out-port born[m]; event i's are 4 * i + 2, 4 * i + 3
@@ -362,6 +386,13 @@ def _layout(kinds: Sequence[str]) -> tuple[dict, list[tuple[int, int]]]:
     eo = sorted(range(len(born)), key=eids.__getitem__)
     tail = [order[born[m] >> 2] for m in eo]
     common = [gcd(i + 1, n + 1) for i in rank]  # of each angle's numerator and denominator
+    balance = list(accumulate(1 if kind == SPLIT else -1 for kind in kinds))
+    low = min(balance, default=0)
+    if not balance or balance[-1] == low:
+        witness, gap = Fraction(0), 0
+    else:
+        k = balance.index(low)
+        witness, gap = Fraction(2 * k + 3, 2 * n + 2), k + 1
     return dict(
         _ids=[ids[i] for i in rank],
         _kinds=[kinds[i] for i in rank],
@@ -374,7 +405,7 @@ def _layout(kinds: Sequence[str]) -> tuple[dict, list[tuple[int, int]]]:
         _order=order,
         _rank=rank,
         _succ=_incident(n, tail),
-    ), [(m, born[m] >> 2) for m in eo]
+    ), [(m, born[m] >> 2) for m in eo], (low, witness, gap, balance)
 
 
 def reglue(c: CutGraph) -> FoliationGraph:
@@ -385,27 +416,34 @@ def reglue(c: CutGraph) -> FoliationGraph:
     through the glue become edges, winding once per glue pass except that
     a run ending at an earlier vertex spends one pass wrapping the circle.
 
-    The vertices, the edge ids and tails, the circular order and the
-    out-edge lists depend only on the word's kinds: they are its layout
-    (``_layout``), which this call builds and ``harmonize`` builds once
-    for all its steps.  Only the heads and windings, and the checks, read
-    the strands.  The graph is handed its order, rank and out-edges from
-    the layout, and its crossing count at gap 0, which is the cut's level:
-    each crossing there is one glue pass, and every bottom segment is
-    passed exactly once (at least once, as the orphan check asserts, and
-    at most once, since each segment follows one segment only), so the
-    count is ``len(c.bottom)``.  The word replays from ``bottom`` to
-    ``top``, as ``CutGraph`` checks on construction and as ``cut`` of a
-    valid graph has it by construction.  RegluingError is raised on a glue
-    orbit that avoids every vertex and on a disconnected graph: two checks
-    for hand-built cuts, an eventless one among them (``cut`` never makes
-    one).
+    The vertices, the edge ids and tails, the circular order, the
+    out-edge lists and the sweep less its base depend only on the word's
+    kinds: they are its layout (``_layout``), which this call builds and
+    ``harmonize`` builds once for all its steps.  Only the heads and
+    windings, and the checks, read the strands.  The graph is handed its
+    order, rank and out-edges from the layout, and its sweep: the layout's
+    plus the crossing count at gap 0, which is the cut's level.  Each
+    crossing there is one glue pass, and every bottom segment is passed
+    exactly once (at least once, as the orphan check asserts, and at most
+    once, since each segment follows one segment only), so the count is
+    ``len(c.bottom)``.  The word replays from
+    ``bottom`` to ``top``, as ``CutGraph`` checks on construction and as
+    ``cut`` of a valid graph has it by construction.  RegluingError is
+    raised on a glue orbit that avoids every vertex and on a disconnected
+    graph: two checks for hand-built cuts, an eventless one among them
+    (``cut`` never makes one).  ``harmonize`` keeps the first, which
+    ``_reglue`` makes as it walks the edges, and skips the union-find of
+    the second: a reglued graph of a valid graph is connected.
     """
-    return _reglue(c, *_layout([ev.kind for ev in c.events]))
+    g = _reglue(c, *_layout([ev.kind for ev in c.events]))
+    if not _connected(g):
+        raise RegluingError("reglued graph is disconnected")
+    return g
 
 
-def _reglue(c: CutGraph, shared: dict, starts: list[tuple[int, int]]) -> FoliationGraph:
-    """``reglue`` of a cut, given the layout of its word's kinds."""
+def _reglue(c: CutGraph, shared: dict, starts: list[tuple[int, int]], sweep: tuple) -> FoliationGraph:
+    """``reglue`` of a cut, given the layout of its word's kinds, without
+    the connectivity check."""
     name = c.source if c.source.endswith("-reglued") else f"{c.source}-reglued"
 
     # A strand id may label several disjoint segments of the word (the
@@ -458,10 +496,11 @@ def _reglue(c: CutGraph, shared: dict, starts: list[tuple[int, int]]) -> Foliati
         )
 
     # Hand over what the layout and the cut already hold (see reglue).
-    g = FoliationGraph._make(**shared, name=name, _head=head, _head_slot=head_slot, _winding=winding, _base=b)
-    if not _connected(g):
-        raise RegluingError("reglued graph is disconnected")
-    return g
+    low, witness, gap, balance = sweep
+    return FoliationGraph._make(
+        **shared, name=name, _head=head, _head_slot=head_slot, _winding=winding,
+        _sweep=(b + low, witness, gap, [b + x for x in balance]),
+    )
 
 
 @dataclass(frozen=True)
@@ -504,12 +543,18 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     such a dead end: its merges lie below its splits, so the level above
     its lowest merge has c + m - 1 > m strands.  Reads only valid graphs
     (see ``validate``): it validates its input, and each step's graph is
-    valid when its source is, so the loop reads the sweep directly and a
+    valid when its source is, so the loop runs no ``validate`` and a
     RegluingError would be a bug, which propagates.
 
-    Every sorted word of the chain has the same kinds, its m merges and
-    then as many splits, since each step keeps both counts; so every step
-    reglues with one layout (see ``reglue``), built at the first step.
+    The loop keeps the public calls' checks only where they can fail.  It
+    sorts with ``_sort_events`` and builds the sorted cut unchecked: the
+    cut of a valid graph replays, and a rewrite that succeeds keeps its
+    word valid (see ``sort_events``).  It reglues with ``_reglue``, which
+    skips the connectivity test, since the graph is valid.  Every sorted
+    word of the chain has the same kinds, its m merges and then as many
+    splits, since each step keeps both counts; so every step reglues with
+    one layout (see ``reglue``), built at the first step, and each reglued
+    graph holds its sweep from that layout: only the input is swept.
     """
     _require_valid(g)
     steps: list[ReductionStep] = []
@@ -529,14 +574,14 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
                 angle = current._midpoint(r)
         c = _cut(current, gap)
         try:
-            sorted_cut, rewrites = sort_events(c)
-            after_graph = _reglue(sorted_cut, *layout)
+            events, rewrites = _sort_events(c)
+            after_graph = _reglue(CutGraph._make(c.bottom, c.top, events, c.source), *layout)
         except NotSortableError as exc:
             raise StuckError(f"reduction of {current.name} stuck: {exc}", exc, ReductionTrace(tuple(steps))) from exc
         after = after_graph._sweep[0]
         if after >= before:
             raise AssertionError("reduction did not decrease complexity")
-        steps.append(ReductionStep(angle, before, after, rewrites, sorted_cut.events, current, after_graph))
+        steps.append(ReductionStep(angle, before, after, rewrites, events, current, after_graph))
         current = after_graph
     return current, ReductionTrace(tuple(steps))
 

@@ -78,6 +78,17 @@ class Tube:
     right_disk: Disk
 
 
+class ModelFault(ValueError):
+    """A fault of one part of a surface model: the ``part`` ("summand" or
+    "tube") at ``index`` in the model's tuple of them.  The message names
+    the part by its id; the parser reports the fault at the part's line."""
+
+    def __init__(self, message: str, part: str, index: int):
+        super().__init__(message)
+        self.part = part
+        self.index = index
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
     name: str
@@ -96,14 +107,13 @@ class SurfaceModel:
         if not self.summands:
             raise ValueError("a surface model needs at least one summand")
         ids = [s.id for s in self.summands]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate summand ids")
-        tids = [t.id for t in self.tubes]
-        if len(set(tids)) != len(tids):
-            raise ValueError("duplicate tube ids")
-        for s in self.summands:
+        for part, names in (("summand", ids), ("tube", [t.id for t in self.tubes])):
+            if len(set(names)) != len(names):
+                i = next(i for i, x in enumerate(names) if x in names[:i])
+                raise ModelFault(f"{part} {names[i]}: duplicate id", part, i)
+        for i, s in enumerate(self.summands):
             if s.p.is_zero() and s.q.is_zero():
-                raise ValueError(f"summand {s.id}: (p, q) must not be (0, 0)")
+                raise ModelFault(f"summand {s.id}: (p, q) must not be (0, 0)", "summand", i)
         # The incidence structure must be a tree over the summands.
         parent = {i: i for i in ids}
 
@@ -113,14 +123,14 @@ class SurfaceModel:
                 i = parent[i]
             return i
 
-        for t in self.tubes:
+        for i, t in enumerate(self.tubes):
             if t.kind not in TUBE_KINDS:
-                raise ValueError(f"tube {t.id}: unknown kind {t.kind}")
+                raise ModelFault(f"tube {t.id}: unknown kind {t.kind}", "tube", i)
             if t.left not in parent or t.right not in parent:
-                raise ValueError(f"tube {t.id}: unknown summand id")
+                raise ModelFault(f"tube {t.id}: unknown summand id", "tube", i)
             a, b = find(t.left), find(t.right)
             if a == b:
-                raise ValueError(f"tube {t.id}: creates a cycle among summands")
+                raise ModelFault(f"tube {t.id}: creates a cycle among summands", "tube", i)
             parent[a] = b
         if len({find(i) for i in ids}) != 1:
             raise ValueError("summand/tube incidence is not connected")

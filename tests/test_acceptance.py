@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 from foliagraph import (
+    CutGraph,
     StuckError,
     builtin,
     builtin_example,
@@ -127,14 +128,21 @@ def test_criterion_3_reduction_contract(announce):
             result, trace = None, exc.trace
         for step in trace.steps:
             failures += [f"graph#{i}: {fault}" for fault in level_rule_faults(step)]
+            # harmonize builds its sorted cut and reglued graph unchecked;
+            # both must pass the checks it skips.
+            c = cut(step.graph_before, step.cut_angle)
+            try:
+                CutGraph(c.bottom, c.top, step.word, c.source)
+            except ValueError as exc:
+                failures.append(f"graph#{i}: a step's sorted word does not replay: {exc}")
+            if not validate(step.graph_after).ok:
+                failures.append(f"graph#{i}: a step's output is invalid")
         if trace.steps:
             g2 = trace.steps[0].graph_after
             if complexity(g2)[0] >= k0:
                 failures.append(f"graph#{i}: complexity did not decrease")
             if not contiguous(g, g2):
                 failures.append(f"graph#{i}: merge/split counts changed")
-            if not validate(g2).ok:
-                failures.append(f"graph#{i}: first step output invalid")
         if result is not None:
             harmonized += 1
             if len(trace.steps) > k0:

@@ -202,15 +202,21 @@ def test_bad_token_position():
         # A block's "end" stands alone; the first word after it is located.
         (THETA_FIXTURE.replace("end\n", "end of the graph\n"), "f:8:5: expected 'end'"),
         ("surface s\n  summand t periods (1, 0)\nend now\n", "f:3:5: expected 'end'"),
-        # SurfaceModel's own checks, reported at the block's "end".
+        # SurfaceModel's own checks, reported at the id of the summand or
+        # tube that makes the fault; a disconnected model at its "end".
         (
             "surface s\n  summand t periods (1, 0)\n  summand t periods (0, 1)\nend\n",
-            "f:4:1: duplicate summand ids",
+            "f:3:11: summand t: duplicate id",
         ),
         (
             "surface s\n  summand t periods (1, 0)\n  summand u periods (0, 1)\n  summand w periods (1, 1)\n"
             "  tube v t u kind A disks small small\n  tube v u w kind A disks small small\nend\n",
-            "f:7:1: duplicate tube ids",
+            "f:6:8: tube v: duplicate id",
+        ),
+        (
+            "surface s\n  summand t periods (1, 0)\n  summand u periods (0, 1)\n"
+            "  tube v t u kind A disks small small\n  tube w u t kind A disks small small\nend\n",
+            "f:5:8: tube w: creates a cycle among summands",
         ),
         (
             "surface s\n  summand t periods (1, 0)\n  summand u periods (0, 1)\nend\n",

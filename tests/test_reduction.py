@@ -510,8 +510,9 @@ def test_stuck_error_carries_the_completed_steps_and_its_cause(monkeypatch):
     # No known input gets stuck after a completed step: a step's graph
     # has its merges below its splits, so the level above its lowest
     # merge sorts unless complexity is 1, and such a graph is Calabi.  A
-    # sort that jams from its second call on stands in for one.
-    real_sort, calls = reduction.sort_events, 0
+    # sort that jams from its second call on stands in for one; harmonize
+    # calls the private sort, which skips the result check.
+    real_sort, calls = reduction._sort_events, 0
 
     def jam_after_one(c):
         nonlocal calls
@@ -520,7 +521,7 @@ def test_stuck_error_carries_the_completed_steps_and_its_cause(monkeypatch):
             raise NotSortableError((0, 1, 2, 3), 1)
         return real_sort(c)
 
-    monkeypatch.setattr(reduction, "sort_events", jam_after_one)
+    monkeypatch.setattr(reduction, "_sort_events", jam_after_one)
     g = parse(MULTISTEP_FIXTURE)
     with pytest.raises(StuckError) as exc:
         harmonize(g)
@@ -608,12 +609,12 @@ def test_roundtrip_at_random_regular_angle(seed):
 
 def _seeded_values(g):
     """What ``reglue`` hands its graph, and what the sweep derives from it."""
-    return (g._order, g._rank, g._succ, g._base, complexity(g), g._sweep)
+    return (g._order, g._rank, g._succ, complexity(g), g._sweep)
 
 
 # What ``reglue`` hands ``FoliationGraph._make`` besides the tables, and
 # every other index a graph builds on first read.
-_HANDED = {"_order", "_rank", "_succ", "_base"}
+_HANDED = {"_order", "_rank", "_succ", "_sweep"}
 _LAZY = {name for name, attr in vars(FoliationGraph).items() if isinstance(attr, cached_property)} - _HANDED
 
 
@@ -649,12 +650,14 @@ def test_cut_words_replay_to_their_top():
 
 def test_reglued_graph_keeps_angle_order():
     # ``reglue`` hands its graph the circular order, the rank, the
-    # out-edges and the gap-0 crossing count instead of deriving them; each
-    # must be what a fresh graph derives, as must the sweep that reads them.
-    # A reglued graph holds exactly the tables and those indices, so the
-    # layout a chain shares can neither leak a key nor miss a table.
+    # out-edges and the sweep, whose base is the cut's strand count,
+    # instead of deriving them; each must be what a fresh graph derives, on
+    # sorted and unsorted cuts alike.  A reglued graph holds exactly the tables and those
+    # indices, so the layout a chain shares can neither leak a key nor miss
+    # a table.
     rng = random.Random(606)
     id_order_differs = 0
+    witness_gaps = set()
     for _ in range(60):
         g = random_valid_graph(rng, max_pairs=rng.choice((2, 4, 8)))
         for a in regular_levels(g):
@@ -675,13 +678,17 @@ def test_reglued_graph_keeps_angle_order():
                 by_angle = sorted(g2.vertices, key=lambda v: v.angle)
                 assert [g2.vertices[v] for v in g2._order] == by_angle
                 assert [by_angle[k] for k in g2._rank] == list(g2.vertices)
-                assert g2._base == len(c2.bottom)
+                assert sum(g2._crossings(0)) == len(c2.bottom)
                 fresh = FoliationGraph(g2.name, g2.vertices, g2.edges)
                 assert g2 == fresh
+                assert g2.__dict__["_sweep"] == fresh._sweep
                 assert _seeded_values(g2) == _seeded_values(fresh)
                 id_order_differs += g2._order != sorted(g2._order)
+                # The witness at gap 0, where the last gap wraps, or above.
+                witness_gaps.add(g2._sweep[2] == 0)
     # Ids v10, v11, ... sort before v2, so the id order is no stand-in.
     assert id_order_differs
+    assert witness_gaps == {True, False}
 
     # Every graph of a harmonize chain is reglued with the layout of its
     # first step; long chains on 10 or more vertices cover the ids where
@@ -697,6 +704,7 @@ def test_reglued_graph_keeps_angle_order():
             assert set(g2.__dict__) - _LAZY == set(_TABLES) | _HANDED
             fresh = FoliationGraph(g2.name, g2.vertices, g2.edges)
             assert g2 == fresh
+            assert g2.__dict__["_sweep"] == fresh._sweep
             assert _seeded_values(g2) == _seeded_values(fresh)
         long_chains += len(trace.steps) >= 3 and len(g.vertices) >= 10
     assert long_chains >= 20
@@ -919,10 +927,10 @@ def test_sort_events_matches_reference_on_reused_strands():
 
 
 def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
-    # One full-word check per step, when ``sort_events`` constructs its
-    # CutGraph (``cut`` of a valid graph skips the check), plus one prefix
-    # replay per bubble, the only rewrite that reads a live set, so
-    # commuting and shared-strand rewrites build no set.
+    # One prefix replay per bubble, the only rewrite that reads a live set,
+    # so commuting and shared-strand rewrites build no set.  No step
+    # replays its whole word: ``cut`` of a valid graph and the sort of its
+    # word are valid by construction, so harmonize builds both unchecked.
     replays = bubbles = 0
     real_live_after, real_transpose = reduction.live_after, _transpose
 
@@ -950,13 +958,14 @@ def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
             steps += len(trace.steps) + 1
         rewrites += sum(s.rewrites for s in trace.steps)
     assert steps and bubbles and rewrites > 10 * bubbles
-    assert replays <= steps + bubbles
+    assert replays == bubbles
 
 
 def test_harmonize_sweeps_each_graph_once(monkeypatch):
     # Each ``harmonize`` step needs the complexity of the graph it produced,
-    # and the next step needs it again for its witness: one sweep serves
-    # both, so every graph of a chain is swept exactly once.
+    # and the next step needs it again for its witness.  A reglued graph's
+    # sweep is fixed by the layout of its word's kinds and the cut's strand
+    # count, and handed over, so only the input graph is swept.
     sweep = FoliationGraph.__dict__["_sweep"]
     real_sweep = sweep.func
     calls = 0
@@ -968,15 +977,16 @@ def test_harmonize_sweeps_each_graph_once(monkeypatch):
 
     monkeypatch.setattr(sweep, "func", counting_sweep)
     rng = random.Random(2024_12)
-    graphs = 0
+    inputs = steps = 0
     for _ in range(40):
         g = random_non_calabi_graph(rng, max_pairs=8)
         try:
             _, trace = harmonize(g)
         except StuckError as exc:
             trace = exc.trace
-        graphs += 1 + len(trace.steps)
-    assert graphs > 40 and calls == graphs
+        inputs += 1
+        steps += len(trace.steps)
+    assert steps > inputs and calls == inputs
 
 
 def test_harmonize_builds_one_layout_per_call(monkeypatch):
