@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .fileio import ParseError, parse_path, serialize_graph, serialize_surface, to_dot
+from .fileio import ParseError, parse_path, serialize_graph, to_dot
 from .graph import (
     Foliation,
     _natural,
@@ -23,16 +23,10 @@ from .graph import (
     is_calabi,
     validate,
 )
-from .reduction import StuckError, harmonize
-from .surfaces import (
-    SurfaceModel,
-    builtin_example,
-    calabi_status,
-    class_report,
-    classify_leaves,
-    consistency_check,
-    cup_vanisher,
-)
+
+# Each command imports what it uses beyond the graph core, so a graph
+# command never loads the reduction or the surface layer.  The
+# annotations name that layer's SurfaceModel without importing it.
 
 PARSE_ERROR = 2
 PREDICATE_FALSE = 1
@@ -49,6 +43,8 @@ def _load(source: str) -> Foliation | SurfaceModel:
         if source.startswith("builtin:"):
             return builtin(source[len("builtin:") :])
         if source.startswith("example:"):
+            from .surfaces import builtin_example
+
             return builtin_example(_natural(source[len("example:") :]))
     except ValueError as exc:
         # Both prefixes are 8 characters long: column 9 starts the name.
@@ -58,7 +54,7 @@ def _load(source: str) -> Foliation | SurfaceModel:
 
 def _load_graph(source: str) -> Foliation:
     obj = _load(source)
-    if isinstance(obj, SurfaceModel):
+    if not isinstance(obj, Foliation):
         raise ParseError(1, 1, "expected a graph, found a surface model", source)
     return obj
 
@@ -73,7 +69,7 @@ def _load_valid_graph(source: str) -> Foliation:
 
 def _load_surface(source: str) -> SurfaceModel:
     obj = _load(source)
-    if not isinstance(obj, SurfaceModel):
+    if isinstance(obj, Foliation):
         raise ParseError(1, 1, "expected a surface model, found a graph", source)
     return obj
 
@@ -146,6 +142,8 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_harmonize(args) -> int:
+    from .reduction import StuckError, harmonize
+
     g = _load_valid_graph(args.source)
     if args.dot_dir:
         os.makedirs(args.dot_dir, exist_ok=True)
@@ -187,6 +185,8 @@ def _cmd_harmonize(args) -> int:
 
 
 def _cmd_surface_classify(args) -> int:
+    from .surfaces import calabi_status, class_report, classify_leaves, cup_vanisher
+
     m = _load_surface(args.source)
     leaves = classify_leaves(m)
     cls = class_report(m)
@@ -223,6 +223,8 @@ def _cmd_surface_classify(args) -> int:
 
 
 def _cmd_surface_check(args) -> int:
+    from .surfaces import consistency_check
+
     m = _load_surface(args.source)
     report = consistency_check(m)
     pairs: list[tuple[str, object]] = [("result", "pass" if report.ok else "fail")]
@@ -237,6 +239,8 @@ def _cmd_surface_check(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    from .surfaces import builtin_example, serialize_surface
+
     m = builtin_example(int(args.number))
     sys.stdout.write(serialize_surface(m))
     return OK

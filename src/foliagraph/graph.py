@@ -384,7 +384,10 @@ _TOKEN_BREAK = re.compile(r"[\s#]")
 def _token_faults(noun: str, idents: list[str]) -> list[str]:
     """One message per ident the text formats cannot carry, named as
     ``noun``: they split lines at whitespace, as ``str.split`` does, and
-    drop what follows "#"."""
+    drop what follows "#".  One search over the idents joined by "/",
+    which the pattern cannot match, finds whether there is any."""
+    if all(idents) and not _TOKEN_BREAK.search("/".join(idents)):
+        return []
     return [
         f"{noun} {ident!r} is empty or holds whitespace or '#'"
         for ident in idents

@@ -9,22 +9,32 @@ leaves of a compact-leaved summand) or a ribbon winding around the torus
 (meets every leaf).  On this family leaf compactness, the rank and
 splitness of the class, genericity, Calabi-ness and integral cup-product
 annihilators are all decidable exactly from the period data.
+
+The surface half of the text format is here too (``parse_value``,
+``serialize_surface`` and the ``scalar`` and ``surface`` directives that
+``fileio.parse`` hands over), so that reading a graph file never loads
+this layer.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
+from .fileio import _RATIONAL, _col, _fail, _Lines, _ratio, _ratio_parts
 from .graph import _token_faults
 from .scalars import (
+    SYMBOL_NAME,
     ExactScalar,
     Rational,
     SymbolDecl,
     SymbolTable,
     _coerce_tables,
     _rank_one,
+    _reduced,
     integer_relation,
     qrank,
 )
@@ -443,3 +453,162 @@ def consistency_check(m: SurfaceModel) -> ConsistencyReport:
         violations=violations,
         checked=tuple(tag for tag, _, _ in checks),
     )
+
+
+# -- the surface text format ------------------------------------------------
+
+# A value splits at its signs into terms; a term is a coefficient times a
+# symbol, a symbol, or a rational.  Groups: the coefficient's three
+# ``_RATIONAL`` groups, the symbol, the rational's three.
+_SIGNS = re.compile(r"\s*([+-])\s*")
+_TERM = re.compile(rf"(?:{_RATIONAL.pattern}\s*\*\s*)?({SYMBOL_NAME})|{_RATIONAL.pattern}")
+
+
+def parse_value(expr: str, table: SymbolTable) -> ExactScalar:
+    """Parse ``q0 + q1*name1 - ...`` over the given table, term by term:
+    each term's integer numerator goes into the integer row over one
+    running common denominator, which grows only when a term's
+    denominator does not divide it."""
+    text = expr.strip()
+    if not text:
+        raise ValueError("empty value")
+    chunks = _SIGNS.split(text)
+    if chunks[0] == "":
+        chunks = chunks[1:]
+    else:
+        chunks = ["+"] + chunks
+    coordinate = table._coordinate
+    ints = [0] * (len(table.names) + 1)
+    den = 1
+    for sign, term in zip(chunks[::2], chunks[1::2]):
+        m = _TERM.fullmatch(term)
+        if not m:
+            raise ValueError(f"malformed term {term!r}")
+        whole, d, frac, name, *number = m.groups()
+        if name is None:
+            i = 0
+            whole, d, frac = number
+        else:
+            i = coordinate.get(name)
+            if i is None:
+                raise ValueError(f"unknown scalar {name!r}")
+        n, q = (1, 1) if whole is None else _ratio_parts(whole, d, frac)
+        if den % q:
+            grow = q // gcd(den, q)
+            ints = [x * grow for x in ints]
+            den *= grow
+        ints[i] += (n if sign == "+" else -n) * (den // q)
+    return _reduced(table, den, ints)
+
+
+_DISK_RE = re.compile(r"^(small|ribbon\(([0-9]+)\))$")
+_SUMMAND_RE = re.compile(r"^\s*summand\s+(\S+)\s+periods\s+\((.+)\)\s*$")
+_SCALAR_RE = re.compile(rf"^\s*scalar\s+({SYMBOL_NAME})\s+irrational\s+approx\s+\[\s*(\S+?)\s*,\s*(\S+?)\s*\]\s*$")
+
+
+def _parse_scalar(lines: _Lines, lineno: int, text: str, decls: list[SymbolDecl]) -> SymbolDecl:
+    """The declaration on a ``scalar`` line, whose name ``decls`` lacks."""
+    m = _SCALAR_RE.match(text)
+    if not m:
+        _fail(lines, lineno, _col(text, 0), "expected 'scalar <name> irrational approx [<lo>, <hi>]'")
+    bounds = []
+    for k in (2, 3):
+        try:
+            bounds.append(Fraction(*_ratio(m.group(k))))
+        except ValueError as exc:
+            _fail(lines, lineno, m.start(k) + 1, str(exc))
+    lo, hi = bounds
+    if not lo < hi:
+        _fail(lines, lineno, m.start(2) + 1, "interval needs lo < hi")
+    if any(d.name == m.group(1) for d in decls):
+        _fail(lines, lineno, m.start(1) + 1, f"scalar {m.group(1)!r} declared twice")
+    return SymbolDecl(m.group(1), lo, hi)
+
+
+def _parse_disk(token: str) -> Disk:
+    m = _DISK_RE.match(token)
+    if not m:
+        raise ValueError(f"expected 'small' or 'ribbon(<w>)', got {token!r}")
+    return SMALL if m.group(2) is None else ribbon(int(m.group(2)))
+
+
+def _parse_surface(lines: _Lines, lineno: int, header: str, decls: list[SymbolDecl]) -> SurfaceModel:
+    words = header.split()
+    if len(words) != 2:
+        _fail(lines, lineno, _col(header, 0), "expected 'surface <name>'")
+    name = words[1]
+    table = SymbolTable(tuple(decls))
+    summands: list[Summand] = []
+    known: set[str] = set()
+    tubes: list[Tube] = []
+    # Per part kind, in order, each part's line number and text: a
+    # ModelFault of that part is reported at its id, the line's second word.
+    at: dict[str, list[tuple[int, str]]] = {"summand": [], "tube": []}
+    for lno, text in lines:
+        ws = text.split()
+        if ws[0] == "end":
+            if len(ws) > 1:
+                _fail(lines, lno, _col(text, 1), "expected 'end'")
+            try:
+                return SurfaceModel(name, table, tuple(summands), tuple(tubes))
+            except ModelFault as exc:
+                part_lno, part_text = at[exc.part][exc.index]
+                _fail(lines, part_lno, _col(part_text, 1), str(exc))
+            except ValueError as exc:
+                _fail(lines, lno, _col(text, 0), str(exc))
+        if ws[0] == "summand":
+            m = _SUMMAND_RE.match(text)
+            if not m:
+                _fail(lines, lno, _col(text, 0), "expected 'summand <id> periods (<p>, <q>)'")
+            parts = m.group(2).split(",")
+            if len(parts) != 2:
+                _fail(lines, lno, m.start(2) + 1, "periods need exactly two values")
+            try:
+                p = parse_value(parts[0], table)
+                q = parse_value(parts[1], table)
+            except ValueError as exc:
+                _fail(lines, lno, m.start(2) + 1, str(exc))
+            if p.is_zero() and q.is_zero():
+                _fail(lines, lno, m.start(2) + 1, "periods (0, 0) define no form")
+            summands.append(Summand(m.group(1), p, q))
+            at["summand"].append((lno, text))
+            known.add(m.group(1))
+        elif ws[0] == "tube":
+            if len(ws) != 9 or ws[4] != "kind" or ws[6] != "disks":
+                _fail(lines, lno, _col(text, 0), "expected 'tube <id> <sid> <sid> kind A|B|C disks <disk> <disk>'")
+            if ws[5] not in TUBE_KINDS:
+                _fail(lines, lno, _col(text, 5), f"tube kind must be A, B or C, got {ws[5]!r}")
+            for k in (2, 3):
+                if ws[k] not in known:
+                    _fail(lines, lno, _col(text, k), f"unknown summand {ws[k]!r}")
+            disks = []
+            for k in (7, 8):
+                try:
+                    disks.append(_parse_disk(ws[k]))
+                except ValueError as exc:
+                    _fail(lines, lno, _col(text, k), str(exc))
+            tubes.append(Tube(ws[1], ws[2], ws[3], ws[5], *disks))
+            at["tube"].append((lno, text))
+        else:
+            _fail(lines, lno, _col(text, 0), f"unexpected directive {ws[0]!r} in surface block")
+    lines.end_of_file()
+
+
+def _disk_str(d: Disk) -> str:
+    return "small" if d.is_small else f"ribbon({d.winding})"
+
+
+def serialize_surface(m: SurfaceModel) -> str:
+    out = []
+    for d in m.table.decls:
+        out.append(f"scalar {d.name} irrational approx [{d.lo}, {d.hi}]")
+    out.append(f"surface {m.name}")
+    for s in m.summands:
+        out.append(f"  summand {s.id} periods ({s.p}, {s.q})")
+    for t in m.tubes:
+        out.append(
+            f"  tube {t.id} {t.left} {t.right} kind {t.kind} "
+            f"disks {_disk_str(t.left_disk)} {_disk_str(t.right_disk)}"
+        )
+    out.append("end")
+    return "\n".join(out) + "\n"

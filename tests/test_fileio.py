@@ -28,7 +28,7 @@ from foliagraph import (
     validate,
 )
 from foliagraph.cli import main
-from foliagraph.fileio import parse_value
+from foliagraph.surfaces import parse_value
 from foliagraph.scalars import SymbolDecl, SymbolTable
 
 from graphgen import random_valid_graph
@@ -97,6 +97,17 @@ def test_validate_rejects_ids_the_text_format_cannot_carry(g, violation):
         assert validate(FoliationGraph(g.name, g.vertices, g.edges)).violations == (violation,)
     with pytest.raises(ParseError):
         parse(serialize(g))
+
+
+def test_validate_reports_every_bad_id_in_order():
+    # The ids are searched joined by "/", so neither a fault beside a good
+    # id nor a "/" inside one may change the messages.
+    assert validate(_theta(m="m 1", s="", e0="e#0")).violations == (
+        "vertex id '' is empty or holds whitespace or '#'",
+        "vertex id 'm 1' is empty or holds whitespace or '#'",
+        "edge id 'e#0' is empty or holds whitespace or '#'",
+    )
+    assert validate(_theta(m="m/", s="/s", e0="e/0")).ok
 
 
 def test_graph_roundtrip_random():

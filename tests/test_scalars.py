@@ -19,7 +19,7 @@ from foliagraph import (
     integer_relation,
     qrank,
 )
-from foliagraph.fileio import parse_value
+from foliagraph.surfaces import parse_value
 from foliagraph.scalars import _rank_one
 
 from modelgen import example_table
