@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 from fractions import Fraction
@@ -35,25 +35,11 @@ _IN_PORTS = {kind: frozenset(_SLOT_INDEX[s] for s in slots) for kind, slots in I
 _OUT_PORTS = {kind: frozenset(_SLOT_INDEX[s] for s in slots) for kind, slots in OUT_SLOTS.items()}
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    kind: str
-    angle: Fraction
-
-
-@dataclass(frozen=True)
-class End:
-    vertex: str
-    slot: str
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    tail: End
-    head: End
-    winding: int
+# The records are named tuples: immutable, with a repr, equality and hash
+# by their fields, and ``_replace``.  Ends are (vertex id, slot name).
+Vertex = namedtuple("Vertex", "id kind angle")
+End = namedtuple("End", "vertex slot")
+Edge = namedtuple("Edge", "id tail head winding")
 
 
 # The tables of a FoliationGraph, by the names ``_make`` takes them.
@@ -113,16 +99,14 @@ def _columns(rows: list[tuple], width: int) -> list[list]:
     return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
-# The dataclass keeps the table ``__eq__`` and ``__hash__`` below, which the
-# class defines, and generates the repr of (name, vertices, edges).
-@dataclass(frozen=True, init=False)
 class FoliationGraph:
     """A foliation graph, held as flat tables indexed by position in id
     order.  ``FoliationGraph(name, vertices, edges)`` converts the objects
     once; ``parse`` and ``reglue`` hand their tables to ``_make``.  ``vertices``
     and ``edges`` are built from the tables on first read.  Equality and
     hash compare the tables, so angles compare as the numbers they are;
-    repr is the dataclass's, of (name, vertices, edges) in id order.
+    repr is ``FoliationGraph(name=..., vertices=..., edges=...)``, in id
+    order.
 
     Per vertex: ``_ids``, ``_kinds`` and the angle as ``_num``/``_den`` in
     lowest terms; ``_order`` computes each angle's nearest float to sort.
@@ -133,13 +117,10 @@ class FoliationGraph:
     names an invalid graph's ends use but no vertex or slot carries.
     Every index below, the angles as ``Fraction``s among them, is built
     on first use from these, or handed to ``_make`` by ``reglue``, which
-    has it in hand; the graph is frozen, so none goes stale.  Only the
-    two constructors write the instance dict.
+    has it in hand; the graph is frozen, so none goes stale: assigning or
+    deleting an attribute raises AttributeError.  Only the two
+    constructors and the cached properties write the instance dict.
     """
-
-    name: str
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
 
     def __init__(self, name: str, vertices, edges):
         vertices = sorted(vertices, key=attrgetter("id"))
@@ -177,6 +158,15 @@ class FoliationGraph:
                 self._eids, self._tail, self._tail_slot, self._head, self._head_slot, self._winding
             )
         )
+
+    def __repr__(self):
+        return f"FoliationGraph(name={self.name!r}, vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -341,41 +331,25 @@ def _incident(n: int, ends: list[int]) -> tuple[list[int], list[int]]:
     return edges, list(accumulate(start))
 
 
-@dataclass(frozen=True)
-class FreeCircle:
-    """Vertex-free foliation graph: the height map is a degree-w covering."""
-
-    name: str
-    winding: int
+FreeCircle = namedtuple("FreeCircle", "name winding")
+FreeCircle.__doc__ = "Vertex-free foliation graph: the height map is a degree-w covering."
 
 
 Foliation = FoliationGraph | FreeCircle
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
+ValidationReport = namedtuple("ValidationReport", "ok violations")
 
+Obstruction = namedtuple("Obstruction", "source target out_set")
+Obstruction.__doc__ = """Witness that no positive path runs from ``source`` to ``target``.
 
-@dataclass(frozen=True)
-class Obstruction:
-    """Witness that no positive path runs from ``source`` to ``target``.
+``out_set`` is everything positively reachable from ``source``; by
+construction it has no outgoing edges leaving it.
+"""
 
-    ``out_set`` is everything positively reachable from ``source``; by
-    construction it has no outgoing edges leaving it.
-    """
-
-    source: str
-    target: str
-    out_set: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CalabiCertificate:
-    verdict: bool
-    cycles: tuple[tuple[str, ...], ...] = ()
-    obstruction: Obstruction | None = None
+# A Calabi verdict carries ``cycles``, its closed positive walks as tuples
+# of edge ids; any other carries an ``Obstruction``.
+CalabiCertificate = namedtuple("CalabiCertificate", "verdict cycles obstruction", defaults=((), None))
 
 
 _TOKEN_BREAK = re.compile(r"[\s#]")
@@ -405,7 +379,9 @@ def validate(g: Foliation) -> ValidationReport:
     and ``harmonize`` raise ValueError with its first violation, if any."""
     if isinstance(g, FreeCircle):
         bad = _token_faults("graph name", [g.name])
-        if g.winding < 1:
+        if g.winding.__class__ is not int:
+            bad.append(f"free circle winding {g.winding!r} is not an int")
+        elif g.winding < 1:
             bad.append("free circle winding must be >= 1")
         return ValidationReport(not bad, tuple(bad))
     return g._report
@@ -421,9 +397,11 @@ def _require_valid(g: Foliation) -> None:
 def _end_faults(g: FoliationGraph) -> list[str]:
     """The messages of ``validate``'s end checks, edge by edge and then
     vertex by vertex: every slot of every vertex used by exactly one edge
-    end (an edge may occupy two slots of one vertex), and windings.  Uses
-    are counted per port; an end names the last vertex with its id, so
-    vertices that share an id share that vertex's slots."""
+    end (an edge may occupy two slots of one vertex), and windings: each
+    an ``int`` (not a bool, float or other number, which the text format
+    cannot carry), and only then in range.  Uses are counted per port; an
+    end names the last vertex with its id, so vertices that share an id
+    share that vertex's slots."""
     ids, kinds, slots, nv = g._ids, g._kinds, g._slots, len(g._kinds)
     bad = []
     use = [0] * (4 * nv)
@@ -440,6 +418,9 @@ def _end_faults(g: FoliationGraph) -> list[str]:
             use[4 * h + hs] += 1
         else:
             bad.append(f"edge {eid}: slot {ids[h]}.{slots[hs]} not an in-slot of a {kinds[h]} vertex")
+        if w.__class__ is not int:
+            bad.append(f"edge {eid}: winding {w!r} is not an int")
+            continue
         if w < 0:
             bad.append(f"edge {eid}: negative winding")
         if t == h and w < 1:

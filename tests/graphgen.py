@@ -375,6 +375,9 @@ def oracle_end_faults(g: FoliationGraph) -> list[str]:
                 )
             else:
                 uses[(end.vertex, end.slot)] = uses.get((end.vertex, end.slot), 0) + 1
+        if type(e.winding) is not int:
+            bad.append(f"edge {e.id}: winding {e.winding!r} is not an int")
+            continue
         if e.winding < 0:
             bad.append(f"edge {e.id}: negative winding")
         if e.tail.vertex == e.head.vertex and e.winding < 1:

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -12,10 +14,13 @@ from hypothesis import strategies as st
 from foliagraph import (
     MERGE,
     SPLIT,
+    CalabiCertificate,
     Edge,
     End,
     FoliationGraph,
     FreeCircle,
+    Obstruction,
+    ValidationReport,
     StuckError,
     Vertex,
     builtin,
@@ -114,6 +119,31 @@ def test_validate_loop_winding():
     db = builtin("dumbbell")
     bad = _graph(db.vertices, [e if e.id != "e2" else Edge("e2", e.tail, e.head, 0) for e in db.edges])
     assert any("loop" in v for v in _report(bad))
+
+
+@pytest.mark.parametrize("winding", [1.0, True, 2.5, Fraction(1), "1", None])
+def test_validate_rejects_windings_that_are_not_ints(winding):
+    # The text format carries only integer windings: a float, bool or
+    # other number would validate, then serialize to text that parse
+    # rejects.  A non-int winding gets one message and no range check.
+    db = builtin("dumbbell")
+    bad = _graph(db.vertices, [e._replace(winding=winding) if e.id == "e2" else e for e in db.edges])
+    message = f"edge e2: winding {winding!r} is not an int"
+    assert validate(bad).violations == (message,)
+    assert oracle_end_faults(bad) == [message]
+    with pytest.raises(ValueError, match="is not an int"):
+        complexity(bad)
+    circle = FreeCircle("c", winding)
+    assert validate(circle).violations == (f"free circle winding {winding!r} is not an int",)
+    with pytest.raises(ValueError, match="is not an int"):
+        complexity(circle)
+
+
+def test_integer_winding_messages_are_unchanged():
+    db = builtin("dumbbell")
+    bad = _graph(db.vertices, [e._replace(winding=-1) if e.id == "e2" else e for e in db.edges])
+    assert validate(bad).violations == ("edge e2: negative winding", "edge e2: loop needs winding >= 1")
+    assert validate(FreeCircle("c", 0)).violations == ("free circle winding must be >= 1",)
 
 
 def test_validate_disconnected():
@@ -320,6 +350,74 @@ def test_equal_graphs_hash_alike_whatever_type_their_angles_have():
     # The hash reads the tables: it builds no vertex or edge objects.
     h = parse(serialize(theta))
     assert hash(h) == hash(theta) and not {"vertices", "edges"} & set(h.__dict__)
+
+
+def test_records_keep_their_reprs():
+    # Reprs are part of the output: these strings are what the recorded
+    # output digests hash.
+    assert repr(builtin("dumbbell")) == (
+        "FoliationGraph(name='dumbbell', vertices=(Vertex(id='m', kind='MERGE', angle=Fraction(3, 4)), "
+        "Vertex(id='s', kind='SPLIT', angle=Fraction(1, 4))), edges=("
+        "Edge(id='e1', tail=End(vertex='s', slot='out0'), head=End(vertex='m', slot='in0'), winding=0), "
+        "Edge(id='e2', tail=End(vertex='s', slot='out1'), head=End(vertex='s', slot='in0'), winding=1), "
+        "Edge(id='e3', tail=End(vertex='m', slot='out0'), head=End(vertex='m', slot='in1'), winding=1)))"
+    )
+    assert repr(is_calabi(builtin("theta"))) == (
+        "CalabiCertificate(verdict=True, cycles=(('e0', 'e1'), ('e0', 'e2')), obstruction=None)"
+    )
+    assert repr(is_calabi(builtin("dumbbell"))) == (
+        "CalabiCertificate(verdict=False, cycles=(), "
+        "obstruction=Obstruction(source='m', target='s', out_set=('m',)))"
+    )
+    assert repr(validate(FreeCircle("c", 0))) == (
+        "ValidationReport(ok=False, violations=('free circle winding must be >= 1',))"
+    )
+    assert repr(builtin("free-circle(3)")) == "FreeCircle(name='free-circle(3)', winding=3)"
+
+
+def test_records_and_graphs_are_frozen():
+    dumbbell = builtin("dumbbell")
+    certificate = is_calabi(dumbbell)
+    records = [
+        dumbbell.vertices[0],
+        dumbbell.edges[0],
+        dumbbell.edges[0].tail,
+        FreeCircle("c", 1),
+        validate(dumbbell),
+        certificate,
+        certificate.obstruction,
+    ]
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    g = parse(serialize(dumbbell))
+    for name in ("name", "vertices", "edges", "_ids", "_order", "anything"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    # The cached indices still fill in on first read.
+    assert g == dumbbell and complexity(g) == complexity(dumbbell) and "_order" in vars(g)
+
+
+def test_records_replace_and_graphs_rebuild():
+    g = builtin("dumbbell")
+    v = g.vertices[0]._replace(angle=Fraction(1, 8))
+    assert v == Vertex("m", MERGE, Fraction(1, 8)) == ("m", MERGE, Fraction(1, 8))
+    assert g.edges[0]._replace(winding=3).winding == 3 and g.edges[0].winding == 0
+    assert End("s", "in0") == ("s", "in0") and hash(End("s", "in0")) == hash(("s", "in0"))
+    assert CalabiCertificate(True) == CalabiCertificate(True, (), None)
+    assert CalabiCertificate(False, obstruction=Obstruction("a", "b", ("a",))).cycles == ()
+    assert ValidationReport(True, ())._replace(ok=False) == (False, ())
+    h = FoliationGraph(g.name, g.vertices, g.edges)
+    assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+    renamed = FoliationGraph("other", g.vertices, g.edges)
+    assert renamed != g and renamed.vertices == g.vertices
+    # Copies and pickles restore the instance dict without assigning.
+    complexity(g)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
 
 
 def test_validate_reports_angles_outside_the_circle():

@@ -82,6 +82,18 @@ def test_deciding_a_graph_loads_no_module():
     assert got == {"verdicts": [True, False, True], "added": []}
 
 
+def test_deciding_a_graph_loads_no_dataclasses_inspect_ast_or_typing():
+    # The graph records are named tuples: the package and the decide path
+    # pay for none of these standard modules.
+    got = _fresh(
+        f"for text in {GRAPHS!r}:\n"
+        "    g = fg.parse(text)\n"
+        "    fg.validate(g), fg.complexity(g), fg.is_calabi(g)\n"
+        "report('loaded', sorted(everything() & {'dataclasses', 'inspect', 'ast', 'typing'}))\n"
+    )
+    assert got == {"loaded": []}
+
+
 def test_harmonize_loads_the_reduction_layer_only():
     got = _fresh(
         f"g = fg.parse({GRAPHS[1]!r})\n"

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -114,10 +113,10 @@ def _algorithms(g):
     "g, message",
     [
         (_builtin_with("dumbbell", vertex=_saddle), "vertex s: unknown kind SADDLE"),
-        (_builtin_with("dumbbell", edge=lambda e: replace(e, tail=End("zz", e.tail.slot))), "edge e1: unknown vertex zz"),
-        (_builtin_with("dumbbell", edge=lambda e: replace(e, head=End("zz", e.head.slot))), "edge e1: unknown vertex zz"),
+        (_builtin_with("dumbbell", edge=lambda e: e._replace(tail=End("zz", e.tail.slot))), "edge e1: unknown vertex zz"),
+        (_builtin_with("dumbbell", edge=lambda e: e._replace(head=End("zz", e.head.slot))), "edge e1: unknown vertex zz"),
         (
-            _builtin_with("dumbbell", edge=lambda e: replace(e, tail=End("s", "out7"))),
+            _builtin_with("dumbbell", edge=lambda e: e._replace(tail=End("s", "out7"))),
             "edge e1: slot s.out7 not an out-slot of a SPLIT vertex",
         ),
         # Theta is Calabi whatever its kinds say, so its strong
@@ -217,7 +216,7 @@ def test_harmonize_takes_the_wrapping_gap_first_among_ties():
     step = harmonize(g)[1].steps[1]
     h = step.graph_before
     assert step.cut_angle != complexity(h)[1]
-    turned = FoliationGraph("turned", [replace(v, angle=(v.angle - step.cut_angle) % 1) for v in h.vertices], h.edges)
+    turned = FoliationGraph("turned", [v._replace(angle=(v.angle - step.cut_angle) % 1) for v in h.vertices], h.edges)
     first = harmonize(turned)[1].steps[0]
     assert first.cut_angle == 0 and level_rule_faults(first) == []
     assert (first.complexity_before, first.complexity_after) == (step.complexity_before, step.complexity_after)
@@ -420,17 +419,17 @@ def test_reglue_rotates_rejects_mutants():
     assert reglue_rotates(g, a, g2)
 
     first, *rest = g2.edges
-    assert not reglue_rotates(g, a, replace(g2, edges=(replace(first, winding=first.winding + 1), *rest)))
+    assert not reglue_rotates(g, a, FoliationGraph(g2.name, g2.vertices, (first._replace(winding=first.winding + 1), *rest)))
 
     m = next(v.id for v in g2.vertices if v.kind == MERGE)
     e0, e1 = (e for e in g2.edges if e.head.vertex == m)
     others = tuple(e for e in g2.edges if e not in (e0, e1))
-    swapped = replace(g2, edges=(*others, replace(e0, head=e1.head), replace(e1, head=e0.head)))
+    swapped = FoliationGraph(g2.name, g2.vertices, (*others, e0._replace(head=e1.head), e1._replace(head=e0.head)))
     assert not reglue_rotates(g, a, swapped)
 
     s = next(v.id for v in g2.vertices if v.kind == SPLIT)
     flip = {m: SPLIT, s: MERGE}
-    flipped = replace(g2, vertices=tuple(replace(v, kind=flip.get(v.id, v.kind)) for v in g2.vertices))
+    flipped = FoliationGraph(g2.name, tuple(v._replace(kind=flip.get(v.id, v.kind)) for v in g2.vertices), g2.edges)
     assert not reglue_rotates(g, a, flipped)
 
 
