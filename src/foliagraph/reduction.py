@@ -19,13 +19,12 @@ dead end (see ``harmonize``).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
+from collections.abc import Collection, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, count
 from math import gcd
 from sys import maxsize
-from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .graph import (
     ARITY,
@@ -73,23 +72,16 @@ class StuckError(RuntimeError):
         self.trace = trace
 
 
-class Event(NamedTuple):
-    """A vertex of ``kind`` crossed by the cut word: it consumes the
-    strands ``inputs`` and produces ``outputs``, which line up with its
-    slots ``IN_SLOTS[kind]`` and ``OUT_SLOTS[kind]``.  Immutable; a named
-    tuple because ``cut`` and every rewrite build one per event.  They
-    build it as ``tuple.__new__(Event, (kind, inputs, outputs))``, which
-    is ``Event._make`` without its length check: about 0.17 µs against
-    0.30 µs for ``Event(kind, inputs, outputs)`` and 0.57 µs for a frozen
-    dataclass (CPython 3.11, ``timeit``)."""
-
-    kind: str
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
+Event = namedtuple("Event", "kind inputs outputs")
+Event.__doc__ = """A vertex of ``kind`` crossed by the cut word: it consumes the
+strands ``inputs`` and produces ``outputs``, which line up with its slots
+``IN_SLOTS[kind]`` and ``OUT_SLOTS[kind]``.  ``cut`` and every rewrite
+build one per event, as ``tuple.__new__(Event, (kind, inputs, outputs))``:
+``Event._make`` without its length check, about 0.17 µs against 0.30 µs
+for ``Event(kind, inputs, outputs)`` (CPython 3.11, ``timeit``)."""
 
 
-@dataclass(frozen=True)
-class CutGraph:
+class CutGraph(namedtuple("CutGraph", "bottom top events source")):
     """The graph cut open along a regular level.
 
     ``bottom``/``top`` list the strands at heights 0 and 1, aligned:
@@ -99,31 +91,23 @@ class CutGraph:
     Construction checks the cut: the word replays from ``bottom`` to
     ``top`` in one pass of ``live_after``, which raises at the first
     failing check, naming the event, and both boundaries have the same
-    size, so the alignment is a bijection.  ValueError otherwise.  Two
-    callers skip the check (``_make``): ``cut``, since a valid graph's
-    word replays by construction, and ``harmonize`` for its sorted cuts,
-    since a sort of such a word that succeeds keeps it valid (see
+    size, so the alignment is a bijection.  ValueError otherwise.  The
+    named tuple's own ``_make``, and ``_replace``, which calls it, skip the
+    check.  Two callers use ``_make``: ``cut``, since a valid graph's word
+    replays by construction, and ``harmonize`` for its sorted cuts, since
+    a sort of such a word that succeeds keeps it valid (see
     ``sort_events``).  ``sort_events`` itself checks its result.
     """
 
-    bottom: tuple[int, ...]
-    top: tuple[int, ...]
-    events: tuple[Event, ...]
-    source: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        top = set(self.top)
-        if live_after(self.bottom, self.events) != top or len(self.top) != len(top):
+    def __new__(cls, bottom: tuple[int, ...], top: tuple[int, ...], events: tuple[Event, ...], source: str):
+        live = set(top)
+        if live_after(bottom, events) != live or len(top) != len(live):
             raise ValueError("replaying events does not yield the top strands")
-        if len(self.bottom) != len(self.top):
+        if len(bottom) != len(top):
             raise ValueError("boundary strand counts differ")
-
-    @classmethod
-    def _make(cls, bottom: tuple[int, ...], top: tuple[int, ...], events: tuple[Event, ...], source: str) -> CutGraph:
-        """A cut without the construction check."""
-        c = object.__new__(cls)
-        c.__dict__.update(bottom=bottom, top=top, events=events, source=source)
-        return c
+        return tuple.__new__(cls, (bottom, top, events, source))
 
 
 def live_after(bottom: tuple[int, ...], events: Sequence[Event]) -> set[int]:
@@ -214,7 +198,7 @@ def _cut(g: FoliationGraph, gap: int) -> CutGraph:
             events.append(new(Event, (kind, (at[p], at[p + 1]), (at[p + 2],))))
         else:
             events.append(new(Event, (kind, (at[p],), (at[p + 2], at[p + 3]))))
-    return CutGraph._make(bottom=tuple(bottom), top=tuple(top), events=tuple(events), source=g.name)
+    return CutGraph._make((tuple(bottom), tuple(top), tuple(events), g.name))
 
 
 def _transpose(
@@ -289,7 +273,8 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
 
     The result is a checked ``CutGraph``: its word replays from ``bottom``
     to ``top`` once more.  ``harmonize`` skips that replay (``_sort_events``
-    and ``CutGraph._make``): a word that ``cut`` makes never re-emits a
+    and ``CutGraph._make``, the named tuple's unchecked constructor, which
+    ``_replace`` calls too): a word that ``cut`` makes never re-emits a
     strand, and a rewrite that succeeds keeps the word valid, as above.
     """
     events, rewrites = _sort_events(c)
@@ -503,24 +488,25 @@ def _reglue(c: CutGraph, shared: dict, starts: list[tuple[int, int]], sweep: tup
     )
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(namedtuple(
+    "ReductionStep", "cut_angle complexity_before complexity_after rewrites word graph_before graph_after"
+)):
     """One completed reduction.  ``graph_before``/``graph_after`` carry the
-    graphs themselves; they stay out of equality, which compares the
-    deterministic record."""
+    graphs themselves; equality compares them too, but the repr and the
+    hash show only the deterministic record, the first five fields."""
 
-    cut_angle: Fraction
-    complexity_before: int
-    complexity_after: int
-    rewrites: int
-    word: tuple[Event, ...]
-    graph_before: FoliationGraph = field(compare=False, repr=False)
-    graph_after: FoliationGraph = field(compare=False, repr=False)
+    __slots__ = ()
+
+    def __repr__(self):
+        return (
+            "ReductionStep(cut_angle={!r}, complexity_before={!r}, complexity_after={!r}, rewrites={!r}, word={!r})"
+        ).format(*self[:5])
+
+    def __hash__(self):
+        return hash(self[:5])
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    steps: tuple[ReductionStep, ...] = ()
+ReductionTrace = namedtuple("ReductionTrace", "steps", defaults=((),))
 
 
 def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
@@ -547,9 +533,10 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     RegluingError would be a bug, which propagates.
 
     The loop keeps the public calls' checks only where they can fail.  It
-    sorts with ``_sort_events`` and builds the sorted cut unchecked: the
-    cut of a valid graph replays, and a rewrite that succeeds keeps its
-    word valid (see ``sort_events``).  It reglues with ``_reglue``, which
+    sorts with ``_sort_events`` and builds the sorted cut unchecked, with
+    ``CutGraph._make`` (as ``_replace`` would): the cut of a valid graph
+    replays, and a rewrite that succeeds keeps its word valid (see
+    ``sort_events``).  It reglues with ``_reglue``, which
     skips the connectivity test, since the graph is valid.  Every sorted
     word of the chain has the same kinds, its m merges and then as many
     splits, since each step keeps both counts; so every step reglues with
@@ -575,7 +562,7 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
         c = _cut(current, gap)
         try:
             events, rewrites = _sort_events(c)
-            after_graph = _reglue(CutGraph._make(c.bottom, c.top, events, c.source), *layout)
+            after_graph = _reglue(CutGraph._make((c.bottom, c.top, events, c.source)), *layout)
         except NotSortableError as exc:
             raise StuckError(f"reduction of {current.name} stuck: {exc}", exc, ReductionTrace(tuple(steps))) from exc
         after = after_graph._sweep[0]

@@ -11,11 +11,11 @@ coefficients.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction | int
 
@@ -27,34 +27,54 @@ class TableMismatchError(ValueError):
     """Scalars from different symbol tables were combined."""
 
 
-@dataclass(frozen=True)
-class SymbolDecl:
+class _Record:
+    """The base of the named-tuple records that check their fields or
+    cache properties.  ``_make``, and ``_replace``, which calls it, go
+    through the class, so every way to build one runs its ``__new__``
+    checks.  No attribute can be assigned or deleted (AttributeError),
+    though a subclass without ``__slots__`` keeps an instance dict, which
+    only its cached properties write."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SymbolDecl(_Record, namedtuple("SymbolDecl", "name lo hi")):
     """A named irrational with a rational enclosure ``[lo, hi]``.
 
     Only the name takes part in the arithmetic; the enclosure is kept for
-    the file format.
+    the file format, so each bound is an int or a ``Fraction`` (not a
+    bool or a float), which the format writes and reads back exactly.
+    ValueError otherwise, and unless ``lo < hi``.
     """
 
-    name: str
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not re.fullmatch(SYMBOL_NAME, self.name):
-            raise ValueError(f"symbol name {self.name!r} does not match {SYMBOL_NAME}")
-        if not self.lo < self.hi:
-            raise ValueError(f"symbol {self.name}: interval needs lo < hi")
+    def __new__(cls, name: str, lo: Rational, hi: Rational):
+        if not re.fullmatch(SYMBOL_NAME, name):
+            raise ValueError(f"symbol name {name!r} does not match {SYMBOL_NAME}")
+        for x in (lo, hi):
+            if x.__class__ not in (int, Fraction):
+                raise ValueError(f"symbol {name}: bound {x!r} is not an int or Fraction")
+        if not lo < hi:
+            raise ValueError(f"symbol {name}: interval needs lo < hi")
+        return tuple.__new__(cls, (name, lo, hi))
 
 
-@dataclass(frozen=True)
-class SymbolTable:
+class SymbolTable(_Record, namedtuple("SymbolTable", "decls")):
     """An ordered collection of symbol declarations shared by scalars."""
 
-    decls: tuple[SymbolDecl, ...] = ()
-
-    def __post_init__(self):
+    def __new__(cls, decls: tuple[SymbolDecl, ...] = ()):
+        self = tuple.__new__(cls, (decls,))
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate symbol names in table")
+        return self
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -111,11 +131,7 @@ class ExactScalar:
         den = lcm(*(x.denominator for x in vector))
         _fill(self, table, den, tuple(x.numerator * (den // x.denominator) for x in vector))
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = _Record.__setattr__, _Record.__delattr__
 
     def __reduce__(self):
         return ExactScalar, (self.table, self.vector)

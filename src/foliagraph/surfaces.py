@@ -19,7 +19,7 @@ this layer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -33,6 +33,7 @@ from .scalars import (
     SymbolDecl,
     SymbolTable,
     _coerce_tables,
+    _Record,
     _rank_one,
     _reduced,
     integer_relation,
@@ -42,15 +43,18 @@ from .scalars import (
 TUBE_KINDS = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
-class Disk:
-    """Attaching disk: winding 0 is a small disk, >= 1 a winding ribbon."""
+class Disk(_Record, namedtuple("Disk", "winding")):
+    """Attaching disk: winding 0 is a small disk, >= 1 a winding ribbon.
+    ValueError unless the winding is an int (not a bool) and >= 0."""
 
-    winding: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.winding < 0:
+    def __new__(cls, winding: int = 0):
+        if winding.__class__ is not int:
+            raise ValueError(f"disk winding {winding!r} is not an int")
+        if winding < 0:
             raise ValueError("disk winding must be >= 0")
+        return tuple.__new__(cls, (winding,))
 
     @property
     def is_small(self) -> bool:
@@ -66,26 +70,14 @@ def ribbon(w: int) -> Disk:
     return Disk(w)
 
 
-@dataclass(frozen=True)
-class Summand:
-    id: str
-    p: ExactScalar
-    q: ExactScalar
-
+class Summand(_Record, namedtuple("Summand", "id p q")):
     @cached_property
     def compact(self) -> bool:
         """Commensurable periods: the torus form has all leaves compact."""
         return _rank_one([self.p, self.q])
 
 
-@dataclass(frozen=True)
-class Tube:
-    id: str
-    left: str
-    right: str
-    kind: str
-    left_disk: Disk
-    right_disk: Disk
+Tube = namedtuple("Tube", "id left right kind left_disk right_disk")
 
 
 class ModelFault(ValueError):
@@ -99,29 +91,23 @@ class ModelFault(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    name: str
-    table: SymbolTable
-    summands: tuple[Summand, ...]
-    tubes: tuple[Tube, ...]
-
-    def __post_init__(self):
+class SurfaceModel(_Record, namedtuple("SurfaceModel", "name table summands tubes")):
+    def __new__(cls, name: str, table: SymbolTable, summands: tuple[Summand, ...], tubes: tuple[Tube, ...]):
         faults = (
-            _token_faults("model name", [self.name])
-            + _token_faults("summand id", [s.id for s in self.summands])
-            + _token_faults("tube id", [t.id for t in self.tubes])
+            _token_faults("model name", [name])
+            + _token_faults("summand id", [s.id for s in summands])
+            + _token_faults("tube id", [t.id for t in tubes])
         )
         if faults:
             raise ValueError(faults[0])
-        if not self.summands:
+        if not summands:
             raise ValueError("a surface model needs at least one summand")
-        ids = [s.id for s in self.summands]
-        for part, names in (("summand", ids), ("tube", [t.id for t in self.tubes])):
+        ids = [s.id for s in summands]
+        for part, names in (("summand", ids), ("tube", [t.id for t in tubes])):
             if len(set(names)) != len(names):
                 i = next(i for i, x in enumerate(names) if x in names[:i])
                 raise ModelFault(f"{part} {names[i]}: duplicate id", part, i)
-        for i, s in enumerate(self.summands):
+        for i, s in enumerate(summands):
             if s.p.is_zero() and s.q.is_zero():
                 raise ModelFault(f"summand {s.id}: (p, q) must not be (0, 0)", "summand", i)
         # The incidence structure must be a tree over the summands.
@@ -133,7 +119,7 @@ class SurfaceModel:
                 i = parent[i]
             return i
 
-        for i, t in enumerate(self.tubes):
+        for i, t in enumerate(tubes):
             if t.kind not in TUBE_KINDS:
                 raise ModelFault(f"tube {t.id}: unknown kind {t.kind}", "tube", i)
             if t.left not in parent or t.right not in parent:
@@ -144,6 +130,7 @@ class SurfaceModel:
             parent[a] = b
         if len({find(i) for i in ids}) != 1:
             raise ValueError("summand/tube incidence is not connected")
+        return tuple.__new__(cls, (name, table, summands, tubes))
 
     @cached_property
     def _summand_by_id(self) -> dict[str, Summand]:
@@ -236,29 +223,11 @@ class SurfaceModel:
         return tuple(sign * a for a in theta)
 
 
-@dataclass(frozen=True)
-class LeafReport:
-    has_compact_regular_leaf: bool
-    all_regular_leaves_noncompact: bool
-    compact_singular_components: int
-    generic: bool
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    periods: tuple[ExactScalar, ...]
-    rank: int
-    completely_irrational: bool
-    split: bool
-    m1: int
-    genus: int
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    ok: bool
-    violations: tuple[str, ...]
-    checked: tuple[str, ...]
+LeafReport = namedtuple(
+    "LeafReport", "has_compact_regular_leaf all_regular_leaves_noncompact compact_singular_components generic"
+)
+ClassReport = namedtuple("ClassReport", "periods rank completely_irrational split m1 genus")
+ConsistencyReport = namedtuple("ConsistencyReport", "ok violations checked")
 
 
 def make_torus(

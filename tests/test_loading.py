@@ -82,15 +82,24 @@ def test_deciding_a_graph_loads_no_module():
     assert got == {"verdicts": [True, False, True], "added": []}
 
 
-def test_deciding_a_graph_loads_no_dataclasses_inspect_ast_or_typing():
-    # The graph records are named tuples: the package and the decide path
-    # pay for none of these standard modules.
-    got = _fresh(
+@pytest.mark.parametrize(
+    "code",
+    [
         f"for text in {GRAPHS!r}:\n"
         "    g = fg.parse(text)\n"
-        "    fg.validate(g), fg.complexity(g), fg.is_calabi(g)\n"
-        "report('loaded', sorted(everything() & {'dataclasses', 'inspect', 'ast', 'typing'}))\n"
-    )
+        "    fg.validate(g), fg.complexity(g), fg.is_calabi(g)\n",
+        f"fg.harmonize(fg.parse({GRAPHS[1]!r}))\n",
+        f"fg.consistency_check(fg.parse({SURFACE!r}))\n",
+        "[getattr(fg, name) for name in fg.__all__]\n",
+        "from foliagraph.cli import main\nmain(['harmonize', 'builtin:dumbbell'])\n",
+        "from foliagraph.cli import main\nmain(['surface-check', 'example:4'])\n",
+    ],
+    ids=["decide", "harmonize", "surface", "exports", "cli-harmonize", "cli-surface-check"],
+)
+def test_deciding_a_graph_loads_no_dataclasses_inspect_ast_or_typing(code):
+    # Every record is a named tuple: no layer and no path pays for these
+    # standard modules.
+    got = _fresh(code + "report('loaded', sorted(everything() & {'dataclasses', 'inspect', 'ast', 'typing'}))\n")
     assert got == {"loaded": []}
 
 

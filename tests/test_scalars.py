@@ -2,7 +2,6 @@ import copy
 import operator
 import random
 import re
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,7 +16,10 @@ from foliagraph import (
     TableMismatchError,
     builtin,
     integer_relation,
+    make_torus,
+    parse,
     qrank,
+    serialize,
 )
 from foliagraph.surfaces import parse_value
 from foliagraph.scalars import _rank_one
@@ -155,9 +157,9 @@ def test_scalar_agrees_with_the_fraction_vector_oracle(data):
 def test_scalars_are_immutable(table):
     s = table.rational(Fraction(1, 2)) + table.symbol("lam")
     for field in ("table", "den", "ints", "vector", "other"):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(s, field, None)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del s.den
     assert copy.copy(s) == copy.deepcopy(s) == s
     assert repr(s) == f"ExactScalar(table={table!r}, vector={s.vector!r})"
@@ -351,3 +353,17 @@ def test_symbol_name_outside_the_file_grammar_rejected(name):
     # serialize to text that does not parse back.
     with pytest.raises(ValueError, match="does not match"):
         SymbolDecl(name, Fraction(1), Fraction(2))
+
+
+@pytest.mark.parametrize("lo, hi, bad", [(0.1, 0.2, 0.1), (True, 2, True), (Fraction(1), 2.5, 2.5), (0, True, True)])
+def test_a_bound_that_is_not_an_int_or_fraction_is_rejected(lo, hi, bad):
+    # A float bound prints as a decimal that parses back as a different
+    # Fraction, and a bool prints as text that does not parse at all.
+    with pytest.raises(ValueError, match=f"^symbol lam: bound {re.escape(repr(bad))} is not an int or Fraction$"):
+        SymbolDecl("lam", lo, hi)
+
+
+def test_int_and_fraction_bounds_parse_back():
+    table = SymbolTable((SymbolDecl("lam", 1, 2), SymbolDecl("mu", Fraction(1, 10), Fraction(1, 5))))
+    m = make_torus(table.symbol("lam"), table.symbol("mu"))
+    assert parse(serialize(m)).table == table

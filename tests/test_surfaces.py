@@ -17,8 +17,10 @@ from foliagraph import (
     cup_product,
     cup_vanisher,
     make_torus,
+    parse,
     qrank,
     ribbon,
+    serialize,
 )
 import foliagraph.surfaces as surfaces
 
@@ -305,3 +307,24 @@ def test_reports_are_computed_once_per_model(monkeypatch):
         with pytest.raises(KeyError) as exc:
             m.summand("zz")
         assert exc.value.args == ("zz",)
+
+
+@pytest.mark.parametrize(
+    "build, winding",
+    [(lambda: ribbon(2.5), 2.5), (lambda: Disk(True), True), (lambda: ribbon(True), True), (lambda: Disk(3.0), 3.0)],
+)
+def test_a_disk_winding_that_is_not_an_int_is_rejected(build, winding):
+    # ``serialize`` would write ``ribbon(2.5)`` or ``ribbon(True)``, which
+    # ``parse`` rejects; ``validate`` rejects such edge windings alike.
+    with pytest.raises(ValueError, match=f"^disk winding {re.escape(repr(winding))} is not an int$"):
+        build()
+
+
+def test_integer_disk_windings_keep_their_messages_and_parse_back():
+    assert Disk() == Disk(0) == SMALL and SMALL.is_small and ribbon(3) == Disk(3)
+    for w in (0, -1):
+        with pytest.raises(ValueError, match="^ribbon winding must be >= 1$"):
+            ribbon(w)
+    t = make_torus(1, 0, summand_id="a")
+    m = connect_sum(t, make_torus(2, 0, summand_id="c"), "B", ribbon(4), SMALL, ("a", "c"))
+    assert parse(serialize(m)) == m
