@@ -413,7 +413,8 @@ def _end_faults(g: FoliationGraph) -> list[str]:
         else:
             bad.append(f"edge {eid}: slot {ids[t]}.{slots[ts]} not an out-slot of a {kinds[t]} vertex")
         if h >= nv:
-            bad.append(f"edge {eid}: unknown vertex {ids[h]}")
+            if h != t:  # a loop names its unknown vertex once
+                bad.append(f"edge {eid}: unknown vertex {ids[h]}")
         elif hs in _IN_PORTS.get(kinds[h], ()):
             use[4 * h + hs] += 1
         else:

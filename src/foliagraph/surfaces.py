@@ -65,7 +65,8 @@ SMALL = Disk(0)
 
 
 def ribbon(w: int) -> Disk:
-    if w < 1:
+    """``Disk(w)`` for an int ``w`` >= 1; ``Disk`` names any other type."""
+    if w.__class__ is int and w < 1:
         raise ValueError("ribbon winding must be >= 1")
     return Disk(w)
 

@@ -11,6 +11,7 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 from foliagraph import (
     MERGE,
@@ -20,10 +21,15 @@ from foliagraph import (
     End,
     Event,
     FoliationGraph,
+    NotSortableError,
     Vertex,
     builtin,
     complexity,
+    contiguous,
+    cut,
     is_calabi,
+    reglue,
+    sort_events,
     validate,
 )
 
@@ -340,25 +346,6 @@ def oracle_cut_level(g: FoliationGraph) -> Fraction:
     return min(fits)[2] if fits else witness
 
 
-def level_rule_faults(step) -> list[str]:
-    """What a ``harmonize`` step breaks of the level rule, checked by
-    ``oracle_crossing_count``: its cut angle must be a regular level of
-    the graph before it, crossed by k strands with k > m (the merges) and
-    k - m < the complexity before it, and be ``oracle_cut_level``'s."""
-    g, a = step.graph_before, step.cut_angle
-    m = sum(v.kind == MERGE for v in g.vertices)
-    if a not in regular_levels(g):
-        return [f"cut angle {a} is not a sampled regular level"]
-    k = oracle_crossing_count(g, a)
-    faults = []
-    if not m < k < step.complexity_before + m:
-        faults.append(f"cut angle {a} has {k} strands, {m} merges and complexity {step.complexity_before}")
-    want = oracle_cut_level(g)
-    if a != want:
-        faults.append(f"cut angle {a} is not the rule's level {want}")
-    return faults
-
-
 def oracle_end_faults(g: FoliationGraph) -> list[str]:
     """The slot and winding messages of ``validate``, by counting each
     (vertex id, slot) pair's edge ends on the objects."""
@@ -368,7 +355,9 @@ def oracle_end_faults(g: FoliationGraph) -> list[str]:
     for e in g.edges:
         for end, direction in ((e.tail, "out"), (e.head, "in")):
             if end.vertex not in kind:
-                bad.append(f"edge {e.id}: unknown vertex {end.vertex}")
+                # A loop names its unknown vertex once.
+                if direction == "out" or e.tail.vertex != e.head.vertex:
+                    bad.append(f"edge {e.id}: unknown vertex {end.vertex}")
             elif end.slot not in legal[direction].get(kind[end.vertex], ()):
                 bad.append(
                     f"edge {e.id}: slot {end.vertex}.{end.slot} not an {direction}-slot of a {kind[end.vertex]} vertex"
@@ -439,6 +428,93 @@ def oracle_root_walks(g: FoliationGraph) -> tuple[tuple[str, ...], ...]:
         k = walk.index(min(walk))
         walks.append(walk[k:] + walk[:k])
     return tuple(dict.fromkeys(walks))
+
+
+_handed = attrgetter("_order", "_rank", "_succ", "_sweep")  # what ``reglue`` hands its graph
+
+
+def check_trace(g: FoliationGraph, result, trace) -> list[str]:
+    """The faults of ``trace`` as the certificate of ``harmonize(g)``, whose
+    result is ``result``, or None for a run that raised StuckError.  By the
+    oracles above and the public checked calls, on graphs rebuilt from
+    their records: the chain of graphs from ``g`` to ``result``, each valid
+    and keeping the saddle counts; the recorded complexities, each the
+    count at its witness, falling strictly; each cut angle, the rule's
+    regular level, with m < k < c + m strands for m merges; each word and
+    rewrite count, as ``sort_events`` of ``cut`` gives them; each
+    ``graph_after``, as ``reglue`` gives it, equal to its rebuilt graph and
+    holding the indices that graph derives; and the result's walks,
+    ``oracle_root_walks``'s, closed, positive and covering every edge, or,
+    for a stuck run, a non-Calabi graph with no level of more than m
+    strands.  A broken chain or an invalid graph is reported alone.  Only
+    ``oracle_cut_level`` at a witness that jams and a stuck run scan every
+    level.
+    """
+    steps = trace.steps
+    graphs = [g, *(s.graph_after for s in steps)]
+    faults = [f"step {i}: graph_before is not the graph before it" for i, s in enumerate(steps) if s.graph_before != graphs[i]]
+    if result is not None and result != graphs[-1]:
+        faults.append("the result is not the last graph of the chain")
+    faults += [f"step {i}: graph_after is invalid: {validate(h).violations}" for i, h in enumerate(graphs[1:]) if not validate(h).ok]
+    if faults:
+        return faults
+
+    rebuilt = [FoliationGraph(h.name, h.vertices, h.edges) for h in graphs]
+    counts = [complexity(h) for h in rebuilt]
+    m = g.merge_count()
+    for i, (h, (c, witness)) in enumerate(zip(rebuilt, counts)):
+        if oracle_crossing_count(h, witness) != c:
+            faults.append(f"graph {i}: complexity {c} is not the strand count at its witness {witness}")
+        if not contiguous(g, h):
+            faults.append(f"graph {i}: merge and split counts differ from the input's")
+    if len(steps) > counts[0][0]:
+        faults.append(f"{len(steps)} steps, more than the input's complexity {counts[0][0]}")
+
+    for i, s in enumerate(steps):
+        before, a, c, after = rebuilt[i], s.cut_angle, counts[i][0], counts[i + 1][0]
+        if (s.complexity_before, s.complexity_after) != (c, after):
+            faults.append(f"step {i}: records complexity {s.complexity_before} -> {s.complexity_after}, not {c} -> {after}")
+        if after >= c:
+            faults.append(f"step {i}: complexity {c} -> {after} does not fall")
+        if a not in regular_levels(before):
+            faults.append(f"step {i}: cut angle {a} is not a regular level")
+            continue
+        k, want = oracle_crossing_count(before, a), oracle_cut_level(before)
+        if not m < k < c + m:
+            faults.append(f"step {i}: cut angle {a} has {k} strands, {m} merges and complexity {c}")
+        if a != want:
+            faults.append(f"step {i}: cut angle {a} is not the rule's level {want}")
+        try:
+            sorted_cut, rewrites = sort_events(cut(before, a))
+        except NotSortableError as exc:
+            faults.append(f"step {i}: the cut at {a} does not sort: {exc}")
+            continue
+        if (sorted_cut.events, rewrites) != (s.word, s.rewrites):
+            faults.append(f"step {i}: the word and rewrites differ from sort_events' ({rewrites} rewrites)")
+        if reglue(sorted_cut) != s.graph_after:
+            faults.append(f"step {i}: graph_after is not reglue of the sorted cut")
+        if s.graph_after != rebuilt[i + 1] or _handed(s.graph_after) != _handed(rebuilt[i + 1]):
+            faults.append(f"step {i}: graph_after or its handed order, rank, out-edges or sweep differs from its rebuilt graph's")
+
+    if result is None:
+        k = max(oracle_crossing_count(rebuilt[-1], a) for a in regular_levels(rebuilt[-1]))
+        if k > m:
+            faults.append(f"the run stopped at a graph with a level of {k} strands, more than its {m} merges")
+        if is_calabi(rebuilt[-1]).verdict:
+            faults.append("the run stopped at a Calabi graph")
+        return faults
+    cert = is_calabi(result)
+    if not cert.verdict:
+        return faults + ["the result is not Calabi"]
+    walks = cert.cycles
+    if walks != oracle_root_walks(result):
+        faults.append("the result's walks differ from oracle_root_walks")
+    edges = {e.id: e for e in result.edges}
+    if any(edges[x].head.vertex != edges[y].tail.vertex for w in walks for x, y in zip(w, w[1:] + w[:1])):
+        faults.append("a walk of the result is not a closed positive walk")
+    if {x for w in walks for x in w} != set(edges):
+        faults.append("the result's walks miss an edge")
+    return faults
 
 
 def oracle_strongly_connected(g: FoliationGraph) -> bool:

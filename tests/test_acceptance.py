@@ -6,7 +6,6 @@ import time
 from fractions import Fraction
 
 from foliagraph import (
-    CutGraph,
     StuckError,
     builtin,
     builtin_example,
@@ -15,7 +14,6 @@ from foliagraph import (
     classify_leaves,
     complexity,
     consistency_check,
-    contiguous,
     cup_product,
     cup_vanisher,
     cut,
@@ -25,13 +23,12 @@ from foliagraph import (
     qrank,
     reglue,
     serialize_graph,
-    validate,
 )
 
 from graphgen import (
+    check_trace,
     exhaustive_valid_graphs,
     is_theta,
-    level_rule_faults,
     oracle_all_pairs_positive_path,
     oracle_every_edge_on_cycle,
     oracle_strongly_connected,
@@ -114,10 +111,9 @@ def test_criterion_3_reduction_contract(announce):
     failures = []
     findings = []
     rng = random.Random(2024_03)
-    harmonized = 0
     for i in range(500):
         g = random_non_calabi_graph(rng, max_pairs=6)
-        k0, witness = complexity(g)
+        witness = complexity(g)[1]
         if not reglue_rotates(g, witness, reglue(cut(g, witness))):
             failures.append(f"graph#{i}: reglue(cut(g)) is not g under the rotation map")
         try:
@@ -126,35 +122,11 @@ def test_criterion_3_reduction_contract(announce):
             findings.append((f"graph#{i} {'harmonize' if exc.trace.steps else 'first step'}: {exc}", g))
             failures.append(f"graph#{i}: harmonize got stuck")
             result, trace = None, exc.trace
-        for step in trace.steps:
-            failures += [f"graph#{i}: {fault}" for fault in level_rule_faults(step)]
-            # harmonize builds its sorted cut and reglued graph unchecked;
-            # both must pass the checks it skips.
-            c = cut(step.graph_before, step.cut_angle)
-            try:
-                CutGraph(c.bottom, c.top, step.word, c.source)
-            except ValueError as exc:
-                failures.append(f"graph#{i}: a step's sorted word does not replay: {exc}")
-            if not validate(step.graph_after).ok:
-                failures.append(f"graph#{i}: a step's output is invalid")
-        if trace.steps:
-            g2 = trace.steps[0].graph_after
-            if complexity(g2)[0] >= k0:
-                failures.append(f"graph#{i}: complexity did not decrease")
-            if not contiguous(g, g2):
-                failures.append(f"graph#{i}: merge/split counts changed")
-        if result is not None:
-            harmonized += 1
-            if len(trace.steps) > k0:
-                failures.append(f"graph#{i}: more steps than the initial complexity")
-            if not is_calabi(result).verdict:
-                failures.append(f"graph#{i}: harmonize output is not Calabi")
-            if not contiguous(g, result):
-                failures.append(f"graph#{i}: harmonize changed saddle counts")
+        failures += [f"graph#{i}: {fault}" for fault in check_trace(g, result, trace)]
     if findings:
         announce(
             f"    FINDING: {len(findings)} stuck reduction(s) in 500 runs "
-            f"({harmonized} harmonized cleanly); a step gets stuck only where "
+            f"({500 - len(findings)} harmonized cleanly); a step gets stuck only where "
             f"no level has k strands with #merges < k < complexity + #merges. "
             f"First witness:"
         )

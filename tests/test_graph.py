@@ -173,6 +173,10 @@ def test_validate_rarely_reached_branches():
         "edge e0: unknown vertex z",
         "vertex m: slot out0 unused",
     )
+    # A loop on an unknown vertex names it once, and so does the oracle.
+    stray_loop = _graph(th.vertices, [Edge("e0", End("x", "out0"), End("x", "in0"), 1), e1, e2])
+    faults = ("edge e0: unknown vertex x", "vertex m: slot out0 unused", "vertex s: slot in0 unused")
+    assert _report(stray_loop) == faults and oracle_end_faults(stray_loop) == list(faults)
     twin_vertex = _graph(list(th.vertices) + [Vertex("s", MERGE, Fraction(1, 2))], th.edges)
     assert _report(twin_vertex) == (
         "duplicate vertex ids",

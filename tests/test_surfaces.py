@@ -311,7 +311,8 @@ def test_reports_are_computed_once_per_model(monkeypatch):
 
 @pytest.mark.parametrize(
     "build, winding",
-    [(lambda: ribbon(2.5), 2.5), (lambda: Disk(True), True), (lambda: ribbon(True), True), (lambda: Disk(3.0), 3.0)],
+    [(lambda: ribbon(2.5), 2.5), (lambda: ribbon(0.5), 0.5), (lambda: ribbon("2"), "2"), (lambda: ribbon(True), True)]
+    + [(lambda: Disk(True), True), (lambda: Disk(3.0), 3.0)],
 )
 def test_a_disk_winding_that_is_not_an_int_is_rejected(build, winding):
     # ``serialize`` would write ``ribbon(2.5)`` or ``ribbon(True)``, which
