@@ -102,7 +102,8 @@ def _columns(rows: list[tuple], width: int) -> list[list]:
 class FoliationGraph:
     """A foliation graph, held as flat tables indexed by position in id
     order.  ``FoliationGraph(name, vertices, edges)`` converts the objects
-    once; ``parse`` and ``reglue`` hand their tables to ``_make``.  ``vertices``
+    once, or raises ValueError naming a non-str id if the ids do not sort;
+    ``parse`` and ``reglue`` hand their tables to ``_make``.  ``vertices``
     and ``edges`` are built from the tables on first read.  Equality and
     hash compare the tables, so angles compare as the numbers they are;
     repr is ``FoliationGraph(name=..., vertices=..., edges=...)``, in id
@@ -123,12 +124,18 @@ class FoliationGraph:
     """
 
     def __init__(self, name: str, vertices, edges):
-        vertices = sorted(vertices, key=attrgetter("id"))
-        self.__dict__.update(_tables(
-            name,
-            [(v.id, v.kind, *_lowest_terms(v.angle)) for v in vertices],
-            [(e.id, e.tail.vertex, e.tail.slot, e.head.vertex, e.head.slot, e.winding) for e in edges],
-        ))
+        vertices = list(vertices)
+        rows = [(e.id, e.tail.vertex, e.tail.slot, e.head.vertex, e.head.slot, e.winding) for e in edges]
+        try:
+            vertices.sort(key=attrgetter("id"))
+            tables = _tables(name, [(v.id, v.kind, *_lowest_terms(v.angle)) for v in vertices], rows)
+        except TypeError:
+            # Ids that do not sort together: name the first that is not a str.
+            for noun, x in [("vertex id", v.id) for v in vertices] + [("edge id", r[0]) for r in rows]:
+                if not isinstance(x, str):
+                    raise ValueError(f"{noun} {x!r} is not a str") from None
+            raise
+        self.__dict__.update(tables)
         # The angles as given, so that ``vertices`` returns them unchanged.
         self.__dict__["_angle"] = [v.angle for v in vertices]
 
@@ -357,15 +364,19 @@ _TOKEN_BREAK = re.compile(r"[\s#]")
 
 def _token_faults(noun: str, idents: list[str]) -> list[str]:
     """One message per ident the text formats cannot carry, named as
-    ``noun``: they split lines at whitespace, as ``str.split`` does, and
-    drop what follows "#".  One search over the idents joined by "/",
-    which the pattern cannot match, finds whether there is any."""
-    if all(idents) and not _TOKEN_BREAK.search("/".join(idents)):
-        return []
+    ``noun``: not a str, or empty, or broken by them, since they split
+    lines at whitespace, as ``str.split`` does, and drop what follows "#".
+    One search over the idents joined by "/", which the pattern cannot
+    match, finds whether there is any; the join fails on a non-str."""
+    try:
+        if all(idents) and not _TOKEN_BREAK.search("/".join(idents)):
+            return []
+    except TypeError:
+        pass
     return [
-        f"{noun} {ident!r} is empty or holds whitespace or '#'"
+        f"{noun} {ident!r} " + ("is empty or holds whitespace or '#'" if isinstance(ident, str) else "is not a str")
         for ident in idents
-        if not ident or _TOKEN_BREAK.search(ident)
+        if not isinstance(ident, str) or not ident or _TOKEN_BREAK.search(ident)
     ]
 
 

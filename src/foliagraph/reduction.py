@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict, namedtuple
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, count
 from math import gcd
 from sys import maxsize
@@ -75,10 +76,11 @@ class StuckError(RuntimeError):
 Event = namedtuple("Event", "kind inputs outputs")
 Event.__doc__ = """A vertex of ``kind`` crossed by the cut word: it consumes the
 strands ``inputs`` and produces ``outputs``, which line up with its slots
-``IN_SLOTS[kind]`` and ``OUT_SLOTS[kind]``.  ``cut`` and every rewrite
-build one per event, as ``tuple.__new__(Event, (kind, inputs, outputs))``:
-``Event._make`` without its length check, about 0.17 µs against 0.30 µs
-for ``Event(kind, inputs, outputs)`` (CPython 3.11, ``timeit``)."""
+``IN_SLOTS[kind]`` and ``OUT_SLOTS[kind]``.  ``cut`` (per event) and the
+sort (per rewritten split, and per moved merge as it lands) build them as
+``tuple.__new__(Event, (kind, inputs, outputs))``: ``Event._make`` without
+its length check, about 0.17 µs against 0.30 µs for ``Event(kind, inputs,
+outputs)`` (CPython 3.11, ``timeit``)."""
 
 
 class CutGraph(namedtuple("CutGraph", "bottom top events source")):
@@ -201,40 +203,6 @@ def _cut(g: FoliationGraph, gap: int) -> CutGraph:
     return CutGraph._make((tuple(bottom), tuple(top), tuple(events), g.name))
 
 
-def _transpose(
-    split: Event, merge: Event, live_before: Collection[int], fresh: Iterator[int]
-) -> tuple[Event, Event]:
-    """Rewrite the adjacent pair (split; merge) into (merge; split).
-
-    The net strand interface of the pair (strands consumed from outside,
-    strands handed on) is preserved in all three cases, so the rest of the
-    word and the boundary data stay untouched.
-    """
-    (x,), (x1, x2) = split.inputs, split.outputs
-    ins, (y,) = merge.inputs, merge.outputs
-    y1, y2 = ins
-    fed1, fed2 = x1 in ins, x2 in ins
-    if not (fed1 or fed2):
-        # Disjoint: the events commute as written.
-        return merge, split
-    if not (fed1 and fed2) or x1 == x2:
-        # One split output feeds the merge (x1 == x2 only where a rewrite
-        # re-emitted an id): merge first, split the result.
-        s = x1 if fed1 else x2
-        other_x = x2 if s == x1 else x1
-        other_y = y2 if s == y1 else y1
-        z = next(fresh)
-        return tuple.__new__(Event, (MERGE, (x, other_y), (z,))), tuple.__new__(Event, (SPLIT, (z,), (other_x, y)))
-    # Bubble: both split outputs feed the merge.  Borrow a parallel live
-    # strand, merge into it, and split it back off unchanged.  Only this
-    # case reads ``live_before``.
-    w = min((s for s in live_before if s != x), default=None)
-    if w is None:
-        raise NotSortableError((x, x1, x2, y), len(live_before))
-    z = next(fresh)
-    return tuple.__new__(Event, (MERGE, (x, w), (z,))), tuple.__new__(Event, (SPLIT, (z,), (y, w)))
-
-
 def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     """Rewrite the event word until every merge precedes every split.
 
@@ -245,12 +213,16 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     inputs is a commute that changes neither event, so only the splits
     that make one are rewritten, the highest first, found by one bisect
     per input in each strand's ascending list of the splits that output
-    it.  This costs O(n + k), plus O(log n + r) per rewrite whose split
-    and merge share a strand, for r splits that output one strand (a
-    bubble re-emits its borrowed strand; r <= 2 on the perfbench
-    harmonize cuts), plus O(n + k) per bubble.  Boundaries are
-    unchanged.  Raises NotSortableError when a bubble has no strand to
-    borrow.
+    it.  With z fresh, (x -> s, t; s, u -> y) becomes (x, u -> z; z -> t,
+    y), moving only s to y in those lists, and a bubble (x -> s, t; s, t
+    -> y) borrows the least strand w != x live below it and becomes (x,
+    w -> z; z -> y, w).  The sinking merge is held as strands and built
+    once, where it lands.  This costs O(n + k), plus O(log n + r) per
+    rewrite whose split and merge share a strand, for r splits that
+    output one strand (a bubble re-emits its borrowed strand; r <= 2 on
+    the perfbench harmonize cuts), plus O(n + k) per bubble, which
+    replays the word below it.  Boundaries are unchanged.  Raises
+    NotSortableError when a bubble has no strand to borrow.
 
     On a cut that ``cut`` makes, with k strands and m merges, it raises
     exactly when k <= m.  If k <= m, no sorted word exists: its m-th merge
@@ -271,11 +243,8 @@ def sort_events(c: CutGraph) -> tuple[CutGraph, int]:
     are rejected so; the full-replay reference sorts 14 of those, 4 to a
     valid word.
 
-    The result is a checked ``CutGraph``: its word replays from ``bottom``
-    to ``top`` once more.  ``harmonize`` skips that replay (``_sort_events``
-    and ``CutGraph._make``, the named tuple's unchecked constructor, which
-    ``_replace`` calls too): a word that ``cut`` makes never re-emits a
-    strand, and a rewrite that succeeds keeps the word valid, as above.
+    The result is a checked ``CutGraph``: its word replays once more,
+    which ``harmonize`` skips (see ``CutGraph``).
     """
     events, rewrites = _sort_events(c)
     return CutGraph(c.bottom, c.top, events, c.source), rewrites
@@ -292,7 +261,7 @@ def _sort_events(c: CutGraph) -> tuple[tuple[Event, ...], int]:
     splits: list[Event] = []
     # Strand -> the ascending indices of the splits that output it now.
     made: defaultdict[int, list[int]] = defaultdict(list)
-    get = made.get
+    get, new = made.get, tuple.__new__
 
     rewrites = 0
     for ev in c.events:
@@ -301,12 +270,13 @@ def _sort_events(c: CutGraph) -> tuple[tuple[Event, ...], int]:
                 made[s].append(len(splits))
             splits.append(ev)
             continue
-        rewrites += len(splits)
-        merge, below = ev, len(splits)
+        # The sinking merge is (a, b) -> y, and an Event once it lands.
+        n = below = len(splits)
+        rewrites += n
+        (a, b), (y,) = ev.inputs, ev.outputs
         while True:
             # The highest split below index ``below`` that outputs an input
             # of the merge, or -1: one bisect per input.
-            a, b = merge.inputs
             at = get(a, ())
             k = bisect_left(at, below)
             j = at[k - 1] if k else -1
@@ -316,27 +286,46 @@ def _sort_events(c: CutGraph) -> tuple[tuple[Event, ...], int]:
                 j = at[k - 1]
             if j < 0:
                 break
-            split = splits[j]
-            old = split.outputs
-            # Only a bubble borrows a strand, so only it reads the live set.
-            bubble = old[0] in (a, b) and old[1] in (a, b)
-            live = live_after(c.bottom, merges + splits[:j]) if bubble else ()
-            merge, splits[j] = _transpose(split, merge, live, fresh)
-            for s in old:
+            (x,), (x1, x2) = splits[j].inputs, splits[j].outputs
+            z = next(fresh)
+            if x1 in (a, b) and x2 in (a, b) and x1 != x2:
+                # A bubble, the only rewrite that reads the live set.
+                live = live_after(c.bottom, merges + splits[:j])
+                w = min((s for s in live if s != x), default=None)
+                if w is None:
+                    raise NotSortableError((x, x1, x2, y), len(live))
+                splits[j] = new(Event, (SPLIT, (z,), (y, w)))
+                made[x1].remove(j)
+                made[x2].remove(j)
+                insort(made[y], j)
+                insort(made[w], j)
+                a, b = x, w
+            else:
+                # One output s feeds the merge (or x1 == x2, where a
+                # rewrite re-emitted an id).
+                s, other_x = (x1, x2) if x1 in (a, b) else (x2, x1)
+                splits[j] = new(Event, (SPLIT, (z,), (other_x, y)))
                 made[s].remove(j)
-            for s in splits[j].outputs:
-                insort(made[s], j)
-            below = j
-        merges.append(merge)
+                insort(made[y], j)
+                a, b = x, b if s == a else a
+            y, below = z, j
+        merges.append(ev if below == n else new(Event, (MERGE, (a, b), (y,))))
 
     return tuple(merges + splits), rewrites
 
 
-def _layout(kinds: Sequence[str]) -> tuple[dict, list[tuple[int, int]], tuple]:
+@lru_cache(maxsize=16)
+def _layout(kinds: tuple[str, ...]) -> tuple[dict, list[tuple[int, int]], tuple]:
     """What a graph reglued from a word takes from the word's kinds alone,
     MERGE or SPLIT in word order as a checked cut has them: the tables and
     indices its graphs share, by the names ``FoliationGraph._make`` takes,
     its edge starts, and its sweep less the bottom strand count.
+
+    Memoized on the kinds for the last 16 word shapes, so ``harmonize``
+    and ``reglue`` share one build per shape, and graphs of any call may
+    hold the same lists: they are frozen, and nothing writes them.  A
+    layout takes about 0.3 KB per event at 32 events, 0.6 KB at 800
+    (``tracemalloc``, CPython 3.11): at most 160 KB for 32-event words.
 
     Event i becomes vertex ``v{i}`` at angle (i + 1)/(n + 1), and its
     out-slots, in word order, start the edges ``e0``, ``e1``, ...  The
@@ -403,24 +392,23 @@ def reglue(c: CutGraph) -> FoliationGraph:
 
     The vertices, the edge ids and tails, the circular order, the
     out-edge lists and the sweep less its base depend only on the word's
-    kinds: they are its layout (``_layout``), which this call builds and
-    ``harmonize`` builds once for all its steps.  Only the heads and
+    kinds: they are its layout (``_layout``), built once per word shape
+    and shared with ``harmonize`` and every later call.  Only the heads and
     windings, and the checks, read the strands.  The graph is handed its
     order, rank and out-edges from the layout, and its sweep: the layout's
     plus the crossing count at gap 0, which is the cut's level.  Each
     crossing there is one glue pass, and every bottom segment is passed
     exactly once (at least once, as the orphan check asserts, and at most
     once, since each segment follows one segment only), so the count is
-    ``len(c.bottom)``.  The word replays from
-    ``bottom`` to ``top``, as ``CutGraph`` checks on construction and as
-    ``cut`` of a valid graph has it by construction.  RegluingError is
+    ``len(c.bottom)``.  The word replays from ``bottom`` to ``top``, as
+    ``CutGraph`` checks and ``cut`` of a valid graph has it.  RegluingError is
     raised on a glue orbit that avoids every vertex and on a disconnected
     graph: two checks for hand-built cuts, an eventless one among them
     (``cut`` never makes one).  ``harmonize`` keeps the first, which
     ``_reglue`` makes as it walks the edges, and skips the union-find of
     the second: a reglued graph of a valid graph is connected.
     """
-    g = _reglue(c, *_layout([ev.kind for ev in c.events]))
+    g = _reglue(c, *_layout(tuple([ev.kind for ev in c.events])))
     if not _connected(g):
         raise RegluingError("reglued graph is disconnected")
     return g
@@ -536,12 +524,12 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     sorts with ``_sort_events`` and builds the sorted cut unchecked, with
     ``CutGraph._make`` (as ``_replace`` would): the cut of a valid graph
     replays, and a rewrite that succeeds keeps its word valid (see
-    ``sort_events``).  It reglues with ``_reglue``, which
-    skips the connectivity test, since the graph is valid.  Every sorted
-    word of the chain has the same kinds, its m merges and then as many
-    splits, since each step keeps both counts; so every step reglues with
-    one layout (see ``reglue``), built at the first step, and each reglued
-    graph holds its sweep from that layout: only the input is swept.
+    ``sort_events``).  It reglues with ``_reglue``, which skips the
+    connectivity test, since the graph is valid.  Every sorted word of
+    the chain has the same kinds, its m merges and then as many splits,
+    so every step reglues with the one layout (see ``reglue``) of that
+    shape, which the memo builds for a merge count no recent call had,
+    and each reglued graph holds its sweep from it: only the input is swept.
     """
     _require_valid(g)
     steps: list[ReductionStep] = []

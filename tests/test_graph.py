@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -144,6 +145,30 @@ def test_integer_winding_messages_are_unchanged():
     bad = _graph(db.vertices, [e._replace(winding=-1) if e.id == "e2" else e for e in db.edges])
     assert validate(bad).violations == ("edge e2: negative winding", "edge e2: loop needs winding >= 1")
     assert validate(FreeCircle("c", 0)).violations == ("free circle winding must be >= 1",)
+
+
+@pytest.mark.parametrize("ident", [7, True, 2.5, Fraction(1), None])
+def test_names_and_ids_that_are_not_strs_are_rejected(ident):
+    # The text formats carry only str names and ids.  An id that cannot be
+    # sorted with the others stops the constructor, which names it; any
+    # other is a violation, one per ident, and no TypeError escapes.
+    db = builtin("dumbbell")
+    renamed = [v._replace(id=ident) if v.id == db.vertices[0].id else v for v in db.vertices]
+    with pytest.raises(ValueError, match=rf"^vertex id {re.escape(repr(ident))} is not a str$"):
+        _graph(renamed, db.edges)
+    renamed = [e._replace(id=ident) if e.id == "e2" else e for e in db.edges]
+    with pytest.raises(ValueError, match=rf"^edge id {re.escape(repr(ident))} is not a str$"):
+        _graph(db.vertices, renamed)
+
+    message = f"graph name {ident!r} is not a str"
+    for g in (FoliationGraph(ident, db.vertices, db.edges), FreeCircle(ident, 1)):
+        assert validate(g).violations == (message,)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            complexity(g)
+
+    # Ids that sort together, all ints here, reach validate.
+    g = _graph(db.vertices, [e._replace(id=k + 10) for k, e in enumerate(db.edges)])
+    assert validate(g).violations == ("edge id 10 is not a str", "edge id 11 is not a str", "edge id 12 is not a str")
 
 
 def test_validate_disconnected():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+from collections.abc import Collection, Iterator
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -37,7 +38,7 @@ from foliagraph import (
 )
 from foliagraph.graph import _TABLES, FoliationGraph
 import foliagraph.reduction as reduction
-from foliagraph.reduction import RegluingError, _transpose, live_after
+from foliagraph.reduction import RegluingError, live_after
 
 from graphgen import (
     DEAD_END_V6,
@@ -462,13 +463,6 @@ def test_reglue_rejects_orphan_glue_orbit():
     assert str(exc.value) == "glue orbit through strands [9] avoids every vertex"
 
 
-def test_first_step_dumbbell():
-    _, trace = harmonize(builtin("dumbbell"))
-    g = trace.steps[0].graph_after
-    assert is_theta(g)
-    assert complexity(g)[0] == 1
-
-
 def test_dead_end_v6_has_no_level_that_sorts():
     g = parse(Path(DEAD_END_V6).read_text())
     assert validate(g).ok and not is_calabi(g).verdict
@@ -670,7 +664,6 @@ def test_reglued_graph_keeps_angle_order():
                 assert sum(g2._crossings(0)) == len(c2.bottom)
                 fresh = FoliationGraph(g2.name, g2.vertices, g2.edges)
                 assert g2 == fresh
-                assert g2.__dict__["_sweep"] == fresh._sweep
                 assert _seeded_values(g2) == _seeded_values(fresh)
                 id_order_differs += g2._order != sorted(g2._order)
                 # The witness at gap 0, where the last gap wraps, or above.
@@ -765,6 +758,40 @@ def replay(bottom, events):
     return levels
 
 
+def _transpose(
+    split: Event, merge: Event, live_before: Collection[int], fresh: Iterator[int]
+) -> tuple[Event, Event]:
+    """Rewrite the adjacent pair (split; merge) into (merge; split).
+
+    The net strand interface of the pair (strands consumed from outside,
+    strands handed on) is preserved in all three cases, so the rest of the
+    word and the boundary data stay untouched.
+    """
+    (x,), (x1, x2) = split.inputs, split.outputs
+    ins, (y,) = merge.inputs, merge.outputs
+    y1, y2 = ins
+    fed1, fed2 = x1 in ins, x2 in ins
+    if not (fed1 or fed2):
+        # Disjoint: the events commute as written.
+        return merge, split
+    if not (fed1 and fed2) or x1 == x2:
+        # One split output feeds the merge (x1 == x2 only where a rewrite
+        # re-emitted an id): merge first, split the result.
+        s = x1 if fed1 else x2
+        other_x = x2 if s == x1 else x1
+        other_y = y2 if s == y1 else y1
+        z = next(fresh)
+        return tuple.__new__(Event, (MERGE, (x, other_y), (z,))), tuple.__new__(Event, (SPLIT, (z,), (other_x, y)))
+    # Bubble: both split outputs feed the merge.  Borrow a parallel live
+    # strand, merge into it, and split it back off unchanged.  Only this
+    # case reads ``live_before``.
+    w = min((s for s in live_before if s != x), default=None)
+    if w is None:
+        raise NotSortableError((x, x1, x2, y), len(live_before))
+    z = next(fresh)
+    return tuple.__new__(Event, (MERGE, (x, w), (z,))), tuple.__new__(Event, (SPLIT, (z,), (y, w)))
+
+
 def _sort_events_by_full_replay(c):
     """Reference sorter: replays the whole word before every rewrite and
     fixes the lowest (split, merge) inversion."""
@@ -805,41 +832,79 @@ def test_sort_events_matches_full_replay_reference():
     assert sorted_words and stuck
 
 
-def test_sort_events_transposes_only_interactions(monkeypatch):
-    # Every rewrite counts, but only one whose split and merge share a
-    # strand calls ``_transpose``: a disjoint commute changes no event.
-    # The reference's word history says which rewrites share a strand.
-    real_transpose, calls, shares = _transpose, 0, []
+def _rewrite_case(split, merge):
+    """Which of ``_transpose``'s cases rewrites the pair (split; merge)."""
+    fed = [x in merge.inputs for x in split.outputs]
+    if not any(fed):
+        return "commute"
+    if all(fed) and split.outputs[0] != split.outputs[1]:
+        return "bubble"
+    return "shared"
 
-    def counting(split, merge, live_before, fresh):
-        nonlocal calls
-        calls += 1
-        return real_transpose(split, merge, live_before, fresh)
+
+def _reference_rewrites(c, monkeypatch):
+    """The cases of the rewrites the full-replay reference makes on ``c``,
+    in order, a bubble that jams included, and whether it jammed."""
+    cases, real = [], _transpose
 
     def recording(split, merge, live_before, fresh):
-        shares.append(not set(split.outputs).isdisjoint(merge.inputs))
-        return real_transpose(split, merge, live_before, fresh)
+        cases.append(_rewrite_case(split, merge))
+        return real(split, merge, live_before, fresh)
 
-    monkeypatch.setattr(reduction, "_transpose", counting)
-    monkeypatch.setitem(globals(), "_transpose", recording)
+    with monkeypatch.context() as m:
+        m.setitem(globals(), "_transpose", recording)
+        try:
+            _sort_events_by_full_replay(c)
+        except NotSortableError:
+            return cases, True
+    return cases, False
+
+
+def _count_sort_work(monkeypatch):
+    """Spy on the sort's two costly calls: ``insort``, which moves a split
+    into a strand's list, and ``live_after``, the checked replay.  Returns
+    the running counts as a dict."""
+    counts = {"insort": 0, "live_after": 0}
+    for name in counts:
+        real = getattr(reduction, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(reduction, name, counting)
+    return counts
+
+
+def test_sort_events_transposes_only_interactions(monkeypatch):
+    # Every rewrite counts, but only one whose split and merge share a
+    # strand changes an event: a shared-strand rewrite moves the one split
+    # output that changed (one ``insort``), and a bubble both outputs (two)
+    # after the one replay of its prefix; a disjoint commute does neither.
+    # The reference's word history says which rewrite is which.
+    counts = _count_sort_work(monkeypatch)
     rng = random.Random(4343)
-    interactions = commutes = 0
+    interactions = commutes = bubbles = 0
     for _ in range(60):
         g = random_valid_graph(rng, max_pairs=rng.choice((2, 4, 8)))
         for a in regular_levels(g):
             c = cut(g, a)
-            calls, shares = 0, []
-            for sort in (_sort_events_by_full_replay, sort_events):
-                try:
-                    sort(c)
-                except NotSortableError:
-                    pass
-            assert calls == sum(shares)
-            if not all(shares):
-                assert calls < len(shares)
-            interactions += sum(shares)
-            commutes += len(shares) - sum(shares)
-    assert interactions and commutes
+            cases, jammed = _reference_rewrites(c, monkeypatch)
+            counts.update(insort=0, live_after=0)
+            try:
+                _, rewrites = sort_events(c)
+                assert rewrites == len(cases)
+            except NotSortableError:
+                assert jammed
+            # A jammed bubble replays its prefix and stops before it moves
+            # a strand; a sorted word is replayed once more, as a CutGraph.
+            done = cases.count("bubble") - jammed
+            assert counts["insort"] == cases.count("shared") + 2 * done
+            assert counts["live_after"] == cases.count("bubble") + (not jammed)
+            interactions += len(cases) - cases.count("commute")
+            commutes += cases.count("commute")
+            bubbles += done
+    assert interactions and commutes and bubbles
 
 
 def test_sort_events_matches_reference_on_reused_strands():
@@ -886,37 +951,35 @@ def test_sort_events_matches_reference_on_reused_strands():
 
 def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
     # One prefix replay per bubble, the only rewrite that reads a live set,
-    # so commuting and shared-strand rewrites build no set.  No step
-    # replays its whole word: ``cut`` of a valid graph and the sort of its
-    # word are valid by construction, so harmonize builds both unchecked.
-    replays = bubbles = 0
-    real_live_after, real_transpose = reduction.live_after, _transpose
-
-    def counting_live_after(bottom, events):
-        nonlocal replays
-        replays += 1
-        return real_live_after(bottom, events)
-
-    def counting_transpose(split, merge, live_before, fresh):
-        nonlocal bubbles
-        bubbles += set(split.outputs) == set(merge.inputs)
-        return real_transpose(split, merge, live_before, fresh)
-
-    monkeypatch.setattr(reduction, "live_after", counting_live_after)
-    monkeypatch.setattr(reduction, "_transpose", counting_transpose)
+    # so commuting and shared-strand rewrites build no set, and one
+    # ``insort`` per strand a rewrite moves.  No step replays its whole
+    # word: ``cut`` of a valid graph and the sort of its word are valid by
+    # construction, so harmonize builds both unchecked.  The reference
+    # rewrites each step's cut, and the witness cut a stuck run jams on.
+    counts = _count_sort_work(monkeypatch)
     rng = random.Random(2024_11)
-    steps = rewrites = 0
+    steps = rewrites = bubbles = 0
     for _ in range(40):
         g = random_non_calabi_graph(rng, max_pairs=8)
+        counts.update(insort=0, live_after=0)
         try:
             _, trace = harmonize(g)
-            steps += len(trace.steps)
+            stuck = None
         except StuckError as exc:
             trace = exc.trace
-            steps += len(trace.steps) + 1
-        rewrites += sum(s.rewrites for s in trace.steps)
+            stuck = trace.steps[-1].graph_after if trace.steps else g
+        inserts, replays = counts["insort"], counts["live_after"]
+        cuts = [cut(s.graph_before, s.cut_angle) for s in trace.steps]
+        if stuck is not None:
+            cuts.append(cut(stuck, complexity(stuck)[1]))
+        cases = [case for c in cuts for case in _reference_rewrites(c, monkeypatch)[0]]
+        done = cases.count("bubble") - (stuck is not None)
+        assert replays == cases.count("bubble")
+        assert inserts == cases.count("shared") + 2 * done
+        steps += len(cuts)
+        rewrites += len(cases)
+        bubbles += cases.count("bubble")
     assert steps and bubbles and rewrites > 10 * bubbles
-    assert replays == bubbles
 
 
 def test_harmonize_sweeps_each_graph_once(monkeypatch):
@@ -947,27 +1010,86 @@ def test_harmonize_sweeps_each_graph_once(monkeypatch):
     assert steps > inputs and calls == inputs
 
 
-def test_harmonize_builds_one_layout_per_call(monkeypatch):
-    # Every sorted word of a chain has the same kinds, so one layout serves
-    # every step of a ``harmonize`` call.
-    real_layout = reduction._layout
-    builds = 0
+def _layout_inputs(seed, n):
+    rng = random.Random(seed)
+    return [random_non_calabi_graph(rng, max_pairs=8) for _ in range(n)]
 
-    def counting_layout(kinds):
-        nonlocal builds
-        builds += 1
-        return real_layout(kinds)
 
-    monkeypatch.setattr(reduction, "_layout", counting_layout)
-    rng = random.Random(2024_14)
+def _harmonize_outcome(g):
+    try:
+        return harmonize(g)
+    except StuckError as exc:
+        return str(exc), exc.trace
+
+
+def test_harmonize_builds_one_layout_per_word_shape():
+    # Every sorted word of a chain has the same kinds, its m merges and
+    # then m splits, so one layout serves every step, and the memo serves
+    # every later call with m merges, and the public ``reglue`` of such a
+    # word.
+    graphs = _layout_inputs(2024_14, 40)
+    shapes = {g.merge_count() for g in graphs}
+    reduction._layout.cache_clear()
     steps = 0
-    for _ in range(40):
-        g = random_non_calabi_graph(rng, max_pairs=8)
-        before = builds
-        try:
-            _, trace = harmonize(g)
-        except StuckError as exc:
-            trace = exc.trace
+    for g in graphs:
+        _, trace = _harmonize_outcome(g)
         steps += len(trace.steps)
-        assert builds - before == 1
-    assert steps > 40
+    assert steps > 40 and 1 < len(shapes) <= 16
+    info = reduction._layout.cache_info()
+    assert info.misses == len(shapes)
+    for g in graphs:
+        _harmonize_outcome(g)
+    assert reduction._layout.cache_info().misses == info.misses
+    step = next(s for g in graphs for s in _harmonize_outcome(g)[1].steps)
+    c = cut(step.graph_before, step.cut_angle)
+    assert reglue(sort_events(c)[0]) == step.graph_after
+    assert reduction._layout.cache_info().misses == info.misses
+
+
+def test_harmonize_does_not_depend_on_the_memo():
+    # Graphs of different calls share the memo's tables, so no call may
+    # see what an earlier one did: results and traces are the same in any
+    # order, and from an empty memo.
+    graphs = _layout_inputs(2032, 30)
+    forward = [_harmonize_outcome(g) for g in graphs]
+    backward = [_harmonize_outcome(g) for g in reversed(graphs)][::-1]
+    reduction._layout.cache_clear()
+    cleared = [_harmonize_outcome(g) for g in graphs]
+    assert forward == backward == cleared
+
+
+def test_harmonize_leaves_the_cached_layouts_as_built():
+    # Nothing writes a layout: after harmonize, public reglue calls and
+    # every read of the graphs they return, each cached layout equals a
+    # fresh build of its kinds.
+    shapes = set()
+    for g in _layout_inputs(2032_2, 12):
+        reduction._layout.cache_clear()
+        keys = set()
+        _, trace = _harmonize_outcome(g)
+        for step in trace.steps:
+            keys.add(tuple(ev.kind for ev in step.word))
+            c = cut(step.graph_before, step.cut_angle)
+            keys.add(tuple(ev.kind for ev in c.events))
+            for h in (step.graph_after, reglue(c)):
+                validate(h), complexity(h), is_calabi(h), euler_genus(h), serialize(h)
+                h.vertices, h.edges, h._pred
+        assert len(keys) <= 16
+        for kinds in keys:
+            before = reduction._layout.cache_info()
+            cached = reduction._layout(kinds)
+            assert reduction._layout.cache_info().hits == before.hits + 1
+            assert cached == reduction._layout.__wrapped__(kinds)
+        shapes |= keys
+    assert len(shapes) > 16
+
+
+def test_layout_memo_is_bounded():
+    # Words of 24 different lengths: the memo keeps at most 16 layouts.
+    reduction._layout.cache_clear()
+    rng = random.Random(2032_3)
+    for n_pairs in range(1, 25):
+        g = random_valid_graph(rng, n_pairs=n_pairs)
+        reglue(cut(g, regular_levels(g)[0]))
+    info = reduction._layout.cache_info()
+    assert info.misses == 24 and info.maxsize == 16 and info.currsize <= 16
