@@ -170,7 +170,9 @@ def _cmd_harmonize(args) -> int:
         with open(args.output, "w") as fh:
             fh.write(text)
     if args.machine:
-        final_c, _ = complexity(result)
+        # The last step recorded the result's complexity; with no step, the
+        # result is the input.
+        final_c = trace.steps[-1].complexity_after if trace.steps else complexity(g)[0]
         pairs: list[tuple[str, object]] = [
             ("steps", len(trace.steps)),
             ("calabi", True),

@@ -87,10 +87,11 @@ def _tables(name: str, vertices: list[tuple], edges: list[tuple]) -> dict:
 
 def _lowest_terms(angle) -> tuple:
     """``angle`` in lowest terms, as (numerator, denominator); an infinite
-    or nan float, which only an invalid graph has, as (angle, 1)."""
+    or nan float, or a value that is no number, which only an invalid graph
+    has, as (angle, 1)."""
     try:
         a = Fraction(angle)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         return angle, 1
     return a.numerator, a.denominator
 
@@ -118,9 +119,10 @@ class FoliationGraph:
     names an invalid graph's ends use but no vertex or slot carries.
     Every index below, the angles as ``Fraction``s among them, is built
     on first use from these, or handed to ``_make`` by ``reglue``, which
-    has it in hand; the graph is frozen, so none goes stale: assigning or
-    deleting an attribute raises AttributeError.  Only the two
-    constructors and the cached properties write the instance dict.
+    has the order, rank and out-edges in hand; the graph is frozen, so
+    none goes stale: assigning or deleting an attribute raises
+    AttributeError.  Only the two constructors and the cached properties
+    write the instance dict.
     """
 
     def __init__(self, name: str, vertices, edges):
@@ -142,8 +144,8 @@ class FoliationGraph:
     @classmethod
     def _make(cls, **tables) -> FoliationGraph:
         """An unchecked graph from its tables, by their ``_TABLES`` names, plus
-        any of ``_order``, ``_rank``, ``_succ`` and ``_sweep`` the builder
-        holds: ``reglue`` hands over all four."""
+        any of ``_order``, ``_rank`` and ``_succ`` the builder holds:
+        ``reglue`` hands over all three."""
         g = object.__new__(cls)
         g.__dict__.update(tables)
         return g
@@ -202,16 +204,25 @@ class FoliationGraph:
             bad.append("graph has no vertices (use a free circle record instead)")
             return ValidationReport(False, tuple(bad))
 
+        sortable = True  # whether every angle is a number, so that they sort
         for v, (vid, kind) in enumerate(zip(ids, kinds)):
             if kind not in ARITY:
                 bad.append(f"vertex {vid}: unknown kind {kind}")
-            if not 0 <= num[v] < den[v]:
-                bad.append(f"vertex {vid}: angle {self._angle[v]} outside [0, 1)")
+            try:
+                inside = 0 <= num[v] < den[v]
+            except (TypeError, ArithmeticError):
+                # Only ``FoliationGraph(...)`` takes such an angle: text that
+                # is no number, None, or a decimal NaN, which does not compare.
+                bad.append(f"vertex {vid}: angle {self._angle[v]!r} is not a number")
+                sortable = False
+            else:
+                if not inside:
+                    bad.append(f"vertex {vid}: angle {self._angle[v]} outside [0, 1)")
 
         bad += _end_faults(self)
 
         # Sorted, equal angles are adjacent.
-        angles = [(num[v], den[v]) for v in self._order]
+        angles = [(num[v], den[v]) for v in self._order] if sortable else []
         if any(map(eq, angles, angles[1:])):
             bad.append("vertex angles not pairwise distinct (critical values must differ)")
 
@@ -245,15 +256,17 @@ class FoliationGraph:
         one.  Sorting by float is exact but where floats tie: a correctly
         rounded float never reverses two angles.  Ties, which only angles
         within a rounding step of each other or outside [0, 1) make, are
-        sorted again by the exact angles.  Angles outside [0, 1), which
-        only an invalid graph has and whose quotient may not fit in a float,
-        all take 1.0.  ``reglue`` hands it over, since it builds its
-        vertices in angle order."""
-        flo = [n / d if 0 <= n < d else 1.0 for n, d in zip(self._num, self._den)]
+        sorted again by the exact angles, read off ``_num``/``_den``: n/d,
+        or n itself where d is 1, as for an infinite or nan float.  Angles
+        outside [0, 1), which only an invalid graph has and whose quotient
+        may not fit in a float, all take 1.0.  Every angle must be a number,
+        as ``validate`` checks before it sorts.  ``reglue`` hands it over,
+        since it builds its vertices in angle order."""
+        num, den = self._num, self._den
+        flo = [n / d if 0 <= n < d else 1.0 for n, d in zip(num, den)]
         order = sorted(range(len(flo)), key=flo.__getitem__)
         if len(set(flo)) < len(flo):
-            angle = self._angle
-            order.sort(key=lambda v: (flo[v], angle[v]))
+            order.sort(key=lambda v: (flo[v], num[v] if den[v] == 1 else Fraction(num[v], den[v])))
         return order
 
     @cached_property
@@ -273,20 +286,15 @@ class FoliationGraph:
         ``counts[k]``, so gap g's is ``counts[g - 1]``.  Midpoints rise
         with rank but for the last, which wraps, so the witness is the
         midpoint of the first minimizing gap or of the last one; the gap
-        above rank k is gap k + 1, or gap 0 for the last.  ``reglue`` hands
-        it over, since the layout of its word's kinds fixes it (see
-        ``reduction._layout``), so ``harmonize`` sweeps only its input."""
+        above rank k is gap k + 1, or gap 0 for the last.  No builder hands
+        it over: ``harmonize`` sweeps only its input, and reads each later
+        graph's counts off the sorted word it reglued."""
         kinds, base = self._kinds, sum(self._crossings(0))
         counts = list(accumulate((1 if kinds[v] == SPLIT else -1 for v in self._order), initial=base))[1:]
         best, n = min(counts), len(counts)
         ranks = [k for k in (counts.index(best), n - 1) if counts[k] == best]
         witness, gap = min((self._midpoint(k), (k + 1) % n) for k in ranks)
         return best, witness, gap, counts
-
-    @cached_property
-    def _complexity(self) -> tuple[int, Fraction]:
-        """``complexity``'s (minimum, witness), kept so repeat calls return it."""
-        return self._sweep[:2]
 
     def _midpoint(self, k: int) -> Fraction:
         """The circular midpoint of the gap above the critical value of rank
@@ -518,7 +526,7 @@ def complexity(g: Foliation) -> tuple[int, Fraction]:
     _require_valid(g)
     if isinstance(g, FreeCircle):
         return g.winding, Fraction(0)
-    return g._complexity
+    return g._sweep[:2]
 
 
 def _bfs(g: FoliationGraph, start: int, reverse: bool = False) -> tuple[list[int], list[int | None]]:

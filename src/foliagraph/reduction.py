@@ -23,7 +23,7 @@ from collections import defaultdict, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import count
 from math import gcd
 from sys import maxsize
 
@@ -315,11 +315,11 @@ def _sort_events(c: CutGraph) -> tuple[tuple[Event, ...], int]:
 
 
 @lru_cache(maxsize=16)
-def _layout(kinds: tuple[str, ...]) -> tuple[dict, list[tuple[int, int]], tuple]:
+def _layout(kinds: tuple[str, ...]) -> tuple[dict, list[tuple[int, int]]]:
     """What a graph reglued from a word takes from the word's kinds alone,
     MERGE or SPLIT in word order as a checked cut has them: the tables and
     indices its graphs share, by the names ``FoliationGraph._make`` takes,
-    its edge starts, and its sweep less the bottom strand count.
+    and its edge starts.
 
     Memoized on the kinds for the last 16 word shapes, so ``harmonize``
     and ``reglue`` share one build per shape, and graphs of any call may
@@ -336,16 +336,6 @@ def _layout(kinds: tuple[str, ...]) -> tuple[dict, list[tuple[int, int]], tuple]
     (``_succ``) are all fixed before any strand is read.  The starts hold,
     per edge in id order, its number m (its first segment is the m-th
     born, b + m for b bottom strands) and its tail's event.
-
-    The sweep is fixed too, as (low, witness, witness gap, balance): the
-    circular order is the word order and the count at gap 0 is b (see
-    ``reglue``), so the count above rank k is b + ``balance[k]``, the
-    running sum of +1 per SPLIT and -1 per MERGE, and its minimum is
-    b + low.  The gap above rank k < n - 1 has midpoint
-    (2k + 3)/(2n + 2); the last one wraps to 0, so it is the witness
-    whenever it minimizes, and otherwise the first minimizing gap is.  An
-    eventless word, which no graph has, gets witness 0 at gap 0, as a
-    free circle has.
     """
     n = len(kinds)
     born: list[int] = []  # edge m starts at out-port born[m]; event i's are 4 * i + 2, 4 * i + 3
@@ -360,13 +350,6 @@ def _layout(kinds: tuple[str, ...]) -> tuple[dict, list[tuple[int, int]], tuple]
     eo = sorted(range(len(born)), key=eids.__getitem__)
     tail = [order[born[m] >> 2] for m in eo]
     common = [gcd(i + 1, n + 1) for i in rank]  # of each angle's numerator and denominator
-    balance = list(accumulate(1 if kind == SPLIT else -1 for kind in kinds))
-    low = min(balance, default=0)
-    if not balance or balance[-1] == low:
-        witness, gap = Fraction(0), 0
-    else:
-        k = balance.index(low)
-        witness, gap = Fraction(2 * k + 3, 2 * n + 2), k + 1
     return dict(
         _ids=[ids[i] for i in rank],
         _kinds=[kinds[i] for i in rank],
@@ -379,7 +362,7 @@ def _layout(kinds: tuple[str, ...]) -> tuple[dict, list[tuple[int, int]], tuple]
         _order=order,
         _rank=rank,
         _succ=_incident(n, tail),
-    ), [(m, born[m] >> 2) for m in eo], (low, witness, gap, balance)
+    ), [(m, born[m] >> 2) for m in eo]
 
 
 def reglue(c: CutGraph) -> FoliationGraph:
@@ -390,18 +373,18 @@ def reglue(c: CutGraph) -> FoliationGraph:
     through the glue become edges, winding once per glue pass except that
     a run ending at an earlier vertex spends one pass wrapping the circle.
 
-    The vertices, the edge ids and tails, the circular order, the
-    out-edge lists and the sweep less its base depend only on the word's
-    kinds: they are its layout (``_layout``), built once per word shape
-    and shared with ``harmonize`` and every later call.  Only the heads and
-    windings, and the checks, read the strands.  The graph is handed its
-    order, rank and out-edges from the layout, and its sweep: the layout's
-    plus the crossing count at gap 0, which is the cut's level.  Each
+    The vertices, the edge ids and tails, the circular order and the
+    out-edge lists depend only on the word's kinds: they are its layout
+    (``_layout``), built once per word shape and shared with ``harmonize``
+    and every later call.  Only the heads and windings, and the checks,
+    read the strands.  The graph is handed its order, rank and out-edges
+    from the layout, and sweeps on first read, like a parsed one.  Its
+    crossing count at gap 0, the cut's level, is ``len(c.bottom)``: each
     crossing there is one glue pass, and every bottom segment is passed
     exactly once (at least once, as the orphan check asserts, and at most
-    once, since each segment follows one segment only), so the count is
-    ``len(c.bottom)``.  The word replays from ``bottom`` to ``top``, as
-    ``CutGraph`` checks and ``cut`` of a valid graph has it.  RegluingError is
+    once, since each segment follows one segment only).  The word replays
+    from ``bottom`` to ``top``, as ``CutGraph`` checks and ``cut`` of a
+    valid graph has it.  RegluingError is
     raised on a glue orbit that avoids every vertex and on a disconnected
     graph: two checks for hand-built cuts, an eventless one among them
     (``cut`` never makes one).  ``harmonize`` keeps the first, which
@@ -414,7 +397,7 @@ def reglue(c: CutGraph) -> FoliationGraph:
     return g
 
 
-def _reglue(c: CutGraph, shared: dict, starts: list[tuple[int, int]], sweep: tuple) -> FoliationGraph:
+def _reglue(c: CutGraph, shared: dict, starts: list[tuple[int, int]]) -> FoliationGraph:
     """``reglue`` of a cut, given the layout of its word's kinds, without
     the connectivity check."""
     name = c.source if c.source.endswith("-reglued") else f"{c.source}-reglued"
@@ -468,12 +451,7 @@ def _reglue(c: CutGraph, shared: dict, starts: list[tuple[int, int]], sweep: tup
             f"glue orbit through strands {orphans} avoids every vertex"
         )
 
-    # Hand over what the layout and the cut already hold (see reglue).
-    low, witness, gap, balance = sweep
-    return FoliationGraph._make(
-        **shared, name=name, _head=head, _head_slot=head_slot, _winding=winding,
-        _sweep=(b + low, witness, gap, [b + x for x in balance]),
-    )
+    return FoliationGraph._make(**shared, name=name, _head=head, _head_slot=head_slot, _winding=winding)
 
 
 class ReductionStep(namedtuple(
@@ -528,8 +506,13 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
     connectivity test, since the graph is valid.  Every sorted word of
     the chain has the same kinds, its m merges and then as many splits,
     so every step reglues with the one layout (see ``reglue``) of that
-    shape, which the memo builds for a merge count no recent call had,
-    and each reglued graph holds its sweep from it: only the input is swept.
+    shape, which the memo builds for a merge count no recent call had.
+    Only the input is swept: a step whose cut has b strands reglues a
+    graph with b strands at gap 0 (see ``reglue``), whose m merges take
+    the counts above them down to b - 1, ..., b - m and whose splits take
+    them back up to b - m + 1, ..., b.  So its complexity is b - m, at the
+    one level between the blocks, gap m, whose midpoint is 1/2, as its
+    sweep would find.
     """
     _require_valid(g)
     steps: list[ReductionStep] = []
@@ -538,7 +521,7 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
         if layout is None:
             merges = current.merge_count()
             layout = _layout((MERGE,) * merges + (SPLIT,) * merges)
-        before, angle, gap, counts = current._sweep
+            before, angle, gap, counts = current._sweep
         if before <= merges:
             # The witness level jams: take the fewest strands that sort and
             # still lower complexity, if any level has them, at the lowest
@@ -553,11 +536,16 @@ def harmonize(g: Foliation) -> tuple[Foliation, ReductionTrace]:
             after_graph = _reglue(CutGraph._make((c.bottom, c.top, events, c.source)), *layout)
         except NotSortableError as exc:
             raise StuckError(f"reduction of {current.name} stuck: {exc}", exc, ReductionTrace(tuple(steps))) from exc
-        after = after_graph._sweep[0]
+        b = len(c.bottom)
+        after = b - merges
         if after >= before:
             raise AssertionError("reduction did not decrease complexity")
         steps.append(ReductionStep(angle, before, after, rewrites, events, current, after_graph))
         current = after_graph
+        # The reglued graph's sweep, read off its sorted word (see above).
+        before, angle, gap, counts = (
+            after, Fraction(1, 2), merges, [*range(b - 1, after - 1, -1), *range(after + 1, b + 1)]
+        )
     return current, ReductionTrace(tuple(steps))
 
 

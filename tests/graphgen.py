@@ -430,7 +430,8 @@ def oracle_root_walks(g: FoliationGraph) -> tuple[tuple[str, ...], ...]:
     return tuple(dict.fromkeys(walks))
 
 
-_handed = attrgetter("_order", "_rank", "_succ", "_sweep")  # what ``reglue`` hands its graph
+# What ``reglue`` hands its graph, and the sweep it derives on first read.
+_indices = attrgetter("_order", "_rank", "_succ", "_sweep")
 
 
 def check_trace(g: FoliationGraph, result, trace) -> list[str]:
@@ -493,8 +494,8 @@ def check_trace(g: FoliationGraph, result, trace) -> list[str]:
             faults.append(f"step {i}: the word and rewrites differ from sort_events' ({rewrites} rewrites)")
         if reglue(sorted_cut) != s.graph_after:
             faults.append(f"step {i}: graph_after is not reglue of the sorted cut")
-        if s.graph_after != rebuilt[i + 1] or _handed(s.graph_after) != _handed(rebuilt[i + 1]):
-            faults.append(f"step {i}: graph_after or its handed order, rank, out-edges or sweep differs from its rebuilt graph's")
+        if s.graph_after != rebuilt[i + 1] or _indices(s.graph_after) != _indices(rebuilt[i + 1]):
+            faults.append(f"step {i}: graph_after or its order, rank, out-edges or sweep differs from its rebuilt graph's")
 
     if result is None:
         k = max(oracle_crossing_count(rebuilt[-1], a) for a in regular_levels(rebuilt[-1]))

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from foliagraph import builtin, builtin_example, harmonize, parse, serialize_graph, serialize_surface, to_dot
+from foliagraph import builtin, builtin_example, complexity, harmonize, parse, serialize_graph, serialize_surface, to_dot
 from foliagraph.cli import main
 
 from graphgen import DEAD_END_V6, HUGE_WINDING, is_theta
@@ -49,9 +49,21 @@ def test_harmonize_trace_and_output(capsys, tmp_path):
     assert code == 0
     assert "step 1: cut@0 complexity 2->1 rewrites 1" in err
     lines = dict(line.split("=", 1) for line in out.strip().splitlines())
-    assert lines["steps"] == "1" and lines["calabi"] == "true"
+    assert lines["steps"] == "1" and lines["calabi"] == "true" and lines["complexity"] == "1"
     result = parse(out_file.read_text())
     assert is_theta(result)
+
+    # With several steps, the reported complexity is the result's; with
+    # none, it is the input's.
+    path = tmp_path / "g.graph"
+    path.write_text(MULTISTEP_FIXTURE)
+    code, out, _ = run(capsys, "harmonize", str(path), "-o", str(out_file), "--machine")
+    assert code == 0
+    lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert lines["steps"] == "3"
+    assert lines["complexity"] == str(complexity(parse(out_file.read_text()))[0])
+    code, out, _ = run(capsys, "harmonize", "builtin:theta", "--machine")
+    assert code == 0 and out.splitlines() == ["steps=0", "calabi=true", "complexity=1"]
 
 
 def test_harmonize_stdout_graph(capsys):

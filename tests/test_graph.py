@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -479,6 +480,30 @@ def test_validate_reports_angles_outside_the_circle():
         assert validate(g).violations == violations
 
 
+@pytest.mark.parametrize(
+    "angle, violation",
+    [
+        (None, "vertex m: angle None is not a number"),
+        ("x", "vertex m: angle 'x' is not a number"),
+        ([1], "vertex m: angle [1] is not a number"),
+        (1j, "vertex m: angle 1j is not a number"),
+        (Decimal("NaN"), "vertex m: angle Decimal('NaN') is not a number"),
+        # Text that Fraction reads is the number it reads, here s's 1/4.
+        ("0.25", "vertex angles not pairwise distinct (critical values must differ)"),
+    ],
+)
+def test_validate_reports_angles_that_are_not_numbers(angle, violation):
+    # The constructor takes any angle and leaves the report to validate,
+    # which names the vertex; the order's tie-break reads the exact angles.
+    th = builtin("theta")
+    g = _graph([v._replace(angle=angle) if v.id == "m" else v for v in th.vertices], th.edges)
+    assert g.vertices[0].angle is angle
+    assert validate(g) == ValidationReport(False, (violation,))
+    for call in (complexity, is_calabi, euler_genus, harmonize):
+        with pytest.raises(ValueError, match=f"^{re.escape(violation)}$"):
+            call(g)
+
+
 def test_crossing_counts():
     db, th = builtin("dumbbell"), builtin("theta")
     assert _level_count(db, Fraction(0)) == oracle_crossing_count(db, Fraction(0)) == 2
@@ -579,9 +604,21 @@ def test_angles_closer_than_a_float_keep_their_exact_order():
     assert validate(twins).violations == ("vertex angles not pairwise distinct (critical values must differ)",)
 
 
-def test_complexity_is_computed_once_per_graph():
+def test_complexity_is_computed_once_per_graph(monkeypatch):
+    # The graph keeps its sweep, so repeat calls count no level again.
+    sweep = FoliationGraph.__dict__["_sweep"]
+    real_sweep = sweep.func
+    calls = 0
+
+    def counting_sweep(g):
+        nonlocal calls
+        calls += 1
+        return real_sweep(g)
+
+    monkeypatch.setattr(sweep, "func", counting_sweep)
     g = random_valid_graph(random.Random(5), n_pairs=6)
-    assert complexity(g) is complexity(g)
+    assert complexity(g) == complexity(g) == g._sweep[:2]
+    assert calls == 1
 
 
 def test_is_calabi_certificates():

@@ -591,13 +591,13 @@ def test_roundtrip_at_random_regular_angle(seed):
 
 
 def _seeded_values(g):
-    """What ``reglue`` hands its graph, and what the sweep derives from it."""
+    """What ``reglue`` hands its graph, and the sweep it derives from them."""
     return (g._order, g._rank, g._succ, complexity(g), g._sweep)
 
 
 # What ``reglue`` hands ``FoliationGraph._make`` besides the tables, and
-# every other index a graph builds on first read.
-_HANDED = {"_order", "_rank", "_succ", "_sweep"}
+# every other index a graph builds on first read, the sweep among them.
+_HANDED = {"_order", "_rank", "_succ"}
 _LAZY = {name for name, attr in vars(FoliationGraph).items() if isinstance(attr, cached_property)} - _HANDED
 
 
@@ -632,30 +632,37 @@ def test_cut_words_replay_to_their_top():
 
 
 def test_reglued_graph_keeps_angle_order():
-    # ``reglue`` hands its graph the circular order, the rank, the
-    # out-edges and the sweep, whose base is the cut's strand count,
-    # instead of deriving them; each must be what a fresh graph derives, on
-    # sorted and unsorted cuts alike.  A reglued graph holds exactly the tables and those
-    # indices, so the layout a chain shares can neither leak a key nor miss
-    # a table.
+    # ``reglue`` hands its graph the circular order, the rank and the
+    # out-edges instead of deriving them; each must be what a fresh graph
+    # derives, on sorted and unsorted cuts alike.  A reglued graph holds
+    # exactly the tables and those indices, so the layout a chain shares
+    # can neither leak a key nor miss a table, and no sweep is handed: it
+    # sweeps on first read.  A sorted cut with b strands and m merges
+    # reglues to the counts ``harmonize`` reads off the word: b - 1, ...,
+    # b - m, then b - m + 1, ..., b, with the minimum at 1/2, in gap m.
     rng = random.Random(606)
-    id_order_differs = 0
+    id_order_differs = sorted_cuts = 0
     witness_gaps = set()
     for _ in range(60):
         g = random_valid_graph(rng, max_pairs=rng.choice((2, 4, 8)))
         for a in regular_levels(g):
             c = cut(g, a)
-            cuts = [c]
+            cuts = [(c, False)]
             try:
-                cuts.append(sort_events(c)[0])
+                cuts.append((sort_events(c)[0], True))
             except NotSortableError:
                 pass
-            for c2 in cuts:
+            for c2, is_sorted in cuts:
                 try:
                     g2 = reglue(c2)
                 except RegluingError:
                     continue
                 assert set(g2.__dict__) == set(_TABLES) | _HANDED
+                if is_sorted:
+                    b, m = len(c2.bottom), g2.merge_count()
+                    counts = [*range(b - 1, b - m - 1, -1), *range(b - m + 1, b + 1)]
+                    assert g2._sweep == (b - m, Fraction(1, 2), m, counts)
+                    sorted_cuts += 1
                 # The handed-over order is the angles' order, and the one a
                 # fresh graph sorts.
                 by_angle = sorted(g2.vertices, key=lambda v: v.angle)
@@ -669,7 +676,7 @@ def test_reglued_graph_keeps_angle_order():
                 # The witness at gap 0, where the last gap wraps, or above.
                 witness_gaps.add(g2._sweep[2] == 0)
     # Ids v10, v11, ... sort before v2, so the id order is no stand-in.
-    assert id_order_differs
+    assert id_order_differs and sorted_cuts
     assert witness_gaps == {True, False}
 
     # Every graph of a harmonize chain is reglued with the layout of its
@@ -985,8 +992,9 @@ def test_harmonize_replays_each_word_at_most_twice_per_step(monkeypatch):
 def test_harmonize_sweeps_each_graph_once(monkeypatch):
     # Each ``harmonize`` step needs the complexity of the graph it produced,
     # and the next step needs it again for its witness.  A reglued graph's
-    # sweep is fixed by the layout of its word's kinds and the cut's strand
-    # count, and handed over, so only the input graph is swept.
+    # counts are fixed by its sorted word's merge count and the cut's strand
+    # count, which ``harmonize`` reads off the word, so only the input
+    # graph is swept.
     sweep = FoliationGraph.__dict__["_sweep"]
     real_sweep = sweep.func
     calls = 0
